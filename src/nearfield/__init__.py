@@ -8,14 +8,13 @@ inverse-distance corrections to the differential flux, and the identities
 (flux conservation, unitarity, optical theorem) that survive at any
 detector distance.
 
-Subpackage ``nearfield._kernels`` holds the contraction hot loops; a
-compiled extension is used when available and a NumPy fallback otherwise
-(see ``nearfield._kernels.BACKEND``).
+The package is pure Python on NumPy and SciPy.  The pointwise flux
+contracts at degree level, since the pair factors depend only on the two
+degrees; ``nearfield._kernels`` holds its two NumPy contractions.
 """
 
 from __future__ import annotations
 
-from ._kernels import BACKEND
 from .amplitudes import (
     Channel,
     ChannelSet,
@@ -89,7 +88,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AmplitudeDataError",
     "AngularGrid",
-    "BACKEND",
     "Channel",
     "ChannelSet",
     "ChiPolynomial",

@@ -79,7 +79,6 @@ def cmd_flux(config: RunConfig) -> int:
         raise ConfigError("flux needs a distance schedule (r_values or r_range)")
     grid = _flux_grid(config, source.f.l_max)
     profile = flux_profile(source.f, source.channels, config.r_values, grid=grid)
-    sections = cross_sections(source.f, source.channels, grid=grid)
 
     labels = source.channels.labels
     if config.format == "json":
@@ -102,7 +101,7 @@ def cmd_flux(config: RunConfig) -> int:
             "entrance": source.channels.entrance,
             "grid_order": grid.order,
             "far_field_total": float(profile.far_field_total),
-            "cross_section_total": float(sections.total),
+            "cross_section_total": float(profile.far_field_total),
             "rows": rows,
         }
         if config.per_angle:
@@ -128,7 +127,7 @@ def cmd_flux(config: RunConfig) -> int:
             f"# entrance: {source.channels.entrance}",
             f"# grid_order: {grid.order}",
             f"# far_field_total: {_fmt(profile.far_field_total)}",
-            f"# cross_section_total: {_fmt(sections.total)}",
+            f"# cross_section_total: {_fmt(profile.far_field_total)}",
         ]
         header = ["R"]
         header += [f"kR_{label}" for label in labels]

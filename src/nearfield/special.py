@@ -49,11 +49,14 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _chi_coefficients(order: int) -> tuple[Fraction, ...]:
+def _chi_integers(order: int) -> tuple[int, ...]:
     f = math.factorial
-    return tuple(
-        Fraction(f(order + s), f(s) * f(order - s)) for s in range(order + 1)
-    )
+    return tuple(f(order + s) // (f(s) * f(order - s)) for s in range(order + 1))
+
+
+@lru_cache(maxsize=None)
+def _chi_coefficients(order: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(c) for c in _chi_integers(order))
 
 
 def chi_coefficient(l: int, s: int) -> Fraction:

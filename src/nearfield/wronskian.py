@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .special import ChiPolynomial, chi_coefficient
+from .special import ChiPolynomial, _chi_integers
 
 __all__ = [
     "IntegralCheckReport",
@@ -48,30 +48,34 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# exact polynomial helpers (ascending coefficient tuples of Fractions)
+# exact polynomial helpers (ascending coefficient tuples of Python ints)
 # ----------------------------------------------------------------------
+# Every coefficient below is an integer: the chi coefficients are, and the
+# tables are built from their products and derivatives only.  Integer
+# arithmetic is exact and far cheaper than ``Fraction``; the public
+# functions convert at the boundary.
 
-def _poly_mul(p: tuple[Fraction, ...], q: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+def _poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(p) + len(q) - 1)
     for i, pi in enumerate(p):
         for k, qk in enumerate(q):
             out[i + k] += pi * qk
     return tuple(out)
 
 
-def _poly_diff(p: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _poly_diff(p: tuple[int, ...]) -> tuple[int, ...]:
     if len(p) <= 1:
-        return (Fraction(0),)
-    return tuple(Fraction(n) * c for n, c in enumerate(p))[1:]
+        return (0,)
+    return tuple(n * c for n, c in enumerate(p))[1:]
 
 
-def _series_poly(order: int, negate: bool) -> tuple[Fraction, ...]:
+def _series_poly(order: int, negate: bool) -> tuple[int, ...]:
     sign = -1 if negate else 1
-    return tuple(chi_coefficient(order, s) * sign**s for s in range(order + 1))
+    return tuple(c * sign**s for s, c in enumerate(_chi_integers(order)))
 
 
 @lru_cache(maxsize=None)
-def _combination_laurent(conj_deg: int, dir_deg: int) -> tuple[Fraction, ...]:
+def _combination_laurent(conj_deg: int, dir_deg: int) -> tuple[int, ...]:
     """Laurent coefficients of HW via the current combination itself.
 
     ``q * p + u**2 * (q p' - q' p)`` with ``q = P_conj(-u)``, ``p = P_dir(u)``,
@@ -82,7 +86,7 @@ def _combination_laurent(conj_deg: int, dir_deg: int) -> tuple[Fraction, ...]:
     qp = _poly_mul(q, p)
     cross1 = _poly_mul(q, _poly_diff(p))
     cross2 = _poly_mul(_poly_diff(q), p)
-    out = [Fraction(0)] * (max(len(qp), len(cross1) + 2, len(cross2) + 2))
+    out = [0] * (max(len(qp), len(cross1) + 2, len(cross2) + 2))
     for n, c in enumerate(qp):
         out[n] += c
     for n, c in enumerate(cross1):
@@ -95,7 +99,7 @@ def _combination_laurent(conj_deg: int, dir_deg: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _series_product_coefficients(conj_deg: int, dir_deg: int) -> tuple[Fraction, ...]:
+def _series_product_coefficients(conj_deg: int, dir_deg: int) -> tuple[int, ...]:
     """``A_n = [u**n] P_conj(-u) P_dir(u)``, the series-route coefficients."""
     return _poly_mul(
         _series_poly(conj_deg, negate=True), _series_poly(dir_deg, negate=False)
@@ -125,7 +129,7 @@ def laurent_coefficients(j: int, l: int) -> tuple[Fraction, ...]:
     terminates at degree ``j + l + 1``.
     """
     _check_orders(j, l)
-    return _combination_laurent(l, j)
+    return tuple(Fraction(c) for c in _combination_laurent(l, j))
 
 
 def half_wronskian_exact(j: int, l: int, z: complex | np.ndarray) -> complex | np.ndarray:
@@ -209,16 +213,26 @@ def wronskian_series(j: int, l: int) -> WronskianSeries:
         l=l,
         constant_term=Fraction(1),
         prefactor=j * (j + 1) - l * (l + 1),
-        correction=tuple(enumerate(coeffs)),
+        correction=tuple((n, Fraction(c)) for n, c in enumerate(coeffs)),
     )
 
 
 @lru_cache(maxsize=None)
-def _pair_coefficient_table(l_max: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    return tuple(
-        tuple(_laurent_float(row, col) for col in range(l_max + 1))
-        for row in range(l_max + 1)
-    )
+def _pair_coefficient_tensor(l_max: int) -> np.ndarray:
+    """Laurent coefficients of every degree pair, highest power first.
+
+    ``tensor[2*l_max + 1 - n, row, col]`` is the ``u**n`` coefficient of
+    ``HW(j=col, l=row)``; pairs of lower total degree are zero-padded at the
+    top, which leaves Horner's rule unchanged.
+    """
+    size = 2 * l_max + 2
+    tensor = np.zeros((size, l_max + 1, l_max + 1))
+    for row in range(l_max + 1):
+        for col in range(l_max + 1):
+            coeffs = _laurent_float(row, col)
+            tensor[size - coeffs.size :, row, col] = coeffs[::-1]
+    tensor.flags.writeable = False
+    return tensor
 
 
 def pair_matrix(l_max: int, z: complex) -> np.ndarray:
@@ -233,14 +247,10 @@ def pair_matrix(l_max: int, z: complex) -> np.ndarray:
     if z == 0:
         raise ValueError("evaluation point z = 0 is singular")
     u = 1.0 / (2.0 * complex(z))
-    table = _pair_coefficient_table(l_max)
-    out = np.empty((l_max + 1, l_max + 1), dtype=complex)
-    for row in range(l_max + 1):
-        for col in range(l_max + 1):
-            acc = 0.0 + 0.0j
-            for c in table[row][col][::-1]:
-                acc = acc * u + c
-            out[row, col] = acc
+    out = np.zeros((l_max + 1, l_max + 1), dtype=complex)
+    for coeffs in _pair_coefficient_tensor(l_max):
+        out *= u
+        out += coeffs
     return out
 
 

@@ -7,7 +7,7 @@ import logging
 import numpy as np
 import pytest
 
-from nearfield.amplitudes import Channel, ChannelSet, PartialWaveAmplitude
+from nearfield.amplitudes import Channel, ChannelSet, PartialWaveAmplitude, evaluate
 from nearfield.flux import (
     FluxHermiticityError,
     _real_with_hermitian_check,
@@ -21,7 +21,14 @@ from nearfield.flux import (
     total_flux,
     unitarity_defect,
 )
-from nearfield.special import gauss_legendre_sphere, unit_from_angles
+from nearfield.special import (
+    angles_from_unit,
+    gauss_legendre_sphere,
+    mode_degrees,
+    unit_from_angles,
+    ylm_table,
+)
+from nearfield.wronskian import pair_matrix
 
 from conftest import (
     channel_set,
@@ -67,6 +74,60 @@ def test_exact_accepts_batched_directions(rng):
     assert batch.shape == (grid.n_nodes,)
     single = differential_flux_exact(f, cs, 5.0, grid.points[7])
     assert batch[7] == pytest.approx(single, rel=1e-14)
+
+
+def _mode_level_flux(f, cs, R, pts):
+    """Reference at full mode size: every (l, m) pair, no degree collapse.
+
+    Returns the flux and its absolute-value contraction (every term replaced
+    by its modulus), the yardstick for rounding.
+    """
+    theta, phi = angles_from_unit(pts)
+    table = ylm_table(f.l_max, theta, phi)
+    ls = mode_degrees(f.l_max)
+    value = np.zeros(pts.shape[0])
+    scale = np.zeros(pts.shape[0])
+    for label in cs.labels:
+        g = f.dense(label)[:, None] * table
+        w = pair_matrix(f.l_max, -1j * cs.k(label) * R)[np.ix_(ls, ls)]
+        weight = cs.weight(label)
+        value += weight * np.einsum("ap,ab,bp->p", g.conj(), w, g).real
+        scale += weight * np.einsum("ap,ab,bp->p", np.abs(g), np.abs(w), np.abs(g))
+    return value, scale
+
+
+@pytest.mark.parametrize("l_max", range(13))
+def test_degree_collapse_matches_mode_level_reference(l_max):
+    f, cs, _ = unitary_amplitude(2, l_max, seed=40 + l_max)
+    pts = gauss_legendre_sphere(6).points
+    k_min = min(cs.k(label) for label in cs.labels)
+    r_values = np.geomspace(0.5, 300.0, 6) / k_min
+    collapsed = differential_flux_exact(f, cs, r_values, pts)
+    for i, R in enumerate(r_values):
+        ref, scale = _mode_level_flux(f, cs, R, pts)
+        assert np.all(np.abs(collapsed[i] - ref) <= 1e-13 * scale)
+
+
+def test_array_distances_match_stacked_scalar_calls():
+    f, cs, _ = unitary_amplitude(3, 4, seed=12)
+    r_values = np.array([0.3, 1.7, 25.0, 900.0])
+    pts = gauss_legendre_sphere(5).points
+    batch = differential_flux_exact(f, cs, r_values, pts)
+    assert batch.shape == (4, pts.shape[0])
+    stacked = np.stack([differential_flux_exact(f, cs, R, pts) for R in r_values])
+    np.testing.assert_array_equal(batch, stacked)
+    # direction shape is kept behind the distance axis
+    cube = pts[:12].reshape(3, 4, 3)
+    assert differential_flux_exact(f, cs, r_values, cube).shape == (4, 3, 4)
+    single = differential_flux_exact(f, cs, r_values, pts[5])
+    assert single.shape == (4,)
+    np.testing.assert_array_equal(
+        single, [differential_flux_exact(f, cs, R, pts[5]) for R in r_values]
+    )
+    with pytest.raises(ValueError):
+        differential_flux_exact(f, cs, np.ones((2, 2)), pts)
+    with pytest.raises(ValueError):
+        differential_flux_exact(f, cs, np.array([1.0, 0.0]), pts)
 
 
 def test_hermiticity_guard_raises_on_complex_residue():
@@ -206,6 +267,15 @@ def test_cross_sections_parseval_matches_quadrature(rng):
         assert sections.quadrature_per_channel[label] == pytest.approx(
             sections.per_channel[label], rel=1e-10, abs=1e-16
         )
+
+
+def test_cross_section_samples_match_pointwise_amplitude():
+    f, cs, _ = unitary_amplitude(3, 4, seed=9)
+    grid = gauss_legendre_sphere(10)
+    sections = cross_sections(f, cs, grid)
+    for i, label in enumerate(cs.labels):
+        direct = cs.weight(label) * np.abs(evaluate(f, label, grid.points)) ** 2
+        np.testing.assert_array_equal(sections.differential[i], direct)
 
 
 def test_total_flux_gram_route_is_exact_at_small_kr():

@@ -1,9 +1,7 @@
-"""Backend parity, dispatch, and double-double quadrature primitives."""
+"""Contraction kernels and double-double quadrature primitives."""
 
 from __future__ import annotations
 
-import subprocess
-import sys
 from fractions import Fraction
 
 import mpmath
@@ -23,12 +21,7 @@ from nearfield._dd import (
     two_prod,
     two_sum,
 )
-from nearfield._kernels import fallback
 from nearfield.special import gauss_legendre_sphere, mode_list, ylm_table
-
-needs_compiled = pytest.mark.skipif(
-    not _kernels.HAVE_COMPILED, reason="compiled extension not built"
-)
 
 
 def _random_problem(rng, n_modes, n_points):
@@ -43,73 +36,49 @@ def _random_problem(rng, n_modes, n_points):
 
 
 # ----------------------------------------------------------------------
-# backend parity
+# NumPy contraction kernels
 # ----------------------------------------------------------------------
 
-@needs_compiled
-@pytest.mark.parametrize("n_modes,n_points", [(9, 4), (16, 600)])
-def test_quadratic_form_backends_agree(rng, n_modes, n_points):
-    from nearfield._kernels import _quadform
+def test_quadratic_form_matches_explicit_sum(rng):
+    g, w = _random_problem(rng, 9, 40)
+    ref = np.array(
+        [
+            sum(np.conj(g[a, p]) * w[a, b] * g[b, p] for a in range(9) for b in range(9))
+            for p in range(40)
+        ]
+    )
+    got = _kernels.quadratic_form(g, w)
+    assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
+    assert np.max(np.abs(got.imag)) < 1e-10 * np.max(np.abs(got))
 
-    g, w = _random_problem(rng, n_modes, n_points)
-    ours = _quadform.quadratic_form(np.ascontiguousarray(g), np.ascontiguousarray(w))
-    ref = fallback.quadratic_form(g, w)
-    assert np.allclose(ours, ref, rtol=1e-13, atol=1e-13)
-    assert np.max(np.abs(ours.imag)) < 1e-10 * np.max(np.abs(ours))
+
+def test_quadratic_form_stays_real_on_real_input(rng):
+    g, w = _random_problem(rng, 6, 12)
+    got = _kernels.quadratic_form(np.abs(g), np.abs(w))
+    assert got.dtype == np.float64
+    ref = _kernels.quadratic_form(np.abs(g).astype(complex), np.abs(w).astype(complex))
+    assert np.allclose(got, ref.real, rtol=1e-14, atol=0.0)
 
 
-@needs_compiled
-def test_weighted_pair_sum_backends_agree(rng):
-    from nearfield._kernels import _quadform
-
+def test_weighted_pair_sum_matches_explicit_sum(rng):
     n = 25
     coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     _, w = _random_problem(rng, n, 1)
     _, gram = _random_problem(rng, n, 1)
-    ours = _quadform.weighted_pair_sum(
-        np.ascontiguousarray(coeff), np.ascontiguousarray(w), np.ascontiguousarray(gram)
+    ref = sum(
+        np.conj(coeff[a]) * coeff[b] * w[a, b] * gram[a, b]
+        for a in range(n)
+        for b in range(n)
     )
-    ref = fallback.weighted_pair_sum(coeff, w, gram)
-    assert ours == pytest.approx(ref, rel=1e-13)
+    assert _kernels.weighted_pair_sum(coeff, w, gram) == pytest.approx(ref, rel=1e-13)
 
 
-def test_dispatcher_agrees_with_fallback_across_threshold(rng):
-    # one shape below the work threshold, one above; the public entry point
-    # must give the fallback answer either way
-    for n_modes, n_points in ((9, 4), (16, 600)):
-        g, w = _random_problem(rng, n_modes, n_points)
-        assert np.allclose(
-            _kernels.quadratic_form(g, w),
-            fallback.quadratic_form(g, w),
-            rtol=1e-13,
-            atol=1e-13,
-        )
-
-
-def test_fallback_shape_validation(rng):
+def test_kernel_shape_validation(rng):
     g, w = _random_problem(rng, 4, 10)
     with pytest.raises(ValueError):
-        fallback.quadratic_form(g, w[:3, :3])
+        _kernels.quadratic_form(g, w[:3, :3])
     with pytest.raises(ValueError):
-        fallback.weighted_pair_sum(np.ones(4, complex), w[:3, :3], w)
-
-
-def test_pure_python_env_var_forces_fallback():
-    code = "from nearfield import BACKEND; print(BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"NEARFIELD_PURE_PYTHON": "1", "PATH": "/usr/bin:/bin"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "fallback"
-
-
-def test_backend_reports_a_known_name():
-    assert _kernels.BACKEND in ("compiled", "fallback")
-    if not _kernels.HAVE_COMPILED:
-        assert _kernels.BACKEND == "fallback"
+        _kernels.weighted_pair_sum(np.ones(4, complex), w[:3, :3], w)
 
 
 # ----------------------------------------------------------------------

@@ -150,6 +150,33 @@ def test_pair_matrix_layout_and_hermiticity():
     assert mat[2, 0] == pytest.approx(half_wronskian_exact(0, 2, z), rel=1e-15)
 
 
+def test_pair_matrix_matches_half_wronskian_entrywise():
+    # on the imaginary axis, where the flux evaluates it, the vectorized
+    # Horner sum is bitwise the per-pair one; elsewhere the two agree to
+    # rounding of the absolute-value sum
+    for l_max in (0, 1, 5, 12, 20):
+        for kr in (0.05, 0.5, 3.0, 40.0, 1000.0):
+            for z in (-1j * kr, complex(0.4 * kr, -kr)):
+                mat = pair_matrix(l_max, z)
+                u = abs(1.0 / (2.0 * z))
+                for row in range(l_max + 1):
+                    for col in range(l_max + 1):
+                        ref = half_wronskian_exact(col, row, z)
+                        if z.real == 0:
+                            assert mat[row, col] == ref
+                        else:
+                            coeffs = laurent_coefficients(col, row)
+                            scale = sum(abs(float(c)) * u**n for n, c in enumerate(coeffs))
+                            assert abs(mat[row, col] - ref) <= 1e-14 * scale
+
+
+def test_exact_tables_are_rational_at_the_boundary():
+    for j, l in ((0, 0), (3, 1), (6, 9)):
+        assert all(type(c) is Fraction for c in laurent_coefficients(j, l))
+        series = wronskian_series(j, l)
+        assert all(type(a) is Fraction for _, a in series.correction)
+
+
 # ----------------------------------------------------------------------
 # integral representation
 # ----------------------------------------------------------------------
