@@ -16,14 +16,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
-from .special import angles_from_unit, chi, mode_index, ylm_table
+from .special import _chi_integers, angles_from_unit, chi, mode_index, ylm_table
 
 __all__ = [
     "Channel",
@@ -239,14 +237,10 @@ def apply_angular_operator(f: PartialWaveAmplitude, power: int = 1) -> PartialWa
     return f.map_modes(lambda l: float(l * (l + 1)) ** power)
 
 
-@lru_cache(maxsize=None)
-def _h_multiplier(l: int, s: int) -> Fraction:
-    # prod_{mu=1}^{s} [l(l+1) - mu(mu-1)] / s!, an exact integer; zero for s > l
-    acc = Fraction(1)
-    lam = l * (l + 1)
-    for mu in range(1, s + 1):
-        acc *= lam - mu * (mu - 1)
-    return acc / Fraction(math.factorial(s))
+def _h_multiplier(l: int, s: int) -> int:
+    # prod_{mu=1}^{s} [l(l+1) - mu(mu-1)] / s! is the decaying solution's
+    # series integer (l+s)!/(s!(l-s)!); zero for s > l
+    return _chi_integers(l)[s] if s <= l else 0
 
 
 def h_coefficient(f: PartialWaveAmplitude, s: int) -> PartialWaveAmplitude:

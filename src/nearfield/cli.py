@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 a check failed, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -40,7 +41,7 @@ from .flux import (
     total_flux,
     unitarity_defect,
 )
-from .greens import GreensQuery, greens_multipole, greens_point
+from .greens import GreensQuery, auto_l_max, greens_multipole, greens_point
 from .io import AmplitudeSource, ConfigError, RunConfig
 from .special import gauss_legendre_sphere, unit_from_angles
 from .wronskian import wronskian_series
@@ -247,7 +248,7 @@ def _check_greens(config: RunConfig) -> float:
         for sign in (1, -1):
             query = GreensQuery(k=k, R_vec=r_vec, x_vec=x_vec, sign=sign)
             exact = greens_point(query)
-            approx = greens_multipole(query, l_max=60)
+            approx = greens_multipole(query, l_max=auto_l_max(k, small))
             worst = max(worst, abs(approx - exact) / abs(exact))
     return worst
 
@@ -267,7 +268,9 @@ def _source_for_check(config: RunConfig) -> AmplitudeSource:
 def _check_unitarity(config: RunConfig, source: AmplitudeSource) -> float:
     if source.family is not None:
         return unitarity_defect(source.family, source.channels)
-    return unitarity_defect(source.f, source.channels)
+    # a bare amplitude (say, from a file) carries no reciprocal data, so only
+    # the diagonal sample at its incident direction, +z as in the optical check
+    return unitarity_defect(source.f, source.channels, kappa_hats=[(0.0, 0.0, 1.0)])
 
 
 def _check_conservation(config: RunConfig, source: AmplitudeSource) -> float:
@@ -316,40 +319,40 @@ def _check_two_path(config: RunConfig, source: AmplitudeSource) -> float:
 _CHECKS = ("greens", "unitarity", "optical", "conservation", "two-path")
 
 
+def _run_check(name: str, config: RunConfig, source: AmplitudeSource | None) -> float:
+    if name == "greens":
+        return _check_greens(config)
+    if name == "unitarity":
+        return _check_unitarity(config, source)
+    if name == "optical":
+        return optical_theorem_defect(source.f, source.channels)
+    if name == "conservation":
+        return _check_conservation(config, source)
+    return _check_two_path(config, source)
+
+
 def cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
     names = _CHECKS if args.which == "all" else (args.which,)
     needs_amplitude = any(name != "greens" for name in names)
     source = _source_for_check(config) if needs_amplitude else None
 
-    lines = []
     failures = 0
-    for name in names:
-        if name == "greens":
-            defect = _check_greens(config)
-            tol = config.tolerance("greens")
-        elif name == "unitarity":
-            defect = _check_unitarity(config, source)
-            tol = config.tolerance("unitarity")
-        elif name == "optical":
-            defect = optical_theorem_defect(source.f, source.channels)
-            tol = config.tolerance("optical")
-        elif name == "conservation":
-            defect = _check_conservation(config, source)
-            tol = config.tolerance("conservation")
-        else:
-            defect = _check_two_path(config, source)
-            tol = config.tolerance("two_path")
-        ok = defect <= tol
-        failures += 0 if ok else 1
-        status = "PASS" if ok else "FAIL"
-        lines.append(f"check {name}: defect={defect:.3e} tol={tol:.3e} {status}")
-    if source is not None:
-        lines.append(f"# amplitude: {source.description}")
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+    with (
+        open(args.out, "w", encoding="utf-8") if args.out is not None
+        else contextlib.nullcontext(sys.stdout)
+    ) as out:
+        for name in names:
+            # each line goes out as soon as its check finishes, so a later
+            # crash cannot hide the lines already computed
+            defect = _run_check(name, config, source)
+            tol = config.tolerance(name.replace("-", "_"))
+            ok = defect <= tol
+            failures += 0 if ok else 1
+            status = "PASS" if ok else "FAIL"
+            out.write(f"check {name}: defect={defect:.3e} tol={tol:.3e} {status}\n")
+            out.flush()
+        if source is not None:
+            out.write(f"# amplitude: {source.description}\n")
     return 1 if failures else 0
 
 

@@ -10,17 +10,21 @@ operator expansion of the kernel; with the truncation order at or above the
 retained degrees it coincides with the multipole sum identically, and its
 error against the closed form falls off one power of ``kR`` faster for each
 retained order.
+
+Both mode sums run per degree only: the addition theorem
+``sum_m Y_l^m(R_hat) conj(Y_l^m(x_hat)) = (2l+1)/(4 pi) P_l(cos gamma)``
+(DLMF 14.30.9) collapses the orders into one Legendre polynomial of the angle
+between the two points, and the outer factors of every degree come from one
+ratio-accumulated table of the decaying solution's series terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-
-from .special import ChiPolynomial, angles_from_unit, regular_psi, ylm_table
+from scipy.special import eval_legendre, spherical_jn
 
 __all__ = [
     "GreensQuery",
@@ -80,65 +84,58 @@ def auto_l_max(k: float, r: float) -> int:
     """Default angular cutoff for the mode sums.
 
     The inner radial factor decays super-exponentially once the degree
-    exceeds ``k r``; ``ceil(e * k * r) + 15`` keeps the tail below 1e-9
-    relative for inner/outer ratios up to one half.
+    exceeds ``k r``, but at small ``k r`` the tail falls off only like
+    ``(r/R)**l``; ``ceil(e * k * r) + 30`` keeps it below 1e-9 relative for
+    inner/outer ratios up to one half.
     """
     if k <= 0 or r < 0:
         raise ValueError("need k > 0 and r >= 0")
-    return int(math.ceil(math.e * k * r)) + 15
+    return int(math.ceil(math.e * k * r)) + 30
 
 
-def _mode_sums(query: GreensQuery, l_max: int) -> np.ndarray:
-    """Azimuthal sums ``sum_m Y_l^m(R_hat) conj(Y_l^m(x_hat))`` per degree."""
-    theta_n, phi_n = angles_from_unit(query.R_vec)
-    theta_s, phi_s = angles_from_unit(query.x_vec)
-    table_n = ylm_table(l_max, [theta_n], [phi_n])[:, 0]
-    table_s = ylm_table(l_max, [theta_s], [phi_s])[:, 0]
-    prod = table_n * np.conj(table_s)
-    edges = np.arange(l_max + 1) ** 2
-    return np.add.reduceat(prod, edges)
+def _outer_factors(z: complex, l_max: int, s_max: int) -> np.ndarray:
+    """Decaying solutions ``exp(-z) sum_{s<=s_max} c_s(l)/(2z)^s`` for ``l <= l_max``.
+
+    ``c_s(l) = (l+s)!/(s!(l-s)!)`` enters only through the neighbour ratio
+    ``c_{s+1}/c_s = (l+s+1)(l-s)/(s+1)``, whose ``(l-s)`` factor ends each
+    degree's series at ``s = l``; materialized coefficients would overflow
+    near degree 140.  Rows run over ``s`` so that the sum adds each degree's
+    terms in order: past ``l ~ kR`` the terms cancel heavily, and NumPy's
+    pairwise sum along a row lost about three times as many digits there.
+    """
+    s = np.arange(s_max)[:, None]
+    l = np.arange(l_max + 1)[None, :]
+    ratios = (l + s + 1) * (l - s) / (s + 1) * (0.5 / z)
+    return np.exp(-z) * (1.0 + np.cumprod(ratios, axis=0).sum(axis=0))
 
 
-def _assemble(query: GreensQuery, outer_factors: np.ndarray, l_max: int) -> complex:
+def _assemble(query: GreensQuery, l_max: int, s_max: int) -> complex:
     k, R, r = query.k, query.big_r, query.small_r
+    outer = _outer_factors(-query.sign * 1j * k * R, l_max, min(s_max, l_max))
     if r == 0.0:
         # only the degree-0 mode survives; its inner factor tends to 1
-        return complex(outer_factors[0] / (4.0 * np.pi * R))
+        return complex(outer[0] / (4.0 * np.pi * R))
     ls = np.arange(l_max + 1)
+    cos_gamma = np.clip(query.R_vec @ query.x_vec / (R * r), -1.0, 1.0)
     phases = (1j) ** (-query.sign * ls)
-    psi = np.array([regular_psi(l, k * r) for l in ls])
-    msums = _mode_sums(query, l_max)
-    terms = outer_factors * phases * psi * msums
-    return complex(np.sum(terms) / (k * r * R))
+    psi = (k * r) * spherical_jn(ls, k * r)
+    msums = (2 * ls + 1) / (4.0 * np.pi) * eval_legendre(ls, cos_gamma)
+    return complex(np.sum(outer * phases * psi * msums) / (k * r * R))
 
 
 def greens_multipole(query: GreensQuery, l_max: int | None = None) -> complex:
     """Mode-sum kernel, converging to ``greens_point`` as ``l_max`` grows.
 
     Per degree the term is ``chi_l(-sign * i k R) i^{-sign * l}
-    psi_l(k r) sum_m Y conj(Y) / (k r R)``; the default cutoff comes from
+    psi_l(k r) (2l+1) P_l(cos gamma) / (4 pi k r R)`` with ``gamma`` the
+    angle between the two points; the default cutoff comes from
     ``auto_l_max``.
     """
     if l_max is None:
         l_max = auto_l_max(query.k, query.small_r)
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
-    z = -query.sign * 1j * query.k * query.big_r
-    outer = np.array([ChiPolynomial.for_order(l).evaluate(z) for l in range(l_max + 1)])
-    return _assemble(query, outer, l_max)
-
-
-@lru_cache(maxsize=None)
-def _operator_products(l: int, s_max: int) -> tuple[int, ...]:
-    # prod_{mu=1}^{s} [l(l+1) - mu(mu-1)] / s! for s = 0..min(s_max, l);
-    # exact integers, identical to the decaying solution's series coefficients
-    out = [1]
-    lam = l * (l + 1)
-    acc = 1
-    for s in range(1, min(s_max, l) + 1):
-        acc *= lam - s * (s - 1)
-        out.append(acc // math.factorial(s))
-    return tuple(out)
+    return _assemble(query, l_max, s_max=l_max)
 
 
 def greens_asymptotic(
@@ -148,9 +145,10 @@ def greens_asymptotic(
 
     The outer factor becomes ``exp(sign * i k R) sum_{s<=min(s_max,l)}
     g_s(l) / (2z)^s`` where ``g_s(l)`` is the order-``s`` operator product
-    ``prod [l(l+1) - mu(mu-1)]/s!`` evaluated on the degree-``l`` eigenvalue.
-    With ``s_max >= l_max`` every per-mode series is complete and the result
-    equals ``greens_multipole`` at the same cutoff.
+    ``prod [l(l+1) - mu(mu-1)]/s!`` evaluated on the degree-``l`` eigenvalue,
+    which is the integer ``(l+s)!/(s!(l-s)!)`` of the decaying solution's
+    series.  With ``s_max >= l_max`` every per-mode series is complete and
+    the result equals ``greens_multipole`` at the same cutoff bit for bit.
     """
     if s_max < 0:
         raise ValueError("s_max must be non-negative")
@@ -158,14 +156,4 @@ def greens_asymptotic(
         l_max = auto_l_max(query.k, query.small_r)
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
-    z = -query.sign * 1j * query.k * query.big_r
-    expfac = np.exp(-z)
-    inv2z = 1.0 / (2.0 * z)
-    outer = np.empty(l_max + 1, dtype=complex)
-    for l in range(l_max + 1):
-        coeffs = _operator_products(l, s_max)
-        acc = 0.0 + 0.0j
-        for c in coeffs[::-1]:
-            acc = acc * inv2z + c
-        outer[l] = expfac * acc
-    return _assemble(query, outer, l_max)
+    return _assemble(query, l_max, s_max)

@@ -32,7 +32,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .special import ChiPolynomial, _chi_integers
 
@@ -280,6 +279,9 @@ def integral_representation_check(j: int, l: int, z: float) -> IntegralCheckRepo
     ``z``.  Returns both values and the adaptive quadrature's own error
     estimate.
     """
+    # imported here: scipy.integrate is about a third of the package's import time
+    from scipy.integrate import quad
+
     _check_orders(j, l)
     if not (z > 0):
         raise ValueError("integral representation requires real z > 0")

@@ -141,6 +141,36 @@ def test_per_degree_term_matches_legendre_form():
             assert term == pytest.approx(expect, rel=1e-12, abs=1e-18)
 
 
+def test_default_cutoff_battery():
+    # auto_l_max must hold the tail below 1e-9 over the whole documented
+    # domain, including small k*r where it decays only like (r/R)**l
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for sign in (1, -1):
+        for _ in range(250):
+            q = _random_query(rng, sign)
+            exact = greens_point(q)
+            worst = max(worst, abs(greens_multipole(q) - exact) / abs(exact))
+    assert worst < 1e-9
+
+
+@pytest.mark.parametrize(
+    "k_r, ratio",
+    [
+        (1.57, 0.44),  # small k*r: the old margin of 15 (l_max = 20) left 2.6e-9
+        (50.0, 0.25),  # large k*r: the cutoff passes degree 150
+    ],
+)
+def test_default_cutoff_edges(k_r, ratio):
+    q = GreensQuery(
+        k=1.0,
+        R_vec=(k_r / ratio) * unit_from_angles(0.4, 2.0),
+        x_vec=k_r * unit_from_angles(2.2, 5.1),
+    )
+    exact = greens_point(q)
+    assert abs(greens_multipole(q) - exact) / abs(exact) < 1e-12
+
+
 def test_auto_l_max_monotone():
     q1 = GreensQuery(k=1.0, R_vec=np.array([0.0, 0.0, 10.0]), x_vec=np.array([1.0, 0.0, 0.0]))
     q2 = GreensQuery(k=1.0, R_vec=np.array([0.0, 0.0, 10.0]), x_vec=np.array([4.0, 0.0, 0.0]))
@@ -160,6 +190,15 @@ def test_asymptotic_complete_order_equals_multipole(rng):
         l_max = 12
         full = greens_asymptotic(q, s_max=l_max, l_max=l_max)
         assert full == pytest.approx(greens_multipole(q, l_max=l_max), rel=1e-14)
+
+
+def test_asymptotic_complete_order_is_multipole_bitwise(rng):
+    for sign in (1, -1):
+        for l_max in (0, 1, 7, 30):
+            q = _random_query(rng, sign)
+            full = greens_asymptotic(q, s_max=l_max, l_max=l_max)
+            assert full == greens_multipole(q, l_max=l_max)
+            assert greens_asymptotic(q, s_max=l_max + 5, l_max=l_max) == full
 
 
 def test_asymptotic_zeroth_order_is_detector_plane_wave():

@@ -496,6 +496,33 @@ def test_cli_check_all_passes(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_cli_check_all_on_amplitude_file(tmp_path, capsys):
+    # a file carries no amplitude family: unitarity samples only the diagonal
+    source = resolve_amplitude(
+        RunConfig(amplitude={"model": "random_unitary", "n_channels": 2, "l_max": 2, "seed": 5})
+    )
+    save_amplitude(tmp_path / "amp.json", source.f, source.channels)
+    cfg = _write_config(tmp_path, {"amplitude": {"file": "amp.json"}})
+    assert cli.main(["check", "all", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    checks = [line for line in lines if line.startswith("check ")]
+    assert len(checks) == 5
+    assert all(line.endswith("PASS") for line in checks)
+    assert lines[-1] == "# amplitude: file:amp.json"
+
+
+def test_cli_check_lines_survive_a_later_crash(monkeypatch, capsys):
+    def boom(config, source):
+        raise RuntimeError("conservation crashed")
+
+    monkeypatch.setattr(cli, "_check_conservation", boom)
+    with pytest.raises(RuntimeError):
+        cli.main(["check", "all"])
+    out = capsys.readouterr().out
+    for name in ("greens", "unitarity", "optical"):
+        assert f"check {name}: defect=" in out
+
+
 def test_cli_check_failure_sets_exit_code(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"tolerances": {"greens": 1e-30}})
     assert cli.main(["check", "greens", "--config", str(cfg)]) == 1

@@ -57,7 +57,7 @@ def test_chi_coefficient_out_of_range():
 def test_chi_coefficient_operator_product_route():
     # The same integers arise as iterated images of the angular operator:
     # c_S(l) = prod_{mu=1..S} [l(l+1) - mu(mu-1)] / S!
-    for l in range(13):
+    for l in range(21):
         lam = l * (l + 1)
         for s in range(l + 1):
             acc = Fraction(1)
