@@ -63,6 +63,7 @@ from .io import (
 from .special import (
     AngularGrid,
     ChiPolynomial,
+    FluxDomainError,
     angles_from_unit,
     chi,
     chi_coefficient,
@@ -94,6 +95,7 @@ __all__ = [
     "ConfigError",
     "CrossSections",
     "DEFAULT_TOLERANCES",
+    "FluxDomainError",
     "FluxProfile",
     "GreensQuery",
     "PartialWaveAmplitude",

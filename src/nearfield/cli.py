@@ -15,7 +15,8 @@ Three subcommands share one executable:
     ``defect= tol= PASS|FAIL`` line per check.
 
 Exit codes: 0 success, 1 a check failed, 2 configuration error,
-3 amplitude data violates an invariant.
+3 amplitude data violates an invariant, 4 the requested degrees and
+distances leave the float64 range (``FluxDomainError``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .flux import (
 )
 from .greens import GreensQuery, auto_l_max, greens_multipole, greens_point
 from .io import AmplitudeSource, ConfigError, RunConfig
-from .special import gauss_legendre_sphere, unit_from_angles
+from .special import FluxDomainError, gauss_legendre_sphere, unit_from_angles
 from .wronskian import wronskian_series
 
 __all__ = ["main"]
@@ -234,7 +235,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 def _check_greens(config: RunConfig) -> float:
     rng = np.random.default_rng(config.seed + 17)
-    worst = 0.0
+    defects = []
     for _ in range(24):
         k = rng.uniform(0.3, 4.0)
         big = rng.uniform(2.0, 100.0) / k
@@ -249,8 +250,9 @@ def _check_greens(config: RunConfig) -> float:
             query = GreensQuery(k=k, R_vec=r_vec, x_vec=x_vec, sign=sign)
             exact = greens_point(query)
             approx = greens_multipole(query, l_max=auto_l_max(k, small))
-            worst = max(worst, abs(approx - exact) / abs(exact))
-    return worst
+            defects.append(abs(approx - exact) / abs(exact))
+    # np.max, not max(): a nan defect must fail the check, not lose to 0.0
+    return float(np.max(defects))
 
 
 def _source_for_check(config: RunConfig) -> AmplitudeSource:
@@ -284,15 +286,22 @@ def _check_conservation(config: RunConfig, source: AmplitudeSource) -> float:
         r_values = config.r_values
     else:
         r_values = np.geomspace(0.2, 200.0, 7) / k_min
-    worst = 0.0
-    for r in r_values:
-        flux = total_flux(source.f, source.channels, float(r), grid=grid)
-        worst = max(worst, abs(flux - sigma) / sigma)
-    return worst
+    defects = [
+        abs(total_flux(source.f, source.channels, float(r), grid=grid) - sigma) / sigma
+        for r in r_values
+    ]
+    return float(np.max(defects))
 
 
-def _check_two_path(config: RunConfig, source: AmplitudeSource) -> float:
+def _check_two_path(config: RunConfig, source: AmplitudeSource) -> tuple[float, str | None]:
+    """Largest relative gap between the exact flux and its order-4 expansion.
+
+    The expansion is complete only for ``l_max <= 2``, so a larger amplitude
+    is swapped for an ``l_max = 2`` random unitary probe; the returned note
+    names both amplitudes when that happens.
+    """
     f, channels = source.f, source.channels
+    note = None
     if f.l_max > 2:
         probe = RunConfig(
             amplitude={"model": "random_unitary", "n_channels": 2, "l_max": 2},
@@ -300,34 +309,38 @@ def _check_two_path(config: RunConfig, source: AmplitudeSource) -> float:
             base_dir=config.base_dir,
         )
         resolved = nf_io.resolve_amplitude(probe)
+        note = f"ran on {resolved.description} in place of {source.description}"
         f, channels = resolved.f, resolved.channels
     k_min = min(channels.k(label) for label in channels.labels)
     directions = [
         unit_from_angles(theta, phi)
         for theta, phi in ((0.0, 0.0), (1.1, 0.7), (2.0, 3.9), (2.9, 5.2))
     ]
-    worst = 0.0
+    defects = []
     for r in np.array([0.7, 2.0, 9.0, 120.0]) / k_min:
         for nhat in directions:
             exact = differential_flux_exact(f, channels, float(r), nhat)
             series = differential_flux_asymptotic(f, channels, float(r), nhat, order=4)
             scale = max(abs(exact), 1e-300)
-            worst = max(worst, abs(exact - series) / scale)
-    return worst
+            defects.append(abs(exact - series) / scale)
+    return float(np.max(defects)), note
 
 
 _CHECKS = ("greens", "unitarity", "optical", "conservation", "two-path")
 
 
-def _run_check(name: str, config: RunConfig, source: AmplitudeSource | None) -> float:
+def _run_check(
+    name: str, config: RunConfig, source: AmplitudeSource | None
+) -> tuple[float, str | None]:
+    """Defect of one battery and an optional note on what it ran on."""
     if name == "greens":
-        return _check_greens(config)
+        return _check_greens(config), None
     if name == "unitarity":
-        return _check_unitarity(config, source)
+        return _check_unitarity(config, source), None
     if name == "optical":
-        return optical_theorem_defect(source.f, source.channels)
+        return optical_theorem_defect(source.f, source.channels), None
     if name == "conservation":
-        return _check_conservation(config, source)
+        return _check_conservation(config, source), None
     return _check_two_path(config, source)
 
 
@@ -344,12 +357,14 @@ def cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
         for name in names:
             # each line goes out as soon as its check finishes, so a later
             # crash cannot hide the lines already computed
-            defect = _run_check(name, config, source)
+            defect, note = _run_check(name, config, source)
             tol = config.tolerance(name.replace("-", "_"))
             ok = defect <= tol
             failures += 0 if ok else 1
             status = "PASS" if ok else "FAIL"
             out.write(f"check {name}: defect={defect:.3e} tol={tol:.3e} {status}\n")
+            if note is not None:
+                out.write(f"# {name}: {note}\n")
             out.flush()
         if source is not None:
             out.write(f"# amplitude: {source.description}\n")
@@ -422,6 +437,9 @@ def main(argv: list[str] | None = None) -> int:
     except nf_io.AmplitudeDataError as exc:
         print(f"amplitude data error: {exc}", file=sys.stderr)
         return 3
+    except FluxDomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

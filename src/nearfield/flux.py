@@ -4,23 +4,29 @@ The central object is the differential flux of the scattered wave through a
 sphere of radius ``R``: a double partial-wave sum pairing every mode with
 every other through the exact radial pair factors of ``wronskian``.  Those
 factors depend only on the two degrees, so the pointwise path first sums
-each degree's harmonics and then contracts at degree level, with one
-angular table for all distances of a scan.  Because the pair factors
-terminate, the "exact" path here is exact in structure; the "asymptotic"
-path sums the same content reorganized as a distance expansion whose
-brackets are built from powers of the squared-orbital-momentum operator
-acting on the far-field amplitude.  Both paths are kept because their
-agreement (and controlled disagreement beyond the printed order) is the
-main scientific claim this package exists to check.
+each degree's harmonics, ``S_l(p) = sum_m B_lm Y_lm(p)``, and then contracts
+at degree level, with one set of sums for all distances of a scan.  On the
+canonical product grid the harmonics separate, ``Y_lm(theta_i, phi_j) =
+y_lm(theta_i) exp(i m phi_j)``, so the sums come from a table on the polar
+nodes alone and one product with the azimuthal Fourier matrix.  Because the
+pair factors terminate, the "exact" path here is exact in structure; the
+"asymptotic" path sums the same content reorganized as a distance expansion
+whose brackets are built from powers of the squared-orbital-momentum
+operator acting on the far-field amplitude.  Both paths are kept because
+their agreement (and controlled disagreement beyond the printed order) is
+the main scientific claim this package exists to check.
 
 Totals need care: at small ``kR`` the pointwise integrand can exceed its own
-integral by many orders of magnitude, so the default total-flux route
-contracts amplitude pairs against a sphere Gram matrix precomputed in
-double-double arithmetic (see ``_dd``).  That keeps conservation at float64
-rounding for low degrees, but the Gram's own rounding noise (about 1e-31) is
-multiplied by pair factors that grow like ``(kR)**-(2 l_max + 1)``: for
-random unitary amplitudes with ``l_max = 12`` at ``kR = 0.2`` the relative
-conservation defect is already between 1 and 1e3.
+integral by many orders of magnitude, so totals are not taken from it where
+the grid allows otherwise.  A canonical grid of order at least ``l_max``
+integrates ``conj(Y_a) Y_b`` to exactly ``delta_ab``, so the total collapses
+to ``sum_beta weight_beta sum_l (sum_m |B_lm|**2) HW_ll``, and the diagonal
+pair factor ``HW_ll`` is exactly 1 at every distance: the total is the summed
+cross section, exact at any ``kR`` and without a pair factor evaluated.
+Only an under-resolved canonical grid (order below ``l_max``) contracts the
+pair factors against the sphere Gram matrix precomputed in double-double
+arithmetic (see ``_dd``); there the Gram's own rounding noise (about 1e-31)
+is multiplied by pair factors that grow like ``(kR)**-(2 l_max + 1)``.
 """
 
 from __future__ import annotations
@@ -34,11 +40,19 @@ import numpy as np
 from . import _kernels
 from ._dd import sphere_mode_gram
 from .amplitudes import ChannelSet, PartialWaveAmplitude, evaluate
-from .special import AngularGrid, angles_from_unit, gauss_legendre_sphere, mode_degrees, ylm_table
+from .special import (
+    AngularGrid,
+    FluxDomainError,
+    angles_from_unit,
+    gauss_legendre_sphere,
+    mode_degrees,
+    ylm_table,
+)
 from .wronskian import pair_matrix
 
 __all__ = [
     "CrossSections",
+    "FluxDomainError",
     "FluxHermiticityError",
     "FluxProfile",
     "cross_sections",
@@ -111,6 +125,100 @@ def _channel_dense(f: PartialWaveAmplitude, channels: ChannelSet):
             yield label, dense
 
 
+def _cross_sections_per_channel(
+    f: PartialWaveAmplitude, channels: ChannelSet
+) -> dict[str, float]:
+    """``weight_beta * sum |B|**2`` per label, exact by orthonormality."""
+    return {
+        label: float(channels.weight(label) * np.sum(np.abs(f.dense(label)) ** 2))
+        for label in channels.labels
+    }
+
+
+def _summed_cross_section(f: PartialWaveAmplitude, channels: ChannelSet) -> float:
+    return float(sum(_cross_sections_per_channel(f, channels).values()))
+
+
+def _is_canonical_grid(grid: AngularGrid) -> bool:
+    if grid.n_nodes != (grid.order + 1) * (2 * grid.order + 1):
+        return False
+    ref = gauss_legendre_sphere(grid.order)
+    return (
+        np.array_equal(grid.theta, ref.theta)
+        and np.array_equal(grid.phi, ref.phi)
+        and np.array_equal(grid.weights, ref.weights)
+    )
+
+
+def _degree_sums(
+    f: PartialWaveAmplitude, channels: ChannelSet, directions: AngularGrid | np.ndarray
+) -> list[tuple[str, np.ndarray]]:
+    """Degree sums ``S_l(p) = sum_m B_lm Y_lm(p)`` of each nonzero channel.
+
+    ``directions`` is a grid or an ``(n_points, 3)`` array; each sum array
+    has shape ``(l_max + 1, n_points)``.  On the canonical product grid one
+    table on the ``order + 1`` polar nodes (at ``phi = 0``) is spread into an
+    ``(l, m)`` layout and multiplied by the ``(2 l_max + 1) x n_phi`` Fourier
+    matrix ``exp(i m phi_j)``; node order is polar-major, as in the grid.
+    Other directions take the full table and sum each degree's rows.
+    """
+    l_max = f.l_max
+    fourier = None
+    if isinstance(directions, AngularGrid) and _is_canonical_grid(directions):
+        n_phi = 2 * directions.order + 1
+        theta = directions.theta[::n_phi]
+        table = ylm_table(l_max, theta, np.zeros_like(theta))
+        ms = np.arange(-l_max, l_max + 1)
+        fourier = np.exp(1j * np.outer(ms, directions.phi[:n_phi]))
+        # mode (l, m) sits at flat index l*l + l + m, slot (l, m + l_max)
+        ls = mode_degrees(l_max)
+        ms_of_mode = np.arange(ls.size) - ls * ls - ls
+        slots = ls * (2 * l_max + 1) + ms_of_mode + l_max
+    else:
+        pts = directions.points if isinstance(directions, AngularGrid) else directions
+        theta, phi = angles_from_unit(pts)
+        table = ylm_table(l_max, theta, phi)
+        degree_starts = np.arange(l_max + 1) ** 2
+    sums = []
+    for label, dense in _channel_dense(f, channels):
+        terms = dense[:, None] * table
+        if fourier is None:
+            sums.append((label, np.add.reduceat(terms, degree_starts, axis=0)))
+            continue
+        padded = np.zeros(((l_max + 1) * (2 * l_max + 1), theta.size), dtype=complex)
+        padded[slots] = terms
+        grid_sums = padded.reshape(l_max + 1, 2 * l_max + 1, -1).transpose(0, 2, 1) @ fourier
+        sums.append((label, grid_sums.reshape(l_max + 1, -1)))
+    return sums
+
+
+def _flux_rows(
+    sums: list[tuple[str, np.ndarray]],
+    channels: ChannelSet,
+    l_max: int,
+    distances: np.ndarray,
+    n_points: int,
+) -> np.ndarray:
+    """Differential flux, shape ``(n_distances, n_points)``, from degree sums.
+
+    ``weight_beta * sum_{l,j} conj(S_l) HW_lj S_j`` with the exact pair
+    factors at ``z = -i k_beta R``.  The result is real up to rounding, which
+    is asserted against the absolute-value contraction before the imaginary
+    residue is discarded.
+    """
+    total = np.zeros((distances.size, n_points))
+    for label, collapsed in sums:
+        collapsed_abs = np.abs(collapsed)
+        k = channels.k(label)
+        weight = channels.weight(label)
+        for i, dist in enumerate(distances):
+            w_pairs = pair_matrix(l_max, -1j * k * dist)
+            values = _kernels.quadratic_form(collapsed, w_pairs)
+            scale = _kernels.quadratic_form(collapsed_abs, np.abs(w_pairs))
+            total[i] += weight * _real_with_hermitian_check(values, scale)
+    return total
+
+
 # ----------------------------------------------------------------------
 # differential flux
 # ----------------------------------------------------------------------
@@ -136,22 +244,8 @@ def differential_flux_exact(
     if not np.all(r > 0):
         raise ValueError("distance R must be positive")
     pts, lead_shape, scalar = _flat_directions(nhat)
-    theta, phi = angles_from_unit(pts)
-    l_max = f.l_max
-    table = ylm_table(l_max, theta, phi)
-    degree_starts = np.arange(l_max + 1) ** 2
-    distances = np.atleast_1d(r)
-    total = np.zeros((distances.size, pts.shape[0]))
-    for label, dense in _channel_dense(f, channels):
-        collapsed = np.add.reduceat(dense[:, None] * table, degree_starts, axis=0)
-        collapsed_abs = np.abs(collapsed)
-        k = channels.k(label)
-        weight = channels.weight(label)
-        for i, dist in enumerate(distances):
-            w_pairs = pair_matrix(l_max, -1j * k * dist)
-            values = _kernels.quadratic_form(collapsed, w_pairs)
-            scale = _kernels.quadratic_form(collapsed_abs, np.abs(w_pairs))
-            total[i] += weight * _real_with_hermitian_check(values, scale)
+    sums = _degree_sums(f, channels, pts)
+    total = _flux_rows(sums, channels, f.l_max, np.atleast_1d(r), pts.shape[0])
     if r.ndim == 0:
         if scalar:
             return float(total[0, 0])
@@ -313,14 +407,11 @@ def cross_sections(
     theta, phi = angles_from_unit(grid.points)
     table = ylm_table(f.l_max, theta, phi)
     labels = channels.labels
-    per: dict[str, float] = {}
+    per = _cross_sections_per_channel(f, channels)
     quad: dict[str, float] = {}
     diff = np.zeros((len(labels), grid.n_nodes))
     for i, label in enumerate(labels):
-        weight = channels.weight(label)
-        dense = f.dense(label)
-        per[label] = float(weight * np.sum(np.abs(dense) ** 2))
-        values = weight * np.abs(dense @ table) ** 2
+        values = channels.weight(label) * np.abs(f.dense(label) @ table) ** 2
         diff[i] = values
         quad[label] = float(grid.integrate(values))
     return CrossSections(
@@ -329,17 +420,6 @@ def cross_sections(
         quadrature_per_channel=quad,
         differential=diff,
         grid=grid,
-    )
-
-
-def _is_canonical_grid(grid: AngularGrid) -> bool:
-    if grid.n_nodes != (grid.order + 1) * (2 * grid.order + 1):
-        return False
-    ref = gauss_legendre_sphere(grid.order)
-    return (
-        np.array_equal(grid.theta, ref.theta)
-        and np.array_equal(grid.phi, ref.phi)
-        and np.array_equal(grid.weights, ref.weights)
     )
 
 
@@ -353,14 +433,18 @@ def total_flux(
     """Solid-angle integral of the differential flux at distance ``R``.
 
     Conservation makes this independent of ``R`` and equal to the summed
-    cross sections; verifying that numerically is the whole point, so two
-    methods exist.  ``"pointwise"`` integrates ``differential_flux_exact``
-    samples directly and is conditioning-limited at small ``kR`` where the
-    integrand dwarfs the integral.  ``"gram"`` contracts the same quadrature
-    against the double-double sphere Gram matrix, which preserves the
-    orthogonality cancellations and stays exact to rounding at any ``kR``;
-    it requires the canonical product grid.  ``"auto"`` picks ``"gram"``
-    when the grid allows it.
+    cross sections; verifying that numerically is the whole point.
+    ``"pointwise"`` integrates the differential flux samples on ``grid``
+    directly and is conditioning-limited at small ``kR``, where the
+    integrand dwarfs the integral.  ``"gram"`` needs the canonical product
+    grid.  When its order is at least ``l_max`` the grid integrates
+    ``conj(Y_a) Y_b`` to exactly ``delta_ab``, so the total is
+    ``sum_beta weight_beta sum_l (sum_m |B_lm|**2) HW_ll`` with the diagonal
+    pair factor ``HW_ll == 1``: the summed cross section, exact at any
+    ``kR``.  On a canonical grid of lower order the pair factors are
+    contracted against the double-double sphere Gram matrix, whose rounding
+    the pair factors amplify at small ``kR``.  ``"auto"`` picks ``"gram"``
+    when the grid is canonical.
     """
     if not (R > 0):
         raise ValueError("distance R must be positive")
@@ -374,16 +458,20 @@ def total_flux(
             grid.order,
             2 * f.l_max,
         )
+    canonical = _is_canonical_grid(grid)
     if method == "auto":
-        method = "gram" if _is_canonical_grid(grid) else "pointwise"
+        method = "gram" if canonical else "pointwise"
     if method == "pointwise":
-        values = differential_flux_exact(f, channels, R, grid.points)
+        sums = _degree_sums(f, channels, grid)
+        values = _flux_rows(sums, channels, f.l_max, np.array([R]), grid.n_nodes)[0]
         return float(grid.integrate(values))
-    if not _is_canonical_grid(grid):
+    if not canonical:
         raise ValueError(
             "gram method needs the canonical gauss_legendre_sphere grid of its order"
         )
     l_max = f.l_max
+    if grid.order >= l_max:
+        return _summed_cross_section(f, channels)
     gram = sphere_mode_gram(grid.order, l_max)
     total = 0.0
     for label, dense in _channel_dense(f, channels):
@@ -402,7 +490,10 @@ class FluxProfile:
 
     ``samples[i]`` holds the differential flux on ``grid`` at ``r_values[i]``
     (float64 pointwise evaluation); ``total`` holds the conserved
-    solid-angle integrals computed through the Gram route.  ``validity``
+    solid-angle integrals from ``total_flux``: the summed cross section,
+    by exact orthonormality, on a canonical grid of order at least
+    ``l_max``, the Gram route on a coarser canonical grid, and the
+    integrated samples on any other grid.  ``validity``
     flags rows where every channel satisfies ``k R >= 1``, the stated
     domain of the distance expansion; rows below that are still computed
     but should be read as extrapolation.
@@ -436,9 +527,14 @@ def flux_profile(
     if grid is None:
         grid = default_grid(f)
     k_min = min(channels.k(label) for label in channels.labels)
-    samples = differential_flux_exact(f, channels, r_values, grid.points)
-    totals = np.array([total_flux(f, channels, r, grid) for r in r_values])
-    far = cross_sections(f, channels, grid).total
+    sums = _degree_sums(f, channels, grid)
+    samples = _flux_rows(sums, channels, f.l_max, r_values, grid.n_nodes)
+    far = _summed_cross_section(f, channels)
+    if _is_canonical_grid(grid) and grid.order >= f.l_max:
+        # the total_flux value at every distance, without one call per distance
+        totals = np.full(r_values.size, far)
+    else:
+        totals = np.array([total_flux(f, channels, r, grid) for r in r_values])
     return FluxProfile(
         r_values=r_values,
         total=totals,
@@ -522,8 +618,9 @@ def unitarity_defect(
             cache[key] = family(entrance, khat)
         return cache[key]
 
-    worst = 0.0
-    scale = 0.0
+    # np.max, not max(): a nan defect must propagate, not lose to 0.0
+    defects: list[float] = []
+    scales: list[float] = []
     for gamma in entrances:
         for alpha in entrances:
             for s_hat in s_hats:
@@ -539,8 +636,10 @@ def unitarity_defect(
                     forward = evaluate(fa, gamma, np.asarray(s_hat))
                     backward = evaluate(fg, alpha, np.asarray(kappa_hat))
                     rhs = -(4.0 * np.pi / 2j) * (forward - np.conj(backward))
-                    worst = max(worst, abs(bilinear + rhs))
-                    scale = max(scale, abs(bilinear))
+                    defects.append(abs(bilinear + rhs))
+                    scales.append(abs(bilinear))
+    worst = float(np.max(defects))
+    scale = float(np.max(scales))
     if scale == 0.0:
         return 0.0
     return worst / scale
@@ -557,8 +656,7 @@ def optical_theorem_defect(
     weighting departs from it unless velocities are proportional to the
     wavenumbers.
     """
-    sections = cross_sections(f, channels)
-    sigma = sections.total
+    sigma = _summed_cross_section(f, channels)
     if sigma == 0.0:
         return 0.0
     forward = evaluate(f, channels.entrance, np.asarray(kappa_hat, dtype=float))

@@ -20,11 +20,14 @@ ratio-accumulated table of the decaying solution's series terms.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_legendre, spherical_jn
+
+from .special import FluxDomainError
 
 __all__ = [
     "GreensQuery",
@@ -111,16 +114,27 @@ def _outer_factors(z: complex, l_max: int, s_max: int) -> np.ndarray:
 
 def _assemble(query: GreensQuery, l_max: int, s_max: int) -> complex:
     k, R, r = query.k, query.big_r, query.small_r
-    outer = _outer_factors(-query.sign * 1j * k * R, l_max, min(s_max, l_max))
+    z = -query.sign * 1j * k * R
     if r == 0.0:
         # only the degree-0 mode survives; its inner factor tends to 1
-        return complex(outer[0] / (4.0 * np.pi * R))
+        return complex(_outer_factors(z, 0, 0)[0] / (4.0 * np.pi * R))
     ls = np.arange(l_max + 1)
     cos_gamma = np.clip(query.R_vec @ query.x_vec / (R * r), -1.0, 1.0)
     phases = (1j) ** (-query.sign * ls)
     psi = (k * r) * spherical_jn(ls, k * r)
     msums = (2 * ls + 1) / (4.0 * np.pi) * eval_legendre(ls, cos_gamma)
-    return complex(np.sum(outer * phases * psi * msums) / (k * r * R))
+    with np.errstate(over="ignore", invalid="ignore"):
+        outer = _outer_factors(z, l_max, min(s_max, l_max))
+        value = complex(np.sum(outer * phases * psi * msums) / (k * r * R))
+    if not cmath.isfinite(value):
+        # the outer factors pass the float64 limit while the inner ones
+        # underflow, and inf * 0 leaves nan
+        raise FluxDomainError(
+            f"multipole sum at l_max={l_max}, z={z} is not finite: the outer "
+            f"factors exceed the float64 limit {np.finfo(float).max:.4g}; lower "
+            f"l_max (auto_l_max gives {auto_l_max(k, r)})"
+        )
+    return value
 
 
 def greens_multipole(query: GreensQuery, l_max: int | None = None) -> complex:
@@ -129,7 +143,8 @@ def greens_multipole(query: GreensQuery, l_max: int | None = None) -> complex:
     Per degree the term is ``chi_l(-sign * i k R) i^{-sign * l}
     psi_l(k r) (2l+1) P_l(cos gamma) / (4 pi k r R)`` with ``gamma`` the
     angle between the two points; the default cutoff comes from
-    ``auto_l_max``.
+    ``auto_l_max``.  A cutoff far above ``auto_l_max`` at small ``k R``
+    overflows the outer factors and raises ``FluxDomainError``.
     """
     if l_max is None:
         l_max = auto_l_max(query.k, query.small_r)

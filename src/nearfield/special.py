@@ -30,6 +30,7 @@ from scipy.special import spherical_jn, sph_harm_y
 __all__ = [
     "AngularGrid",
     "ChiPolynomial",
+    "FluxDomainError",
     "angles_from_unit",
     "chi",
     "chi_coefficient",
@@ -47,6 +48,15 @@ __all__ = [
 # ----------------------------------------------------------------------
 # decaying radial solution
 # ----------------------------------------------------------------------
+
+class FluxDomainError(ValueError):
+    """Raised where a float64 evaluation would leave the finite range.
+
+    The decaying solution grows like ``(2l)! / (l! (2|z|)**l)`` toward small
+    ``|z|``, so high degrees at small ``k R`` overflow.  The message names
+    ``l_max``, ``z`` and the limit that was crossed.
+    """
+
 
 @lru_cache(maxsize=None)
 def _chi_integers(order: int) -> tuple[int, ...]:

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import ChiPolynomial, _chi_integers
+from .special import ChiPolynomial, FluxDomainError, _chi_integers
 
 __all__ = [
     "IntegralCheckReport",
@@ -105,9 +105,23 @@ def _series_product_coefficients(conj_deg: int, dir_deg: int) -> tuple[int, ...]
     )
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+# Largest l_max whose exact Laurent coefficients all fit in float64: the
+# pair (75, 76) is the first whose coefficients overflow.
+_FLOAT_PAIR_DEGREE = 75
+
+
 @lru_cache(maxsize=None)
 def _laurent_float(conj_deg: int, dir_deg: int) -> np.ndarray:
-    arr = np.array([float(c) for c in _combination_laurent(conj_deg, dir_deg)])
+    try:
+        arr = np.array([float(c) for c in _combination_laurent(conj_deg, dir_deg)])
+    except OverflowError:
+        raise FluxDomainError(
+            f"exact Laurent coefficients of HW(j={dir_deg}, l={conj_deg}) exceed the "
+            f"float64 limit {_FLOAT_MAX:.4g}; pair factors are representable up to "
+            f"l_max={_FLOAT_PAIR_DEGREE}"
+        ) from None
     arr.flags.writeable = False
     return arr
 
@@ -240,16 +254,33 @@ def pair_matrix(l_max: int, z: complex) -> np.ndarray:
     ``out[row, col] == half_wronskian_exact(j=col, l=row, z)``: rows index
     the conjugated mode.  Hermitian for purely imaginary ``z``, with unit
     diagonal at any ``z``.
+
+    Raises ``FluxDomainError`` above ``l_max = 75``, where the exact
+    coefficients leave float64, and where the factors themselves overflow:
+    they grow like ``|2z|**-(2 l_max + 1)`` toward small ``|z|``.
     """
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
     if z == 0:
         raise ValueError("evaluation point z = 0 is singular")
+    if l_max > _FLOAT_PAIR_DEGREE:
+        raise FluxDomainError(
+            f"pair factors at l_max={l_max}, z={complex(z)}: the exact Laurent "
+            f"coefficients exceed the float64 limit {_FLOAT_MAX:.4g} above "
+            f"l_max={_FLOAT_PAIR_DEGREE}"
+        )
     u = 1.0 / (2.0 * complex(z))
     out = np.zeros((l_max + 1, l_max + 1), dtype=complex)
-    for coeffs in _pair_coefficient_tensor(l_max):
-        out *= u
-        out += coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coeffs in _pair_coefficient_tensor(l_max):
+            out *= u
+            out += coeffs
+    if not np.all(np.isfinite(out)):
+        raise FluxDomainError(
+            f"pair factors at l_max={l_max}, z={complex(z)} exceed the float64 limit "
+            f"{_FLOAT_MAX:.4g}: they grow like |2z|**-(2*l_max+1); raise |z| = k R "
+            f"or lower l_max"
+        )
     return out
 
 

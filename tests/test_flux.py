@@ -7,9 +7,12 @@ import logging
 import numpy as np
 import pytest
 
+from nearfield import flux as flux_module
 from nearfield.amplitudes import Channel, ChannelSet, PartialWaveAmplitude, evaluate
 from nearfield.flux import (
+    FluxDomainError,
     FluxHermiticityError,
+    _degree_sums,
     _real_with_hermitian_check,
     cross_sections,
     differential_flux_asymptotic,
@@ -128,6 +131,72 @@ def test_array_distances_match_stacked_scalar_calls():
         differential_flux_exact(f, cs, np.ones((2, 2)), pts)
     with pytest.raises(ValueError):
         differential_flux_exact(f, cs, np.array([1.0, 0.0]), pts)
+
+
+def _degree_level_reference(f, cs, pts):
+    """Degree sums from the full table, with their absolute-value sums."""
+    theta, phi = angles_from_unit(pts)
+    table = ylm_table(f.l_max, theta, phi)
+    starts = np.arange(f.l_max + 1) ** 2
+    out = {}
+    for label in cs.labels:
+        dense = f.dense(label)
+        out[label] = (
+            np.add.reduceat(dense[:, None] * table, starts, axis=0),
+            np.add.reduceat(np.abs(dense)[:, None] * np.abs(table), starts, axis=0),
+        )
+    return out
+
+
+def test_separable_degree_sums_match_full_table():
+    rng = np.random.default_rng(71)
+    cs = channel_set(2)
+    for l_max in range(21):
+        f = raw_amplitude(rng, cs, l_max)
+        grid = gauss_legendre_sphere(max(l_max, 1))
+        reference = _degree_level_reference(f, cs, grid.points)
+        separable = _degree_sums(f, cs, grid)
+        assert [label for label, _ in separable] == list(cs.labels)
+        for label, sums in separable:
+            ref, scale = reference[label]
+            assert sums.shape == (l_max + 1, grid.n_nodes)
+            assert np.all(np.abs(sums - ref) <= 1e-13 * scale), (l_max, label)
+
+
+def test_flux_profile_rows_match_pointwise_evaluation():
+    rng = np.random.default_rng(72)
+    cs = channel_set(3)
+    f = raw_amplitude(rng, cs, 6)
+    k_min = min(cs.k(label) for label in cs.labels)
+    r_values = np.geomspace(0.3, 300.0, 8) / k_min
+    profile = flux_profile(f, cs, r_values)
+    pts = profile.grid.points
+    direct = differential_flux_exact(f, cs, r_values, pts)
+    reference = _degree_level_reference(f, cs, pts)
+    for i, R in enumerate(r_values):
+        scale = np.zeros(pts.shape[0])
+        for label in cs.labels:
+            w = np.abs(pair_matrix(f.l_max, -1j * cs.k(label) * R))
+            s_abs = np.abs(reference[label][0])
+            scale += cs.weight(label) * np.einsum("ap,ab,bp->p", s_abs, w, s_abs)
+        assert np.all(np.abs(profile.samples[i] - direct[i]) <= 1e-13 * scale)
+    np.testing.assert_array_equal(profile.diff_min, profile.samples.min(axis=1))
+    np.testing.assert_array_equal(profile.diff_max, profile.samples.max(axis=1))
+
+
+def test_canonical_scan_tables_only_the_polar_nodes(monkeypatch):
+    seen = []
+
+    def recording_table(l_max, theta, phi):
+        seen.append(np.size(theta))
+        return ylm_table(l_max, theta, phi)
+
+    monkeypatch.setattr(flux_module, "ylm_table", recording_table)
+    f, cs, _ = unitary_amplitude(3, 5, seed=14)
+    grid = gauss_legendre_sphere(14)
+    flux_profile(f, cs, np.geomspace(0.5, 50.0, 5), grid=grid)
+    total_flux(f, cs, 2.0, grid=grid, method="pointwise")
+    assert seen and max(seen) <= grid.order + 1
 
 
 def test_hermiticity_guard_raises_on_complex_residue():
@@ -286,6 +355,53 @@ def test_total_flux_gram_route_is_exact_at_small_kr():
         assert abs(flux - sigma) / sigma < 1e-12
 
 
+@pytest.mark.parametrize("l_max", [10, 20, 40])
+def test_resolved_grid_totals_equal_sigma_at_any_kr(l_max):
+    rng = np.random.default_rng(l_max)
+    cs = channel_set(2)
+    f = raw_amplitude(rng, cs, l_max)
+    sigma = sum(cs.weight(c) * np.sum(np.abs(f.dense(c)) ** 2) for c in cs.labels)
+    k_min = min(cs.k(label) for label in cs.labels)
+    for grid in (None, gauss_legendre_sphere(l_max)):
+        for kR in (1e-3, 0.05, 0.2, 1.0, 7.0, 300.0):
+            for method in ("auto", "gram"):
+                value = total_flux(f, cs, kR / k_min, grid=grid, method=method)
+                assert abs(value - sigma) <= 1e-12 * sigma, (kR, method)
+
+
+def test_resolved_totals_need_no_pair_factors():
+    # at l_max=40 and kR=1e-3 the pair factors overflow float64, the total does not
+    f = PartialWaveAmplitude({("a", 40, 3): 0.5 + 0.2j, ("a", 1, 0): 0.1})
+    cs = ChannelSet(channels=(Channel("a", 1.0),), entrance="a")
+    with pytest.raises(FluxDomainError, match="l_max=40"):
+        pair_matrix(40, -1e-3j)
+    assert total_flux(f, cs, 1e-3) == pytest.approx(0.30, rel=1e-14)
+
+
+def test_underresolved_canonical_grid_takes_gram_route(monkeypatch):
+    calls = []
+    real_gram = flux_module.sphere_mode_gram
+
+    def spy(order, l_max):
+        calls.append((order, l_max))
+        return real_gram(order, l_max)
+
+    monkeypatch.setattr(flux_module, "sphere_mode_gram", spy)
+    f, cs, _ = unitary_amplitude(2, 4, seed=27)
+    total_flux(f, cs, 2.0, grid=gauss_legendre_sphere(4))
+    assert calls == []
+    value = total_flux(f, cs, 2.0, grid=gauss_legendre_sphere(3))
+    assert calls == [(3, 4)]
+    assert np.isfinite(value)
+
+
+def test_pointwise_flux_raises_typed_error_outside_float_range():
+    cs = ChannelSet(channels=(Channel("a", 1.0),), entrance="a")
+    f = PartialWaveAmplitude({("a", 80, 0): 1.0})
+    with pytest.raises(FluxDomainError, match="l_max=80"):
+        differential_flux_exact(f, cs, 5.0, unit_from_angles(0.4, 1.0))
+
+
 def test_total_flux_pointwise_route_moderate_kr(rng):
     f, cs, _ = unitary_amplitude(2, 3, seed=6)
     sigma = cross_sections(f, cs).total
@@ -349,6 +465,19 @@ def test_unitarity_defect_family_vs_scaled():
         return family(entrance, kappa_hat).scaled(1.1)
 
     assert unitarity_defect(scaled_family, cs) > 1e-2
+
+
+def test_unitarity_defect_propagates_nan(monkeypatch):
+    _, cs, family = unitary_amplitude(2, 2, seed=31)
+    real_evaluate = flux_module.evaluate
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        return complex("nan") if len(calls) == 2 else real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(flux_module, "evaluate", flaky)
+    assert np.isnan(unitarity_defect(family, cs))
 
 
 def test_unitarity_defect_bare_amplitude_diagonal_only():

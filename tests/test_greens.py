@@ -16,7 +16,7 @@ from nearfield.greens import (
     greens_multipole,
     greens_point,
 )
-from nearfield.special import chi, regular_psi, unit_from_angles
+from nearfield.special import FluxDomainError, chi, regular_psi, unit_from_angles
 
 from conftest import fit_slope
 
@@ -249,3 +249,14 @@ def test_helmholtz_residual():
         lap += (g(e) - 2 * g(np.zeros(3)) + g(-e)) / h**2
     residual = abs(lap + k**2 * g(np.zeros(3))) / abs(k**2 * g(np.zeros(3)))
     assert residual < 1e-6
+
+
+def test_multipole_overflow_raises_typed_error():
+    # far above auto_l_max the outer factors overflow while the inner ones
+    # underflow, which used to return nan+nanj
+    query = GreensQuery(k=1.0, R_vec=np.array([0.0, 0.0, 2.0]), x_vec=np.array([0.5, 0.0, 0.0]))
+    with pytest.raises(FluxDomainError, match="l_max=200"):
+        greens_multipole(query, l_max=200)
+    with pytest.raises(FluxDomainError):
+        greens_asymptotic(query, s_max=200, l_max=200)
+    assert np.isfinite(greens_multipole(query))

@@ -428,6 +428,24 @@ def test_cli_flux_error_exit_codes(tmp_path, capsys):
     assert "amplitude data error" in capsys.readouterr().err
 
 
+def test_cli_flux_domain_error_exit_code(tmp_path, capsys):
+    # degree 40 at kR = 1e-3: the pair factors leave the float64 range
+    (tmp_path / "high.json").write_text(
+        json.dumps(
+            {
+                "channels": [{"label": "a", "k": 1.0}],
+                "alpha": "a",
+                "coefficients": [{"beta": "a", "l": 40, "m": 0, "re": 1.0, "im": 0.0}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    cfg = _write_config(tmp_path, {"amplitude": {"file": "high.json"}, "r_values": [1e-3]})
+    assert cli.main(["flux", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert "domain error" in err and "l_max=40" in err
+
+
 def test_cli_coeffs_reference_values(capsys):
     assert cli.main(["coeffs", "--l", "3", "--j", "0"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -508,7 +526,44 @@ def test_cli_check_all_on_amplitude_file(tmp_path, capsys):
     checks = [line for line in lines if line.startswith("check ")]
     assert len(checks) == 5
     assert all(line.endswith("PASS") for line in checks)
+    assert not any(line.startswith("# two-path:") for line in lines)
     assert lines[-1] == "# amplitude: file:amp.json"
+
+
+def test_cli_check_all_passes_at_degree_twelve(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        {
+            "amplitude": {"model": "random_unitary", "n_channels": 3, "l_max": 12, "seed": 5},
+            "seed": 5,
+        },
+    )
+    assert cli.main(["check", "all", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    checks = [line for line in lines if line.startswith("check ")]
+    assert len(checks) == 5
+    assert all(line.endswith("PASS") for line in checks)
+    # the order-4 expansion is complete only at l_max <= 2, so two-path
+    # says which amplitude it ran on
+    assert (
+        "# two-path: ran on random_unitary(n=2, l_max=2, seed=5) in place of "
+        "random_unitary(n=3, l_max=12, seed=5)"
+    ) in lines
+
+
+def test_cli_check_conservation_fails_on_nan_total(monkeypatch, capsys):
+    real_total = cli.total_flux
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        return float("nan") if len(calls) == 3 else real_total(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "total_flux", flaky)
+    assert cli.main(["check", "conservation"]) == 1
+    out = capsys.readouterr().out
+    assert "check conservation: defect=nan" in out
+    assert "FAIL" in out
 
 
 def test_cli_check_lines_survive_a_later_crash(monkeypatch, capsys):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from nearfield.special import FluxDomainError
 from nearfield.wronskian import (
     half_wronskian_exact,
     integral_representation_check,
@@ -195,3 +197,26 @@ def test_integral_representation_diagonal_trivial():
     report = integral_representation_check(3, 3, 1.5)
     assert report.closed_form == pytest.approx(1.0, rel=1e-14)
     assert abs(report.difference) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# float64 domain
+# ----------------------------------------------------------------------
+
+def test_pair_matrix_overflow_raises_typed_error_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FluxDomainError) as info:
+            pair_matrix(40, -1e-3j)
+    message = str(info.value)
+    assert "l_max=40" in message and "z=" in message and "1.798e+308" in message
+
+
+def test_laurent_coefficients_beyond_float_range_raise_typed_error():
+    # (75, 76) is the first degree pair whose exact coefficients overflow
+    # float64, so pair matrices stop at l_max = 75
+    assert np.isfinite(half_wronskian_exact(75, 74, -3j))
+    with pytest.raises(FluxDomainError, match="l_max=75"):
+        half_wronskian_exact(76, 75, -3j)
+    with pytest.raises(FluxDomainError, match="l_max=80"):
+        pair_matrix(80, -50j)
