@@ -21,7 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .special import mode_list
@@ -120,22 +119,9 @@ def dd_from_fraction(fr: Fraction):
     return (hi, lo)
 
 
-def _dd_from_mpf(v) -> tuple[float, float]:
-    hi = float(v)
-    lo = float(v - mpmath.mpf(hi))
-    return (hi, lo)
-
-
-@lru_cache(maxsize=1)
-def _dd_two_pi() -> tuple[float, float]:
-    with mpmath.workdps(50):
-        return _dd_from_mpf(2 * mpmath.pi)
-
-
-@lru_cache(maxsize=1)
-def _dd_y00() -> tuple[float, float]:
-    with mpmath.workdps(50):
-        return _dd_from_mpf(1 / mpmath.sqrt(4 * mpmath.pi))
+# 2 pi and 1/sqrt(4 pi) as double-double pairs, rounded from 50-digit values
+_TWO_PI = (6.283185307179586, 2.4492935982947064e-16)
+_Y00 = (0.28209479177387814, 3.83386490329147e-18)
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +198,7 @@ def _npl_table_dd(l_max: int, x):
     zeros = np.zeros(n)
     one_minus_x2 = dd_sub((np.ones(n), zeros.copy()), dd_mul(x, x))
     s = dd_sqrt(one_minus_x2)
-    hi, lo = _dd_y00()
+    hi, lo = _Y00
     table = {(0, 0): (np.full(n, hi), np.full(n, lo))}
     for m in range(1, l_max + 1):
         fac = dd_sqrt(dd_from_fraction(Fraction(2 * m + 1, 2 * m)))
@@ -276,7 +262,7 @@ def sphere_mode_gram(order: int, l_max: int) -> np.ndarray:
             (rows_hi[None, :, i], rows_lo[None, :, i]),
         )
         acc = dd_add(acc, term)
-    acc = dd_mul(acc, _dd_two_pi())
+    acc = dd_mul(acc, _TWO_PI)
 
     ms = np.array([m for _, m in modes])
     azimuth_pass = ((ms[None, :] - ms[:, None]) % n_phi) == 0

@@ -140,10 +140,14 @@ class PartialWaveAmplitude:
     """Sparse partial-wave coefficients keyed by ``(exit_label, l, m)``.
 
     Immutable; all transformations return new instances.  ``l_max`` is the
-    largest populated degree (0 for the empty amplitude).
+    largest populated degree (0 for the empty amplitude).  Construction also
+    lays each exit channel's coefficients out in ``mode_list`` order, which
+    ``dense`` hands out without another pass over the dict.
     """
 
     coefficients: Mapping[tuple[str, int, int], complex] = field(default_factory=dict)
+    l_max: int = field(init=False, compare=False, repr=False)
+    _dense: dict[str, np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         clean: dict[tuple[str, int, int], complex] = {}
@@ -160,11 +164,17 @@ class PartialWaveAmplitude:
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise ValueError(f"coefficient at {key!r} is not finite")
             clean[(beta, l, m)] = value
+        l_max = max((l for (_, l, _) in clean), default=0)
+        dense: dict[str, np.ndarray] = {}
+        for (beta, l, m), value in clean.items():
+            if beta not in dense:
+                dense[beta] = np.zeros((l_max + 1) ** 2, dtype=complex)
+            dense[beta][mode_index(l, m)] = value
+        for arr in dense.values():
+            arr.flags.writeable = False
         object.__setattr__(self, "coefficients", clean)
-
-    @property
-    def l_max(self) -> int:
-        return max((l for (_, l, _) in self.coefficients), default=0)
+        object.__setattr__(self, "l_max", l_max)
+        object.__setattr__(self, "_dense", dense)
 
     @property
     def exit_labels(self) -> tuple[str, ...]:
@@ -174,13 +184,21 @@ class PartialWaveAmplitude:
         return self.coefficients.get((beta, l, m), 0.0 + 0.0j)
 
     def dense(self, beta: str, l_max: int | None = None) -> np.ndarray:
-        """Coefficients of exit channel ``beta`` in ``mode_list`` order."""
+        """Read-only coefficients of exit channel ``beta`` in ``mode_list`` order.
+
+        Cut at, or zero-padded to, degree ``l_max`` (default: the
+        amplitude's own).
+        """
         if l_max is None:
             l_max = self.l_max
-        out = np.zeros((l_max + 1) ** 2, dtype=complex)
-        for (label, l, m), value in self.coefficients.items():
-            if label == beta and l <= l_max:
-                out[mode_index(l, m)] = value
+        n = (l_max + 1) ** 2
+        own = self._dense.get(beta)
+        if own is not None and own.size >= n:
+            return own[:n]
+        out = np.zeros(n, dtype=complex)
+        if own is not None:
+            out[: own.size] = own
+        out.flags.writeable = False
         return out
 
     def map_modes(

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import io as nf_io
 from .flux import (
-    cross_sections,
+    _summed_cross_section,
     differential_flux_asymptotic,
     differential_flux_exact,
     flux_profile,
@@ -277,8 +277,7 @@ def _check_unitarity(config: RunConfig, source: AmplitudeSource) -> float:
 
 def _check_conservation(config: RunConfig, source: AmplitudeSource) -> float:
     grid = _flux_grid(config, source.f.l_max)
-    sections = cross_sections(source.f, source.channels, grid=grid)
-    sigma = sections.total
+    sigma = _summed_cross_section(source.f, source.channels)
     if sigma == 0.0:
         return 0.0
     k_min = min(source.channels.k(label) for label in source.channels.labels)
@@ -293,54 +292,42 @@ def _check_conservation(config: RunConfig, source: AmplitudeSource) -> float:
     return float(np.max(defects))
 
 
-def _check_two_path(config: RunConfig, source: AmplitudeSource) -> tuple[float, str | None]:
-    """Largest relative gap between the exact flux and its order-4 expansion.
+def _check_two_path(config: RunConfig, source: AmplitudeSource) -> float:
+    """Largest relative gap between the exact flux and its complete expansion.
 
-    The expansion is complete only for ``l_max <= 2``, so a larger amplitude
-    is swapped for an ``l_max = 2`` random unitary probe; the returned note
-    names both amplitudes when that happens.
+    At order ``2 * l_max`` the distance expansion is the whole terminating
+    series, so the two routes must agree to rounding at every distance; the
+    distances run from ``kR = 0.7`` to 120 in the slowest channel.
     """
     f, channels = source.f, source.channels
-    note = None
-    if f.l_max > 2:
-        probe = RunConfig(
-            amplitude={"model": "random_unitary", "n_channels": 2, "l_max": 2},
-            seed=config.seed,
-            base_dir=config.base_dir,
-        )
-        resolved = nf_io.resolve_amplitude(probe)
-        note = f"ran on {resolved.description} in place of {source.description}"
-        f, channels = resolved.f, resolved.channels
     k_min = min(channels.k(label) for label in channels.labels)
-    directions = [
-        unit_from_angles(theta, phi)
-        for theta, phi in ((0.0, 0.0), (1.1, 0.7), (2.0, 3.9), (2.9, 5.2))
-    ]
-    defects = []
-    for r in np.array([0.7, 2.0, 9.0, 120.0]) / k_min:
-        for nhat in directions:
-            exact = differential_flux_exact(f, channels, float(r), nhat)
-            series = differential_flux_asymptotic(f, channels, float(r), nhat, order=4)
-            scale = max(abs(exact), 1e-300)
-            defects.append(abs(exact - series) / scale)
-    return float(np.max(defects)), note
+    directions = unit_from_angles(
+        np.array([0.0, 1.1, 2.0, 2.9]), np.array([0.0, 0.7, 3.9, 5.2])
+    )
+    r_values = np.array([0.7, 2.0, 9.0, 120.0]) / k_min
+    exact = differential_flux_exact(f, channels, r_values, directions)
+    series = np.array(
+        [
+            differential_flux_asymptotic(f, channels, r, directions, order=2 * f.l_max)
+            for r in r_values
+        ]
+    )
+    return float(np.max(np.abs(exact - series) / np.maximum(np.abs(exact), 1e-300)))
 
 
 _CHECKS = ("greens", "unitarity", "optical", "conservation", "two-path")
 
 
-def _run_check(
-    name: str, config: RunConfig, source: AmplitudeSource | None
-) -> tuple[float, str | None]:
-    """Defect of one battery and an optional note on what it ran on."""
+def _run_check(name: str, config: RunConfig, source: AmplitudeSource | None) -> float:
+    """Defect of one battery."""
     if name == "greens":
-        return _check_greens(config), None
+        return _check_greens(config)
     if name == "unitarity":
-        return _check_unitarity(config, source), None
+        return _check_unitarity(config, source)
     if name == "optical":
-        return optical_theorem_defect(source.f, source.channels), None
+        return optical_theorem_defect(source.f, source.channels)
     if name == "conservation":
-        return _check_conservation(config, source), None
+        return _check_conservation(config, source)
     return _check_two_path(config, source)
 
 
@@ -357,14 +344,12 @@ def cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
         for name in names:
             # each line goes out as soon as its check finishes, so a later
             # crash cannot hide the lines already computed
-            defect, note = _run_check(name, config, source)
+            defect = _run_check(name, config, source)
             tol = config.tolerance(name.replace("-", "_"))
             ok = defect <= tol
             failures += 0 if ok else 1
             status = "PASS" if ok else "FAIL"
             out.write(f"check {name}: defect={defect:.3e} tol={tol:.3e} {status}\n")
-            if note is not None:
-                out.write(f"# {name}: {note}\n")
             out.flush()
         if source is not None:
             out.write(f"# amplitude: {source.description}\n")

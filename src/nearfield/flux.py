@@ -10,11 +10,14 @@ canonical product grid the harmonics separate, ``Y_lm(theta_i, phi_j) =
 y_lm(theta_i) exp(i m phi_j)``, so the sums come from a table on the polar
 nodes alone and one product with the azimuthal Fourier matrix.  Because the
 pair factors terminate, the "exact" path here is exact in structure; the
-"asymptotic" path sums the same content reorganized as a distance expansion
-whose brackets are built from powers of the squared-orbital-momentum
-operator acting on the far-field amplitude.  Both paths are kept because
-their agreement (and controlled disagreement beyond the printed order) is
-the main scientific claim this package exists to check.
+"asymptotic" path sums the same degree sums reorganized as a distance
+expansion in ``u = 1/(2z)``: the images ``G_s = u**s sum_l c_s(l) S_l``
+carry the integers ``c_s(l) = (l+s)!/(s!(l-s)!)`` of the decaying solution's
+series, and the flux through any order is one quadratic form in them, run
+by the same contraction kernel as the exact path.  The series ends at order
+``2 l_max``, where the two paths must agree to rounding.  Both paths are
+kept because their agreement (and controlled disagreement below the
+complete order) is the main scientific claim this package exists to check.
 
 Totals need care: at small ``kR`` the pointwise integrand can exceed its own
 integral by many orders of magnitude, so totals are not taken from it where
@@ -44,6 +47,7 @@ from .special import (
     AngularGrid,
     FluxDomainError,
     angles_from_unit,
+    chi_terms,
     gauss_legendre_sphere,
     mode_degrees,
     ylm_table,
@@ -253,55 +257,52 @@ def differential_flux_exact(
     return total.reshape(r.shape + lead_shape)
 
 
-def _operator_images(
+def _expansion(
     f: PartialWaveAmplitude,
     channels: ChannelSet,
+    R: float,
     nhat,
-    max_power: int,
-) -> tuple[dict[str, list[np.ndarray]], tuple[int, ...], bool]:
-    pts, lead_shape, scalar = _flat_directions(nhat)
-    theta, phi = angles_from_unit(pts)
-    l_max = f.l_max
-    table = ylm_table(l_max, theta, phi)
-    eigen = (mode_degrees(l_max) * (mode_degrees(l_max) + 1)).astype(float)
-    images: dict[str, list[np.ndarray]] = {}
-    for label, dense in _channel_dense(f, channels):
-        images[label] = [(dense * eigen**p) @ table for p in range(max_power + 1)]
-    return images, lead_shape, scalar
+    order: int,
+    single: bool,
+) -> float | np.ndarray:
+    """Distance expansion through ``order``, or its order-``order`` term alone.
 
-
-def _bracket_term(F: list[np.ndarray], kR: float, order: int) -> np.ndarray:
-    """Order-``order`` distance-expansion term of the pointwise flux.
-
-    The brackets are exactly the operator image of the pair-factor Laurent
-    series at ``z = -i k R``; each one mixes conjugated and direct operator
-    powers of the far-field amplitude.
+    Per channel, with ``u = 1/(2z)`` at ``z = -i k R``, the images
+    ``G_s = u**s sum_l c_s(l) S_l`` of the degree sums are contracted with
+    ``W[s, t] = [s+t <= N] + 2 t u [s+t <= N-1]``, ``N = order`` (``==`` in
+    place of ``<=`` for the single term), and the real part is the flux.
+    ``c_s(l) = 0`` for ``s > l`` ends the images at ``s = l_max``.
     """
-    if order == 0:
-        return np.abs(F[0]) ** 2
-    if order == 1:
-        return -np.imag(np.conj(F[0]) * F[1]) / kR
-    if order == 2:
-        return (np.abs(F[1]) ** 2 - np.real(np.conj(F[0]) * F[2])) / (2.0 * kR) ** 2
-    if order == 3:
-        bracket = (
-            np.imag(np.conj(F[0]) * F[3])
-            - 3.0 * np.imag(np.conj(F[1]) * F[2])
-            - 2.0 * np.imag(np.conj(F[0]) * F[2])
-        )
-        return bracket / (3.0 * (2.0 * kR) ** 3)
-    if order == 4:
-        bracket = (
-            np.real(np.conj(F[0]) * F[4])
-            - 4.0 * np.real(np.conj(F[1]) * F[3])
-            + 3.0 * np.abs(F[2]) ** 2
-            - 8.0 * np.real(np.conj(F[0]) * F[3])
-            + 8.0 * np.real(np.conj(F[1]) * F[2])
-            + 12.0 * np.real(np.conj(F[0]) * F[2])
-            - 12.0 * np.abs(F[1]) ** 2
-        )
-        return bracket / (12.0 * (2.0 * kR) ** 4)
-    raise ValueError("expansion terms are available for orders 0 through 4 only")
+    if not (R > 0):
+        raise ValueError("distance R must be positive")
+    pts, lead_shape, scalar = _flat_directions(nhat)
+    l_max = f.l_max
+    s_max = min(order, l_max)
+    s = np.arange(s_max + 1)
+    # conj(G_s) G_t is of order s + t; the part 2 t u conj(G_s) G_t, from
+    # differentiating u**t, is of order s + t + 1
+    degree = s[:, None] + s
+    if single:
+        direct, derived = degree == order, degree == order - 1
+    else:
+        direct, derived = degree <= order, degree <= order - 1
+    total = np.zeros(pts.shape[0])
+    for label, sums in _degree_sums(f, channels, pts):
+        kR = channels.k(label) * R
+        u = 0.5j / kR
+        with np.errstate(over="ignore", invalid="ignore"):
+            images = chi_terms(l_max, s_max, u) @ sums
+            values = _kernels.quadratic_form(images, direct + 2 * u * s * derived).real
+        if not (np.all(np.isfinite(images)) and np.all(np.isfinite(values))):
+            raise FluxDomainError(
+                f"distance expansion at l_max={l_max}, kR={kR:.6g}, order={order} "
+                f"is not finite: its series terms exceed the float64 limit "
+                f"{np.finfo(float).max:.4g}; lower the order or raise kR"
+            )
+        total += channels.weight(label) * values
+    if scalar:
+        return float(total[0])
+    return total.reshape(lead_shape)
 
 
 def differential_flux_asymptotic(
@@ -311,28 +312,21 @@ def differential_flux_asymptotic(
     nhat,
     order: int = 4,
 ) -> float | np.ndarray:
-    """Distance expansion of the differential flux through ``order`` (0..4).
+    """Distance expansion of the differential flux through ``order >= 0``.
 
-    Order 0 is the far-field cross-section integrand; orders 1 through 4 add
-    the printed correction brackets.  For amplitudes whose mode pairs all
-    satisfy ``l + j <= 3`` the order-4 expansion is already the complete
-    series and matches ``differential_flux_exact`` to rounding.
+    Order 0 is the far-field cross-section integrand; each further order
+    adds one power of ``1/(2 k_beta R)``.  With ``u = 1/(2z)``, ``z = -i k
+    R``, the scattered wave is ``exp(-z) sum_s G_s`` with ``G_s = u**s
+    sum_l c_s(l) S_l``, the image of ``h_coefficient(f, s)``, and the flux
+    ``-Re(conj(U) U')`` is ``Re sum_{s,t} conj(G_s) G_t (1 + 2 t u)``; the
+    expansion keeps the terms of total order at most ``order``.  The series
+    terminates: from ``order = 2 * l_max`` on it is complete and matches
+    ``differential_flux_exact`` to rounding.  Raises ``FluxDomainError``
+    where its terms leave the float64 range (high orders at small ``kR``).
     """
-    if not (R > 0):
-        raise ValueError("distance R must be positive")
-    if not 0 <= order <= 4:
-        raise ValueError("order must be between 0 and 4")
-    images, lead_shape, scalar = _operator_images(f, channels, nhat, order)
-    n_pts = int(np.prod(lead_shape)) if lead_shape else 1
-    total = np.zeros(n_pts)
-    for label, F in images.items():
-        kR = channels.k(label) * R
-        weight = channels.weight(label)
-        for s in range(order + 1):
-            total += weight * _bracket_term(F, kR, s)
-    if scalar:
-        return float(total[0])
-    return total.reshape(lead_shape)
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    return _expansion(f, channels, R, nhat, order, single=False)
 
 
 def flux_correction_term(
@@ -342,25 +336,16 @@ def flux_correction_term(
     nhat,
     order: int,
 ) -> float | np.ndarray:
-    """Single expansion term of a given order (1..4), channel-weighted.
+    """Single expansion term of a given order ``>= 1``, channel-weighted.
 
-    Each of these vanishes identically upon solid-angle integration, which
-    is how the expansion stays consistent with flux conservation order by
-    order.
+    The terms of ``differential_flux_asymptotic`` whose total order is
+    exactly ``order``; past ``2 * l_max`` they vanish.  Each one vanishes
+    upon solid-angle integration, which is how the expansion stays
+    consistent with flux conservation order by order.
     """
-    if not (R > 0):
-        raise ValueError("distance R must be positive")
-    if not 1 <= order <= 4:
-        raise ValueError("order must be between 1 and 4")
-    images, lead_shape, scalar = _operator_images(f, channels, nhat, order)
-    n_pts = int(np.prod(lead_shape)) if lead_shape else 1
-    total = np.zeros(n_pts)
-    for label, F in images.items():
-        kR = channels.k(label) * R
-        total += channels.weight(label) * _bracket_term(F, kR, order)
-    if scalar:
-        return float(total[0])
-    return total.reshape(lead_shape)
+    if order < 1:
+        raise ValueError("order must be positive")
+    return _expansion(f, channels, R, nhat, order, single=True)
 
 
 def far_field_flux(

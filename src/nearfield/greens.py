@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_legendre, spherical_jn
 
-from .special import FluxDomainError
+from .special import FluxDomainError, chi_terms
 
 __all__ = [
     "GreensQuery",
@@ -99,17 +99,12 @@ def auto_l_max(k: float, r: float) -> int:
 def _outer_factors(z: complex, l_max: int, s_max: int) -> np.ndarray:
     """Decaying solutions ``exp(-z) sum_{s<=s_max} c_s(l)/(2z)^s`` for ``l <= l_max``.
 
-    ``c_s(l) = (l+s)!/(s!(l-s)!)`` enters only through the neighbour ratio
-    ``c_{s+1}/c_s = (l+s+1)(l-s)/(s+1)``, whose ``(l-s)`` factor ends each
-    degree's series at ``s = l``; materialized coefficients would overflow
-    near degree 140.  Rows run over ``s`` so that the sum adds each degree's
-    terms in order: past ``l ~ kR`` the terms cancel heavily, and NumPy's
-    pairwise sum along a row lost about three times as many digits there.
+    The terms come from ``chi_terms`` with ``s`` along axis 0, so the sum
+    adds each degree's terms in order: past ``l ~ kR`` the terms cancel
+    heavily, and NumPy's pairwise sum along a row lost about three times as
+    many digits there.
     """
-    s = np.arange(s_max)[:, None]
-    l = np.arange(l_max + 1)[None, :]
-    ratios = (l + s + 1) * (l - s) / (s + 1) * (0.5 / z)
-    return np.exp(-z) * (1.0 + np.cumprod(ratios, axis=0).sum(axis=0))
+    return np.exp(-z) * chi_terms(l_max, s_max, 0.5 / z).sum(axis=0)
 
 
 def _assemble(query: GreensQuery, l_max: int, s_max: int) -> complex:

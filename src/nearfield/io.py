@@ -224,7 +224,6 @@ class RunConfig:
     grid_degree: int | None = None
     format: str = "csv"
     out: str | None = None
-    asymptotic_order: int = 4
     per_angle: bool = False
     weight_mode: str | None = None
     tolerances: dict[str, float] = field(default_factory=dict)
@@ -242,7 +241,6 @@ _CONFIG_KEYS = {
     "grid_degree",
     "format",
     "out",
-    "asymptotic_order",
     "per_angle",
     "weight_mode",
     "tolerances",
@@ -324,10 +322,6 @@ def load_config(path: str | Path) -> RunConfig:
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a path string")
 
-    order = doc.get("asymptotic_order", 4)
-    if not isinstance(order, int) or isinstance(order, bool) or not 0 <= order <= 4:
-        raise ConfigError("asymptotic_order must be an integer in 0..4")
-
     per_angle = doc.get("per_angle", False)
     if not isinstance(per_angle, bool):
         raise ConfigError("per_angle must be a boolean")
@@ -358,7 +352,6 @@ def load_config(path: str | Path) -> RunConfig:
         grid_degree=grid_degree,
         format=fmt,
         out=out,
-        asymptotic_order=order,
         per_angle=per_angle,
         weight_mode=weight_mode,
         tolerances=clean_tol,

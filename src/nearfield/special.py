@@ -54,7 +54,8 @@ class FluxDomainError(ValueError):
 
     The decaying solution grows like ``(2l)! / (l! (2|z|)**l)`` toward small
     ``|z|``, so high degrees at small ``k R`` overflow.  The message names
-    ``l_max``, ``z`` and the limit that was crossed.
+    ``l_max``, the distance (``z`` or ``kR``) and the limit that was
+    crossed.
     """
 
 
@@ -125,6 +126,24 @@ class ChiPolynomial:
 
     def __call__(self, z: complex | np.ndarray) -> complex | np.ndarray:
         return self.evaluate(z)
+
+
+def chi_terms(l_max: int, s_max: int, u: complex) -> np.ndarray:
+    """Series terms ``c_s(l) u**s`` for ``s <= s_max`` and ``l <= l_max``.
+
+    Shape ``(s_max + 1, l_max + 1)``: row ``s`` holds the order-``s`` term
+    of every degree, zero for ``s > l``; with ``u = 1/(2z)`` the column sums
+    are ``exp(z) chi_l(z)`` truncated at ``s_max``.  The integers
+    ``c_s(l) = (l+s)!/(s!(l-s)!)`` enter only through the neighbour ratio
+    ``c_{s+1}/c_s = (l+s+1)(l-s)/(s+1)``, accumulated by one ``cumprod`` down
+    the rows: materialized coefficients would overflow near degree 140 even
+    where every term is moderate.  Toward small ``|z|`` high orders can
+    still overflow; callers check the result.
+    """
+    s = np.arange(s_max)[:, None]
+    l = np.arange(l_max + 1)[None, :]
+    ratios = (l + s + 1) * (l - s) / (s + 1) * u
+    return np.concatenate([np.ones((1, l_max + 1)), np.cumprod(ratios, axis=0)])
 
 
 def chi(l: int, z: complex | np.ndarray) -> complex | np.ndarray:

@@ -22,7 +22,7 @@ from nearfield.amplitudes import (
     scattered_wave_series,
     smatrix_amplitude_family,
 )
-from nearfield.special import chi, sph_harm, unit_from_angles
+from nearfield.special import chi, mode_index, sph_harm, unit_from_angles
 
 from conftest import channel_set, raw_amplitude, unitary_amplitude
 
@@ -89,6 +89,30 @@ def test_amplitude_bookkeeping(rng):
     assert dense.shape == (16,)
     assert dense[5] == f.coefficient("c1", 2, -1)
     assert f.coefficient("c0", 9, 0) == 0
+
+
+@pytest.mark.parametrize("l_max", [1, 4, 7])
+def test_dense_matches_coefficient_loop(rng, l_max):
+    # the amplitude's own l_max is 4: cut, exact and zero-padded layouts
+    cs = channel_set(2)
+    coeffs = {
+        (beta, l, m): complex(rng.normal(), rng.normal())
+        for beta in cs.labels
+        for l in range(5)
+        for m in range(-l, l + 1)
+        if l == 4 or rng.uniform() < 0.6
+    }
+    f = PartialWaveAmplitude(coeffs)
+    assert f.l_max == 4
+    for beta in cs.labels + ("absent",):
+        want = np.zeros((l_max + 1) ** 2, dtype=complex)
+        for (label, l, m), value in f.coefficients.items():
+            if label == beta and l <= l_max:
+                want[mode_index(l, m)] = value
+        got = f.dense(beta, l_max)
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert np.array_equal(f.dense("c0"), f.dense("c0", 4))
 
 
 def test_amplitude_rejects_invalid_modes():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from nearfield.flux import (
     _degree_sums,
     _real_with_hermitian_check,
     cross_sections,
+    default_grid,
     differential_flux_asymptotic,
     differential_flux_exact,
     far_field_flux,
@@ -24,6 +26,7 @@ from nearfield.flux import (
     total_flux,
     unitarity_defect,
 )
+from nearfield.io import DEFAULT_TOLERANCES
 from nearfield.special import (
     angles_from_unit,
     gauss_legendre_sphere,
@@ -65,7 +68,7 @@ def test_differential_flux_input_validation(rng):
     with pytest.raises(ValueError):
         differential_flux_exact(f, cs, 1.0, np.ones(4))
     with pytest.raises(ValueError):
-        differential_flux_asymptotic(f, cs, 1.0, nhat, order=5)
+        differential_flux_asymptotic(f, cs, 1.0, nhat, order=-1)
     with pytest.raises(ValueError):
         flux_correction_term(f, cs, 1.0, nhat, order=0)
 
@@ -276,6 +279,120 @@ def test_correction_terms_sum_to_asymptotic(rng):
         assert total == pytest.approx(
             differential_flux_asymptotic(f, cs, R, nhat, order=order), rel=1e-12
         )
+
+
+def _printed_bracket(F: list[np.ndarray], kR: float, order: int) -> np.ndarray:
+    """Order 0-4 expansion terms as printed, from the images ``F[p]`` of the
+    ``p``-th power of the squared orbital momentum; the reference for the
+    generic quadratic form."""
+    if order == 0:
+        return np.abs(F[0]) ** 2
+    if order == 1:
+        return -np.imag(np.conj(F[0]) * F[1]) / kR
+    if order == 2:
+        return (np.abs(F[1]) ** 2 - np.real(np.conj(F[0]) * F[2])) / (2.0 * kR) ** 2
+    if order == 3:
+        bracket = (
+            np.imag(np.conj(F[0]) * F[3])
+            - 3.0 * np.imag(np.conj(F[1]) * F[2])
+            - 2.0 * np.imag(np.conj(F[0]) * F[2])
+        )
+        return bracket / (3.0 * (2.0 * kR) ** 3)
+    bracket = (
+        np.real(np.conj(F[0]) * F[4])
+        - 4.0 * np.real(np.conj(F[1]) * F[3])
+        + 3.0 * np.abs(F[2]) ** 2
+        - 8.0 * np.real(np.conj(F[0]) * F[3])
+        + 8.0 * np.real(np.conj(F[1]) * F[2])
+        + 12.0 * np.real(np.conj(F[0]) * F[2])
+        - 12.0 * np.abs(F[1]) ** 2
+    )
+    return bracket / (12.0 * (2.0 * kR) ** 4)
+
+
+@pytest.mark.parametrize("l_max", [2, 3, 6, 12, 20])
+def test_expansion_matches_printed_brackets(l_max):
+    f, cs, _ = unitary_amplitude(2, l_max, seed=l_max)
+    nhat = np.random.default_rng(l_max).normal(size=(5, 3))
+    theta, phi = angles_from_unit(nhat)
+    table = ylm_table(l_max, theta, phi)
+    eigen = (mode_degrees(l_max) * (mode_degrees(l_max) + 1)).astype(float)
+    images = {
+        label: [(f.dense(label) * eigen**p) @ table for p in range(5)]
+        for label in cs.labels
+    }
+    for kR in (0.7, 3.0, 30.0, 1000.0):
+        terms = [
+            sum(
+                cs.weight(label) * _printed_bracket(F, cs.k(label) * kR, order)
+                for label, F in images.items()
+            )
+            for order in range(5)
+        ]
+        for order in range(5):
+            want = sum(terms[: order + 1])
+            scale = np.max(np.abs(want))
+            got = differential_flux_asymptotic(f, cs, kR, nhat, order=order)
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            if order:
+                term = flux_correction_term(f, cs, kR, nhat, order=order)
+                assert np.max(np.abs(term - terms[order])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("l_max", range(3, 13))
+def test_complete_order_matches_exact(l_max):
+    # order 2 l_max holds every term of the terminating series
+    f, cs, _ = unitary_amplitude(3, l_max, seed=l_max)
+    nhat = np.random.default_rng(l_max).normal(size=(6, 3))
+    r_values = np.array([0.7, 2.0, 9.0, 120.0]) / 0.8
+    exact = differential_flux_exact(f, cs, r_values, nhat)
+    for r, row in zip(r_values, exact):
+        series = differential_flux_asymptotic(f, cs, r, nhat, order=2 * l_max)
+        assert np.max(np.abs(series - row) / np.abs(row)) <= DEFAULT_TOLERANCES["two_path"]
+
+
+def test_expansion_truncation_slopes():
+    # the error is integrated over the sphere, so that no direction whose
+    # leading error coefficient happens to be small bends the fit
+    f, cs, _ = unitary_amplitude(2, 6, seed=2)
+    grid = default_grid(f)
+    kr_values = np.geomspace(8.0, 100.0, 10)
+    exact = differential_flux_exact(f, cs, kr_values, grid.points)
+    for n in (2, 4, 6):
+        errs = [
+            grid.integrate(
+                np.abs(row - differential_flux_asymptotic(f, cs, kR, grid.points, order=n))
+            )
+            for kR, row in zip(kr_values, exact)
+        ]
+        assert fit_slope(kr_values, np.array(errs)) == pytest.approx(-(n + 1), abs=0.3)
+
+
+@pytest.mark.parametrize("l_max", [1, 3, 6])
+def test_every_correction_term_integrates_to_zero(l_max):
+    f, cs, _ = unitary_amplitude(2, l_max, seed=13)
+    grid = default_grid(f)
+    # order 2 l_max + 1 is the real part of a purely imaginary product,
+    # zero up to rounding with no cancellation to judge, and later orders
+    # have no terms at all
+    for order in range(1, 2 * l_max + 1):
+        for R in (0.8, 3.0, 25.0):
+            term = flux_correction_term(f, cs, R, grid.points, order=order)
+            assert abs(grid.integrate(term)) <= 1e-10 * grid.integrate(np.abs(term))
+    assert not np.any(flux_correction_term(f, cs, 3.0, grid.points, order=2 * l_max + 2))
+
+
+def test_expansion_raises_typed_error_outside_float_range():
+    cs = ChannelSet(channels=(Channel("a", 1.0),), entrance="a")
+    f = PartialWaveAmplitude({("a", l, 0): 0.1 for l in range(81)})
+    nhat = unit_from_angles(0.4, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FluxDomainError, match="l_max=80, kR=0.05, order=160"):
+            differential_flux_asymptotic(f, cs, 0.05, nhat, order=160)
+        with pytest.raises(FluxDomainError, match="order=100"):
+            flux_correction_term(f, cs, 0.05, nhat, order=100)
+        assert np.isfinite(differential_flux_asymptotic(f, cs, 0.05, nhat, order=4))
 
 
 # ----------------------------------------------------------------------

@@ -134,7 +134,6 @@ def _write_config(tmp_path, doc, name="run.json"):
 def test_load_config_defaults(tmp_path):
     config = load_config(_write_config(tmp_path, {}))
     assert config.format == "csv"
-    assert config.asymptotic_order == 4
     assert config.per_angle is False
     assert config.seed == 0
     assert config.r_values is None
@@ -195,9 +194,7 @@ def test_load_config_schedules_and_overrides(tmp_path):
         {"grid_degree": True},
         {"format": "yaml"},
         {"out": 3},
-        {"asymptotic_order": 5},
-        {"asymptotic_order": -1},
-        {"asymptotic_order": True},
+        {"asymptotic_order": 4},  # not a config key
         {"per_angle": "yes"},
         {"weight_mode": "z"},
         {"tolerances": [1]},
@@ -543,12 +540,8 @@ def test_cli_check_all_passes_at_degree_twelve(tmp_path, capsys):
     checks = [line for line in lines if line.startswith("check ")]
     assert len(checks) == 5
     assert all(line.endswith("PASS") for line in checks)
-    # the order-4 expansion is complete only at l_max <= 2, so two-path
-    # says which amplitude it ran on
-    assert (
-        "# two-path: ran on random_unitary(n=2, l_max=2, seed=5) in place of "
-        "random_unitary(n=3, l_max=12, seed=5)"
-    ) in lines
+    # two-path runs on the configured amplitude, with no note on a substitute
+    assert not any(line.startswith("# two-path:") for line in lines)
 
 
 def test_cli_check_conservation_fails_on_nan_total(monkeypatch, capsys):

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nearfield import _kernels
+from nearfield import _dd, _kernels
 from nearfield._dd import (
     dd_add,
     dd_div,
@@ -130,6 +130,17 @@ def test_dd_from_fraction_keeps_32_digits():
     with mpmath.workdps(50):
         err = abs(mpmath.mpf(hi) + mpmath.mpf(lo) - mpmath.mpf(1) / 3)
         assert err < mpmath.mpf("1e-32")
+
+
+def test_dd_constants_are_the_50_digit_roundings():
+    with mpmath.workdps(50):
+        for stored, exact in (
+            (_dd._TWO_PI, 2 * mpmath.pi),
+            (_dd._Y00, 1 / mpmath.sqrt(4 * mpmath.pi)),
+        ):
+            hi = float(exact)
+            lo = float(exact - mpmath.mpf(hi))
+            assert stored[0] == hi and stored[1] == lo
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from nearfield.special import (
     angles_from_unit,
     chi,
     chi_coefficient,
+    chi_terms,
     gauss_legendre_sphere,
     mode_degrees,
     mode_index,
@@ -86,6 +87,18 @@ def test_chi_polynomial_series_vs_evaluate():
     assert poly.evaluate(z) == pytest.approx(np.exp(-z) * poly.series(z), rel=1e-14)
     with pytest.raises(ValueError):
         poly.series(0.0)
+
+
+def test_chi_terms_match_exact_coefficients():
+    u = 0.5 / (0.9 - 0.4j)
+    terms = chi_terms(12, 15, u)
+    assert terms.shape == (16, 13)
+    for l in range(13):
+        for s in range(16):
+            assert terms[s, l] == pytest.approx(float(chi_coefficient(l, s)) * u**s, rel=1e-13)
+        assert terms[:, l].sum() * np.exp(-0.9 + 0.4j) == pytest.approx(
+            chi(l, 0.9 - 0.4j), rel=1e-13
+        )
 
 
 def test_chi_vectorized():
