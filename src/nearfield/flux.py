@@ -5,7 +5,9 @@ sphere of radius ``R``: a double partial-wave sum pairing every mode with
 every other through the exact radial pair factors of ``wronskian``.  Those
 factors depend only on the two degrees, so the pointwise path first sums
 each degree's harmonics, ``S_l(p) = sum_m B_lm Y_lm(p)``, and then contracts
-at degree level, with one set of sums for all distances of a scan.  On the
+at degree level, with one set of sums for all distances of a scan; the
+pair factors of all distances of a channel come from one stacked Horner
+pass over the exact coefficient tensor (``wronskian._pair_stack``).  On the
 canonical product grid the harmonics separate, ``Y_lm(theta_i, phi_j) =
 y_lm(theta_i) exp(i m phi_j)``, so the sums come from a table on the polar
 nodes alone and one product with the azimuthal Fourier matrix.  Because the
@@ -52,7 +54,7 @@ from .special import (
     mode_degrees,
     ylm_table,
 )
-from .wronskian import pair_matrix
+from .wronskian import _pair_stack, pair_matrix
 
 __all__ = [
     "CrossSections",
@@ -206,7 +208,8 @@ def _flux_rows(
     """Differential flux, shape ``(n_distances, n_points)``, from degree sums.
 
     ``weight_beta * sum_{l,j} conj(S_l) HW_lj S_j`` with the exact pair
-    factors at ``z = -i k_beta R``.  The result is real up to rounding, which
+    factors at ``z = -i k_beta R``, evaluated for all distances of a channel
+    in one stacked Horner pass.  The result is real up to rounding, which
     is asserted against the absolute-value contraction before the imaginary
     residue is discarded.
     """
@@ -215,8 +218,16 @@ def _flux_rows(
         collapsed_abs = np.abs(collapsed)
         k = channels.k(label)
         weight = channels.weight(label)
-        for i, dist in enumerate(distances):
-            w_pairs = pair_matrix(l_max, -1j * k * dist)
+        stack = _pair_stack(l_max, -1j * k * distances)
+        if not np.isfinite(stack).all():
+            finite = np.isfinite(stack).all(axis=(1, 2))
+            kr = k * float(distances[~finite].min())
+            raise FluxDomainError(
+                f"pair factors at l_max={l_max}, kR={kr:.6g} exceed the float64 "
+                f"limit {np.finfo(float).max:.4g}: they grow like "
+                f"(2 kR)**-(2*l_max+1); raise kR or lower l_max"
+            )
+        for i, w_pairs in enumerate(stack):
             values = _kernels.quadratic_form(collapsed, w_pairs)
             scale = _kernels.quadratic_form(collapsed_abs, np.abs(w_pairs))
             total[i] += weight * _real_with_hermitian_check(values, scale)

@@ -23,6 +23,17 @@ terminating correction
 whose coefficients ``A_n`` are exactly the product coefficients of the two
 terminating series, ``A_n = [u**n] P_l(-u) P_j(u)``.  These corrections are
 the whole content of pre-asymptotic flux behaviour.
+
+The float coefficients come from this series route: the integer
+coefficient of ``u**(n+1)`` is ``delta * A_n / (n+1)``, an exact division,
+so each pair costs one integer product.  The current combination itself
+(three products) stays as the independent exact route behind
+``laurent_coefficients``; the two agree integer for integer.  Swapping the
+degrees mirrors the argument, ``HW(l, j; z) = HW(j, l; -z)``, so the
+mirrored pair has the same integers with the sign of every odd power of
+``u`` flipped, and one product per unordered pair fills the whole pair
+tensor.  Flux scans evaluate that tensor for all distances of a channel in
+one Horner pass (``_pair_stack``).
 """
 
 from __future__ import annotations
@@ -68,6 +79,7 @@ def _poly_diff(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(n * c for n, c in enumerate(p))[1:]
 
 
+@lru_cache(maxsize=None)
 def _series_poly(order: int, negate: bool) -> tuple[int, ...]:
     sign = -1 if negate else 1
     return tuple(c * sign**s for s, c in enumerate(_chi_integers(order)))
@@ -105,6 +117,16 @@ def _series_product_coefficients(conj_deg: int, dir_deg: int) -> tuple[int, ...]
     )
 
 
+def _series_laurent(conj_deg: int, dir_deg: int) -> tuple[int, ...]:
+    """Laurent coefficients of HW via the series route: ``1``, then
+    ``delta * A_n / (n+1)`` for ``u**(n+1)``; every division is exact."""
+    delta = dir_deg * (dir_deg + 1) - conj_deg * (conj_deg + 1)
+    if delta == 0:
+        return (1,)
+    coeffs = _series_product_coefficients(conj_deg, dir_deg)
+    return (1, *(delta * a // (n + 1) for n, a in enumerate(coeffs)))
+
+
 _FLOAT_MAX = float(np.finfo(float).max)
 
 # Largest l_max whose exact Laurent coefficients all fit in float64: the
@@ -115,7 +137,7 @@ _FLOAT_PAIR_DEGREE = 75
 @lru_cache(maxsize=None)
 def _laurent_float(conj_deg: int, dir_deg: int) -> np.ndarray:
     try:
-        arr = np.array([float(c) for c in _combination_laurent(conj_deg, dir_deg)])
+        arr = np.array([float(c) for c in _series_laurent(conj_deg, dir_deg)])
     except OverflowError:
         raise FluxDomainError(
             f"exact Laurent coefficients of HW(j={dir_deg}, l={conj_deg}) exceed the "
@@ -236,24 +258,70 @@ def _pair_coefficient_tensor(l_max: int) -> np.ndarray:
 
     ``tensor[2*l_max + 1 - n, row, col]`` is the ``u**n`` coefficient of
     ``HW(j=col, l=row)``; pairs of lower total degree are zero-padded at the
-    top, which leaves Horner's rule unchanged.
+    top, which leaves Horner's rule unchanged.  Only the upper triangle is
+    built from integers, one series product per pair; the lower triangle is
+    its mirror ``HW(l, j; u) = HW(j, l; -u)`` and the diagonal is exactly 1.
     """
     size = 2 * l_max + 2
-    tensor = np.zeros((size, l_max + 1, l_max + 1))
+    upper = np.zeros((size, l_max + 1, l_max + 1))
     for row in range(l_max + 1):
-        for col in range(l_max + 1):
+        for col in range(row + 1, l_max + 1):
             coeffs = _laurent_float(row, col)
-            tensor[size - coeffs.size :, row, col] = coeffs[::-1]
+            upper[size - coeffs.size :, row, col] = coeffs[::-1]
+    # (-1)**n for the power n = size - 1 - i held in tensor row i
+    signs = (-1.0) ** np.arange(size - 1, -1, -1)
+    tensor = upper + signs[:, None, None] * upper.transpose(0, 2, 1)
+    np.fill_diagonal(tensor[-1], 1.0)
     tensor.flags.writeable = False
     return tensor
 
 
+# Horner's rule sweeps the tensor once per block of at most this many matrix
+# entries (512 KiB of complex128): its 2*l_max + 2 steps each rewrite one
+# block, whose size stays bounded however many distances a scan has.
+_STACK_ENTRIES = 2**15
+
+
+def _pair_stack(l_max: int, zs) -> np.ndarray:
+    """Pair matrices at every point of ``zs``, shape ``(n, l_max + 1, l_max + 1)``.
+
+    ``zs`` is one nonzero point or a 1-d array of them.  One Horner pass
+    over ``_pair_coefficient_tensor`` runs on the whole stack, in blocks of
+    at most ``_STACK_ENTRIES`` entries, with the same operations per entry
+    as a single-point evaluation.  Raises ``FluxDomainError`` above
+    ``l_max = 75``; entries past the float64 range come back non-finite,
+    without a warning, and callers name the offending point in their terms.
+    """
+    if l_max > _FLOAT_PAIR_DEGREE:
+        raise FluxDomainError(
+            f"pair factors at l_max={l_max}: the exact Laurent coefficients exceed "
+            f"the float64 limit {_FLOAT_MAX:.4g} above l_max={_FLOAT_PAIR_DEGREE}"
+        )
+    tensor = _pair_coefficient_tensor(l_max)
+    # u = 1/(2z): 0.5/z gives the same bits with one multiplication fewer
+    u = np.asarray(0.5 / zs).reshape(-1, 1, 1)
+    out = np.zeros((u.shape[0], l_max + 1, l_max + 1), dtype=complex)
+    step = max(1, _STACK_ENTRIES // (l_max + 1) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, out.shape[0], step):
+            block = out[start : start + step]
+            # a one-point block takes a 0-d factor, NumPy's scalar fast path,
+            # which keeps single-point calls as cheap as a 2-d Horner loop
+            u_block = u[start : start + step] if len(block) > 1 else u[start].reshape(())
+            for coeffs in tensor:
+                block *= u_block
+                block += coeffs
+    return out
+
+
 def pair_matrix(l_max: int, z: complex) -> np.ndarray:
-    """Dense pair factors for all degree pairs up to ``l_max``.
+    """Dense pair factors for all degree pairs up to ``l_max``, at one ``z``.
 
     ``out[row, col] == half_wronskian_exact(j=col, l=row, z)``: rows index
     the conjugated mode.  Hermitian for purely imaginary ``z``, with unit
-    diagonal at any ``z``.
+    diagonal at any ``z``.  This is the one-point case of the stacked
+    evaluation that flux scans use for all distances at once; ``z`` is a
+    scalar.
 
     Raises ``FluxDomainError`` above ``l_max = 75``, where the exact
     coefficients leave float64, and where the factors themselves overflow:
@@ -263,18 +331,7 @@ def pair_matrix(l_max: int, z: complex) -> np.ndarray:
         raise ValueError("l_max must be non-negative")
     if z == 0:
         raise ValueError("evaluation point z = 0 is singular")
-    if l_max > _FLOAT_PAIR_DEGREE:
-        raise FluxDomainError(
-            f"pair factors at l_max={l_max}, z={complex(z)}: the exact Laurent "
-            f"coefficients exceed the float64 limit {_FLOAT_MAX:.4g} above "
-            f"l_max={_FLOAT_PAIR_DEGREE}"
-        )
-    u = 1.0 / (2.0 * complex(z))
-    out = np.zeros((l_max + 1, l_max + 1), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for coeffs in _pair_coefficient_tensor(l_max):
-            out *= u
-            out += coeffs
+    out = _pair_stack(l_max, complex(z))[0]
     if not np.all(np.isfinite(out)):
         raise FluxDomainError(
             f"pair factors at l_max={l_max}, z={complex(z)} exceed the float64 limit "

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nearfield import _kernels, wronskian
 from nearfield import flux as flux_module
 from nearfield.amplitudes import Channel, ChannelSet, PartialWaveAmplitude, evaluate
 from nearfield.flux import (
@@ -185,6 +186,54 @@ def test_flux_profile_rows_match_pointwise_evaluation():
         assert np.all(np.abs(profile.samples[i] - direct[i]) <= 1e-13 * scale)
     np.testing.assert_array_equal(profile.diff_min, profile.samples.min(axis=1))
     np.testing.assert_array_equal(profile.diff_max, profile.samples.max(axis=1))
+
+
+def _per_distance_rows(f, cs, r_values, directions):
+    """Flux rows one distance at a time: ``pair_matrix``, the contraction and
+    the Hermiticity check per distance, the reference for the stacked pass."""
+    channel_sums = _degree_sums(f, cs, directions)
+    rows = np.zeros((r_values.size, channel_sums[0][1].shape[1]))
+    for label, sums in channel_sums:
+        for i, R in enumerate(r_values):
+            w = pair_matrix(f.l_max, -1j * cs.k(label) * R)
+            values = _kernels.quadratic_form(sums, w)
+            scale = _kernels.quadratic_form(np.abs(sums), np.abs(w))
+            rows[i] += cs.weight(label) * _real_with_hermitian_check(values, scale)
+    return rows
+
+
+@pytest.mark.parametrize("l_max", range(21))
+def test_stacked_pair_factors_match_per_distance_loop_bitwise(l_max):
+    f, cs, _ = unitary_amplitude(2, l_max, seed=90 + l_max)
+    k_min = min(cs.k(label) for label in cs.labels)
+    r_values = np.geomspace(0.3, 900.0, 9) / k_min
+    grid = gauss_legendre_sphere(max(l_max, 2))
+    profile = flux_profile(f, cs, r_values, grid=grid)
+    np.testing.assert_array_equal(profile.samples, _per_distance_rows(f, cs, r_values, grid))
+    pts = grid.points[:: max(1, grid.n_nodes // 40)]
+    np.testing.assert_array_equal(
+        differential_flux_exact(f, cs, r_values, pts), _per_distance_rows(f, cs, r_values, pts)
+    )
+
+
+def test_scan_stacks_pair_factors_once_per_nonzero_channel(monkeypatch):
+    stacked = []
+    real_stack = flux_module._pair_stack
+
+    def spy_stack(l_max, zs):
+        stacked.append((l_max, np.size(zs)))
+        return real_stack(l_max, zs)
+
+    def no_pair_matrix(*args):
+        raise AssertionError("pair_matrix on the scan path")
+
+    monkeypatch.setattr(flux_module, "_pair_stack", spy_stack)
+    monkeypatch.setattr(flux_module, "pair_matrix", no_pair_matrix)
+    monkeypatch.setattr(wronskian, "pair_matrix", no_pair_matrix)
+    cs = channel_set(3)
+    f = PartialWaveAmplitude({("c0", 3, 1): 0.4 - 0.2j, ("c2", 5, -2): 0.3j})
+    flux_profile(f, cs, np.geomspace(0.5, 300.0, 40))
+    assert stacked == [(5, 40), (5, 40)]
 
 
 def test_canonical_scan_tables_only_the_polar_nodes(monkeypatch):
@@ -517,6 +566,18 @@ def test_pointwise_flux_raises_typed_error_outside_float_range():
     f = PartialWaveAmplitude({("a", 80, 0): 1.0})
     with pytest.raises(FluxDomainError, match="l_max=80"):
         differential_flux_exact(f, cs, 5.0, unit_from_angles(0.4, 1.0))
+
+
+def test_pointwise_flux_domain_error_names_kr_without_warnings():
+    cs = ChannelSet(channels=(Channel("a", 2.0),), entrance="a")
+    f = PartialWaveAmplitude({("a", 40, 0): 1.0})
+    nhat = unit_from_angles(0.4, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FluxDomainError) as info:
+            differential_flux_exact(f, cs, np.array([3.0, 5e-4, 1e-3]), nhat)
+    message = str(info.value)
+    assert "l_max=40" in message and "kR=0.001 " in message and "1.798e+308" in message
 
 
 def test_total_flux_pointwise_route_moderate_kr(rng):

@@ -8,8 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nearfield import wronskian
 from nearfield.special import FluxDomainError
 from nearfield.wronskian import (
+    _STACK_ENTRIES,
+    _combination_laurent,
+    _pair_coefficient_tensor,
+    _pair_stack,
+    _series_laurent,
+    _series_product_coefficients,
     half_wronskian_exact,
     integral_representation_check,
     laurent_coefficients,
@@ -170,6 +177,70 @@ def test_pair_matrix_matches_half_wronskian_entrywise():
                             coeffs = laurent_coefficients(col, row)
                             scale = sum(abs(float(c)) * u**n for n, c in enumerate(coeffs))
                             assert abs(mat[row, col] - ref) <= 1e-14 * scale
+
+
+def test_series_route_integers_equal_combination_route():
+    # the integer u**(n+1) coefficient is delta * A_n / (n+1), an exact
+    # division, for every pair; the series route feeds the float tables
+    for l in range(31):
+        for j in range(31):
+            delta = j * (j + 1) - l * (l + 1)
+            for n, a_n in enumerate(_series_product_coefficients(l, j)):
+                assert (delta * a_n) % (n + 1) == 0
+            assert _series_laurent(l, j) == _combination_laurent(l, j)
+
+
+def test_pair_tensor_equals_exact_rationals_bitwise():
+    # reference: every ordered pair from the Fraction route, rounded once
+    top = 30
+    size = 2 * top + 2
+    ref = np.zeros((size, top + 1, top + 1))
+    for row in range(top + 1):
+        for col in range(top + 1):
+            for n, c in enumerate(laurent_coefficients(col, row)):
+                ref[size - 1 - n, row, col] = float(c)
+    for l_max in range(top + 1):
+        tensor = _pair_coefficient_tensor(l_max)
+        expect = ref[2 * (top - l_max) :, : l_max + 1, : l_max + 1]
+        assert tensor.shape == expect.shape
+        assert np.array_equal(tensor.view(np.uint64), expect.view(np.uint64)), l_max
+
+
+def test_pair_tensor_takes_one_integer_product_per_unordered_pair(monkeypatch):
+    calls = []
+    real_mul = wronskian._poly_mul
+
+    def counting_mul(p, q):
+        calls.append(1)
+        return real_mul(p, q)
+
+    monkeypatch.setattr(wronskian, "_poly_mul", counting_mul)
+    for l_max in (0, 1, 6, 13):
+        for cached in (_pair_coefficient_tensor, wronskian._laurent_float, _series_product_coefficients):
+            cached.cache_clear()
+        calls.clear()
+        _pair_coefficient_tensor(l_max)
+        assert len(calls) == l_max * (l_max + 1) // 2
+
+
+def test_pair_stack_equals_pointwise_pair_matrix_bitwise():
+    # more distances than one block holds, the last block a single point;
+    # about 256 points per degree are compared, both sides of the block edge
+    for l_max in range(21):
+        n = _STACK_ENTRIES // (l_max + 1) ** 2 + 1
+        zs = -1j * np.geomspace(0.3, 900.0, n)
+        stack = _pair_stack(l_max, zs)
+        assert stack.shape == (n, l_max + 1, l_max + 1)
+        for i in {*range(0, n, max(1, n // 256)), n - 2, n - 1}:
+            mat = pair_matrix(l_max, zs[i])
+            assert np.array_equal(stack[i].view(np.uint64), mat.view(np.uint64)), (l_max, i)
+
+
+def test_pair_matrix_is_hermitian_bitwise_on_imaginary_axis():
+    for l_max in range(21):
+        for kr in (0.3, 0.7, 2.0, 13.0, 900.0):
+            mat = pair_matrix(l_max, -1j * kr)
+            assert np.array_equal(mat, mat.conj().T)
 
 
 def test_exact_tables_are_rational_at_the_boundary():
