@@ -8,7 +8,8 @@ inverse-distance corrections to the differential flux, and the identities
 (flux conservation, unitarity, optical theorem) that survive at any
 detector distance.
 
-The package is pure Python on NumPy and SciPy.  The pointwise flux
+The package is pure Python on NumPy; SciPy is needed only by
+``integral_representation_check`` and the tests.  The pointwise flux
 contracts at degree level, since the pair factors depend only on the two
 degrees; ``nearfield._kernels`` holds its two NumPy contractions.
 """
@@ -73,6 +74,7 @@ from .special import (
     regular_psi,
     sph_harm,
     unit_from_angles,
+    ylm_directions,
     ylm_table,
 )
 from .wronskian import (
@@ -142,5 +144,6 @@ __all__ = [
     "unit_from_angles",
     "unitarity_defect",
     "wronskian_series",
+    "ylm_directions",
     "ylm_table",
 ]

@@ -1,8 +1,9 @@
 """Contraction kernels of the flux module, in NumPy.
 
-``quadratic_form`` is the per-direction contraction of the pointwise flux
-and of its distance expansion, run on degree-collapsed tables (``L+1``
-rows, not ``(L+1)**2``);
+``quadratic_form`` is the per-direction contraction of the distance
+expansion, run on degree-collapsed tables (``L+1`` rows, not
+``(L+1)**2``); the pointwise flux (``flux._flux_rows``) runs the same
+product per distance into buffers it reuses;
 ``weighted_pair_sum`` is the Gram-weighted contraction of the total flux
 on canonical grids of order below ``l_max``.  Both hand the work to
 BLAS-backed matrix products.

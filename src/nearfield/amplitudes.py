@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
 
-from .special import _chi_integers, angles_from_unit, chi, mode_index, ylm_table
+from .special import _chi_integers, _radial_table, chi, mode_index, ylm_directions
 
 __all__ = [
     "Channel",
@@ -236,9 +235,7 @@ def evaluate(
         channels.channel(beta)
     nhat = np.asarray(nhat, dtype=float)
     scalar = nhat.ndim == 1
-    theta, phi = angles_from_unit(nhat.reshape(-1, 3))
-    table = ylm_table(f.l_max, theta, phi)
-    values = f.dense(beta) @ table
+    values = f.dense(beta) @ ylm_directions(f.l_max, nhat)
     if scalar:
         return complex(values[0])
     return values.reshape(nhat.shape[:-1])
@@ -385,9 +382,8 @@ def hard_sphere_model(k: float, a: float, l_max: int) -> SMatrixModel:
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
     x = k * a
-    ls = np.arange(l_max + 1)
-    jl = spherical_jn(ls, x)
-    yl = spherical_yn(ls, x)
+    psi, yl = _radial_table(l_max, x)
+    jl = psi / x
     s = (yl + 1j * jl) / (yl - 1j * jl)
     return SMatrixModel(matrices=tuple(np.array([[v]]) for v in s))
 
@@ -412,8 +408,7 @@ def amplitudes_from_smatrix(
     defect = model.unitarity_defect()
     if defect > unitarity_tolerance:
         raise ValueError(f"model is not unitary: defect {defect:.3e}")
-    theta, phi = angles_from_unit(np.asarray(kappa_hat, dtype=float))
-    table = ylm_table(model.l_max, np.atleast_1d(theta), np.atleast_1d(phi))[:, 0]
+    table = ylm_directions(model.l_max, kappa_hat)[:, 0]
     idx_in = channels.labels.index(channels.entrance)
     k_in = channels.entrance_channel.k
     coeffs: dict[tuple[str, int, int], complex] = {}

@@ -48,10 +48,10 @@ from .amplitudes import ChannelSet, PartialWaveAmplitude, evaluate
 from .special import (
     AngularGrid,
     FluxDomainError,
-    angles_from_unit,
     chi_terms,
     gauss_legendre_sphere,
     mode_degrees,
+    ylm_directions,
     ylm_table,
 )
 from .wronskian import _pair_stack, pair_matrix
@@ -115,7 +115,7 @@ def _real_with_hermitian_check(values: np.ndarray, scale: np.ndarray) -> np.ndar
     residue = np.abs(values.imag)
     floor = 1e-300
     bad = residue > 1e-10 * (scale + floor)
-    if np.any(bad):
+    if bad.any():
         worst = float(np.max(residue / (scale + floor)))
         raise FluxHermiticityError(
             f"imaginary flux residue {worst:.3e} of local magnitude exceeds 1e-10"
@@ -127,7 +127,7 @@ def _channel_dense(f: PartialWaveAmplitude, channels: ChannelSet):
     l_max = f.l_max
     for label in channels.labels:
         dense = f.dense(label, l_max)
-        if np.any(dense):
+        if dense.any():
             yield label, dense
 
 
@@ -166,7 +166,8 @@ def _degree_sums(
     table on the ``order + 1`` polar nodes (at ``phi = 0``) is spread into an
     ``(l, m)`` layout and multiplied by the ``(2 l_max + 1) x n_phi`` Fourier
     matrix ``exp(i m phi_j)``; node order is polar-major, as in the grid.
-    Other directions take the full table and sum each degree's rows.
+    Other grids take the full table at their angles, and direction arrays
+    the one at their unit vectors; each degree's rows are then summed.
     """
     l_max = f.l_max
     fourier = None
@@ -181,9 +182,10 @@ def _degree_sums(
         ms_of_mode = np.arange(ls.size) - ls * ls - ls
         slots = ls * (2 * l_max + 1) + ms_of_mode + l_max
     else:
-        pts = directions.points if isinstance(directions, AngularGrid) else directions
-        theta, phi = angles_from_unit(pts)
-        table = ylm_table(l_max, theta, phi)
+        if isinstance(directions, AngularGrid):
+            table = ylm_table(l_max, directions.theta, directions.phi)
+        else:
+            table = ylm_directions(l_max, directions)
         degree_starts = np.arange(l_max + 1) ** 2
     sums = []
     for label, dense in _channel_dense(f, channels):
@@ -211,11 +213,21 @@ def _flux_rows(
     factors at ``z = -i k_beta R``, evaluated for all distances of a channel
     in one stacked Horner pass.  The result is real up to rounding, which
     is asserted against the absolute-value contraction before the imaginary
-    residue is discarded.
+    residue is discarded.  Per distance this is ``_kernels.quadratic_form``
+    of the sums and of their moduli, bit for bit, with ``conj(S)`` formed
+    once per channel and the products written into reused buffers.
     """
     total = np.zeros((distances.size, n_points))
+    # buffers shared by all distances and channels: at scan sizes a fresh
+    # product per distance exceeds glibc's default 128 KiB mmap threshold,
+    # and each one cost its own page faults
+    conj_sums = np.empty((l_max + 1, n_points), dtype=complex)
+    products = np.empty_like(conj_sums)
+    abs_sums = np.empty((l_max + 1, n_points))
+    abs_products = np.empty_like(abs_sums)
     for label, collapsed in sums:
-        collapsed_abs = np.abs(collapsed)
+        np.conjugate(collapsed, out=conj_sums)
+        np.abs(collapsed, out=abs_sums)
         k = channels.k(label)
         weight = channels.weight(label)
         stack = _pair_stack(l_max, -1j * k * distances)
@@ -228,8 +240,12 @@ def _flux_rows(
                 f"(2 kR)**-(2*l_max+1); raise kR or lower l_max"
             )
         for i, w_pairs in enumerate(stack):
-            values = _kernels.quadratic_form(collapsed, w_pairs)
-            scale = _kernels.quadratic_form(collapsed_abs, np.abs(w_pairs))
+            np.matmul(w_pairs, collapsed, out=products)
+            products *= conj_sums
+            np.matmul(np.abs(w_pairs), abs_sums, out=abs_products)
+            abs_products *= abs_sums
+            values = products.sum(0)
+            scale = abs_products.sum(0)
             total[i] += weight * _real_with_hermitian_check(values, scale)
     return total
 
@@ -256,7 +272,7 @@ def differential_flux_exact(
     r = np.asarray(R, dtype=float)
     if r.ndim > 1:
         raise ValueError("R must be a scalar or a 1-d array of distances")
-    if not np.all(r > 0):
+    if not (r > 0).all():
         raise ValueError("distance R must be positive")
     pts, lead_shape, scalar = _flat_directions(nhat)
     sums = _degree_sums(f, channels, pts)
@@ -304,7 +320,7 @@ def _expansion(
         with np.errstate(over="ignore", invalid="ignore"):
             images = chi_terms(l_max, s_max, u) @ sums
             values = _kernels.quadratic_form(images, direct + 2 * u * s * derived).real
-        if not (np.all(np.isfinite(images)) and np.all(np.isfinite(values))):
+        if not (np.isfinite(images).all() and np.isfinite(values).all()):
             raise FluxDomainError(
                 f"distance expansion at l_max={l_max}, kR={kR:.6g}, order={order} "
                 f"is not finite: its series terms exceed the float64 limit "
@@ -400,8 +416,7 @@ def cross_sections(
     """Channel cross sections ``weight_beta * sum |B|^2`` plus quadrature check."""
     if grid is None:
         grid = default_grid(f)
-    theta, phi = angles_from_unit(grid.points)
-    table = ylm_table(f.l_max, theta, phi)
+    table = ylm_directions(f.l_max, grid.points)
     labels = channels.labels
     per = _cross_sections_per_channel(f, channels)
     quad: dict[str, float] = {}

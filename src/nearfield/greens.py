@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_legendre, spherical_jn
 
-from .special import FluxDomainError, chi_terms
+from .special import FluxDomainError, _legendre_table, _radial_table, chi_terms
 
 __all__ = [
     "GreensQuery",
@@ -116,8 +115,8 @@ def _assemble(query: GreensQuery, l_max: int, s_max: int) -> complex:
     ls = np.arange(l_max + 1)
     cos_gamma = np.clip(query.R_vec @ query.x_vec / (R * r), -1.0, 1.0)
     phases = (1j) ** (-query.sign * ls)
-    psi = (k * r) * spherical_jn(ls, k * r)
-    msums = (2 * ls + 1) / (4.0 * np.pi) * eval_legendre(ls, cos_gamma)
+    psi = _radial_table(l_max, k * r)[0]
+    msums = (2 * ls + 1) / (4.0 * np.pi) * _legendre_table(l_max, cos_gamma)
     with np.errstate(over="ignore", invalid="ignore"):
         outer = _outer_factors(z, l_max, min(s_max, l_max))
         value = complex(np.sum(outer * phases * psi * msums) / (k * r * R))

@@ -15,17 +15,24 @@ Angular building blocks are complex spherical harmonics in the physics
 convention (Condon-Shortley phase included) and a product Gauss-Legendre x
 uniform-azimuth sphere grid whose quadrature is exact for harmonic pair
 products up to a requested degree.
+
+Every special function comes from a short recurrence in NumPy or ``math``:
+Miller's downward recurrence for ``x j_l`` (Gautschi, SIAM Review 9, 1967),
+the upward one for ``y_l`` (DLMF 10.51.1), Bonnet's for ``P_l`` (DLMF
+14.10.3) and the normalized associated-Legendre recurrence for the harmonics
+(DLMF 14.10.3 with the ``m``-dependent normalization folded in).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import spherical_jn, sph_harm_y
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "AngularGrid",
@@ -41,6 +48,7 @@ __all__ = [
     "regular_psi",
     "sph_harm",
     "unit_from_angles",
+    "ylm_directions",
     "ylm_table",
 ]
 
@@ -151,6 +159,59 @@ def chi(l: int, z: complex | np.ndarray) -> complex | np.ndarray:
     return ChiPolynomial.for_order(l).evaluate(z)
 
 
+def _radial_table(l_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """Regular ``x j_l(x)`` and irregular ``y_l(x)`` for ``l <= l_max``, ``x > 0``.
+
+    ``x j_l`` is the minimal solution of ``f_{l-1} = (2l+1)/x f_l - f_{l+1}``,
+    so it comes from Miller's downward recurrence (Gautschi 1967), run on
+    the ratios ``r_l = f_l / f_{l+1}``: started from ``f = 0`` above
+    ``max(l_max, x)`` with a margin for the turning-point region, it cannot
+    leave the float64 range on the way down.  The values then follow upward
+    from whichever closed form is larger, ``sin x`` (degree 0) or
+    ``sin x / x - cos x`` (degree 1), and underflow to zero where they
+    must.  ``y_l`` is the dominant solution and runs upward from
+    ``y_0 = -cos x / x`` and ``y_{-1} = sin x / x``; past the float64 range
+    it is ``-inf``.  Plain float loops: at the sizes of one kernel or
+    phase-shift evaluation they beat vector operations.
+    """
+    x = float(x)
+    top = max(l_max, math.ceil(x + 10.0 * x ** (1.0 / 3.0))) + 20
+    ratios = [0.0] * max(l_max, 1)
+    inverse = 0.0
+    for l in range(top, 0, -1):
+        ratio = (2 * l + 1) / x - inverse
+        inverse = 1.0 / ratio
+        if l <= len(ratios):
+            ratios[l - 1] = ratio
+    sin, cos = math.sin(x), math.cos(x)
+    first = sin / x - cos
+    value = sin if abs(sin) >= abs(first) else first * ratios[0]
+    regular = [value]
+    for ratio in ratios[:l_max]:
+        value /= ratio
+        regular.append(value)
+    lower, y = sin / x, -cos / x
+    irregular = [y]
+    for l in range(l_max):
+        lower, y = y, (2 * l + 1) / x * y - lower
+        if math.isinf(y):
+            irregular += [y] * (l_max - l)
+            break
+        irregular.append(y)
+    return np.array(regular), np.array(irregular)
+
+
+def _legendre_table(l_max: int, c: float) -> np.ndarray:
+    """Legendre polynomials ``P_l(c)`` for ``l <= l_max`` by Bonnet's recurrence."""
+    c = float(c)
+    lower, p = 0.0, 1.0
+    out = [p]
+    for l in range(l_max):
+        lower, p = p, ((2 * l + 1) * c * p - l * lower) / (l + 1)
+        out.append(p)
+    return np.array(out)
+
+
 def regular_psi(l: int, x: float | np.ndarray) -> float | np.ndarray:
     """Regular free radial solution ``x * j_l(x)``, for ``x > 0`` only.
 
@@ -161,7 +222,8 @@ def regular_psi(l: int, x: float | np.ndarray) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("argument must be positive")
-    out = x * spherical_jn(l, x)
+    out = np.array([_radial_table(l, v)[0][l] for v in x.ravel().tolist()])
+    out = out.reshape(x.shape)
     return out if out.ndim else out[()]
 
 
@@ -177,8 +239,9 @@ def sph_harm(l: int, m: int, nhat) -> complex | np.ndarray:
     """
     if l < 0 or abs(m) > l:
         raise ValueError("require l >= 0 and |m| <= l")
-    theta, phi = angles_from_unit(nhat)
-    return sph_harm_y(l, m, theta, phi)
+    nhat = np.asarray(nhat, dtype=float)
+    values = ylm_directions(l, nhat)[mode_index(l, m)]
+    return values.reshape(nhat.shape[:-1])[()]
 
 
 def mode_index(l: int, m: int) -> int:
@@ -204,14 +267,131 @@ def mode_degrees(l_max: int) -> np.ndarray:
     return arr
 
 
+def _few_directions(l_max: int, n_points: int) -> bool:
+    """Whether the scalar path beats the vectorized one on this table.
+
+    Measured with CPython 3.11 and NumPy 2.4 on a 2-core x86-64 host: the
+    scalar path costs about ``(l_max+1)**2 + 8`` recurrence steps per
+    direction, the vectorized one about ``250 + 35 l_max`` steps' worth of
+    per-call overhead, whatever the direction count up to a few hundred.
+    """
+    return n_points * ((l_max + 1) ** 2 + 8) <= 250 + 35 * l_max
+
+
+@dataclass(frozen=True)
+class _HarmonicPlan:
+    """Recurrence coefficients of all harmonics up to one degree.
+
+    With ``w = sin(theta) exp(i phi)`` and ``c = cos(theta)``,
+    ``Y_lm = Q_lm(c) w**m`` for ``m >= 0`` and ``Y_l,-m = (-1)**m
+    conj(Y_lm)``.  ``Q_mm = (-1)**m sqrt((2m+1)!! / (4 pi (2m)!!))`` and
+    ``Q_lm = a_lm (c Q_{l-1,m} - b_lm Q_{l-2,m})`` for ``l > m`` with
+    ``a_lm = sqrt((4l^2-1)/(l^2-m^2))``, ``b_lm = 1/a_{l-1,m}`` and
+    ``b_{m+1,m} = 0``.  ``a[l]`` and ``b[l]`` are ``(l, 1)`` columns over
+    ``m < l``, and ``fold[l]`` lists ``|m|`` for ``m = -l..l``; ``columns``
+    holds the same numbers per order for the scalar path, with the flat
+    positions of ``(l, m)`` and ``(l, -m)``.
+    """
+
+    sectoral: np.ndarray
+    a: tuple[np.ndarray, ...]
+    b: tuple[np.ndarray, ...]
+    fold: tuple[np.ndarray, ...]
+    columns: tuple
+
+
 @lru_cache(maxsize=None)
-def _mode_lm_arrays(l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    modes = mode_list(l_max)
-    ls = np.array([l for l, _ in modes], dtype=np.intp)
-    ms = np.array([m for _, m in modes], dtype=np.intp)
-    ls.flags.writeable = False
-    ms.flags.writeable = False
-    return ls, ms
+def _harmonic_plan(l_max: int) -> _HarmonicPlan:
+    if l_max < 0:
+        raise ValueError("l_max must be non-negative")
+    sectoral = [1.0 / math.sqrt(4.0 * math.pi)]
+    for m in range(1, l_max + 1):
+        sectoral.append(-sectoral[-1] * math.sqrt((2 * m + 1) / (2 * m)))
+    a, b = [], []
+    for l in range(l_max + 1):
+        m = np.arange(l, dtype=float)
+        a.append(np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None])
+        prev = l - 1.0
+        b_l = np.sqrt(np.maximum(prev * prev - m * m, 0.0) / (4.0 * prev * prev - 1.0))
+        b.append(b_l[:, None])
+    columns = tuple(
+        (
+            m,
+            sectoral[m],
+            tuple(
+                (float(a[l][m, 0]), float(b[l][m, 0]), l * l + l + m, l * l + l - m)
+                for l in range(m + 1, l_max + 1)
+            ),
+        )
+        for m in range(l_max + 1)
+    )
+    return _HarmonicPlan(
+        sectoral=np.array(sectoral)[:, None],
+        a=tuple(a),
+        b=tuple(b),
+        fold=tuple(np.abs(np.arange(-l, l + 1)) for l in range(l_max + 1)),
+        columns=columns,
+    )
+
+
+def _ylm_point(l_max: int, c: float, w: complex) -> list[complex]:
+    """All harmonics at one direction in scalar arithmetic, in mode order.
+
+    ``mirror = (-1)**m conj(w**m)`` gives the negative orders with one
+    product each, the same operations as ``_ylm_vectorized``.
+    """
+    out = [0j] * (l_max + 1) ** 2
+    power = 1.0 + 0.0j
+    for m, q, rest in _harmonic_plan(l_max).columns:
+        lower = 0.0
+        if m:
+            mirror = -power.conjugate() if m & 1 else power.conjugate()
+            out[m * m + 2 * m] = q * power
+            out[m * m] = q * mirror
+            for a, b, pos, neg in rest:
+                q, lower = a * (c * q - b * lower), q
+                out[pos] = q * power
+                out[neg] = q * mirror
+        else:
+            out[0] = q
+            for a, b, pos, _ in rest:
+                q, lower = a * (c * q - b * lower), q
+                out[pos] = q
+        power *= w
+    return out
+
+
+def _ylm_columns(l_max: int, columns: list[list[complex]]) -> np.ndarray:
+    return np.array(columns, dtype=complex).reshape(len(columns), (l_max + 1) ** 2).T
+
+
+def _ylm_vectorized(l_max: int, c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """All harmonics at many directions, one recurrence step per degree.
+
+    Each degree's rows go straight into the output, so the recurrence keeps
+    only three degrees of ``Q`` in rotating buffers.
+    """
+    plan = _harmonic_plan(l_max)
+    n = c.size
+    # powers[l_max + m] = w**m, and (-conj(w))**|m| = (-1)**m conj(w**|m|)
+    # for m < 0
+    powers = np.empty((2 * l_max + 1, n), dtype=complex)
+    powers[l_max] = 1.0
+    powers[l_max + 1 :] = w
+    powers[:l_max] = -w.conj()
+    np.multiply.accumulate(powers[l_max:], axis=0, out=powers[l_max:])
+    np.multiply.accumulate(powers[l_max::-1], axis=0, out=powers[l_max::-1])
+    out = np.empty(((l_max + 1) ** 2, n), dtype=complex)
+    # rows[l % 3][m] holds Q_lm; orders a degree has not reached stay zero
+    rows = np.zeros((3, l_max + 1, n))
+    for l in range(l_max + 1):
+        q, prev, prev2 = rows[l % 3], rows[(l - 1) % 3], rows[(l - 2) % 3]
+        q[:l] = plan.a[l] * (c * prev[:l] - plan.b[l] * prev2[:l])
+        q[l] = plan.sectoral[l]
+        np.multiply(
+            q[plan.fold[l]], powers[l_max - l : l_max + l + 1], out=out[l * l : (l + 1) ** 2]
+        )
+    return out
 
 
 def ylm_table(l_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -224,8 +404,42 @@ def ylm_table(l_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     if theta.shape != phi.shape:
         raise ValueError("theta and phi must have matching shapes")
-    ls, ms = _mode_lm_arrays(l_max)
-    return sph_harm_y(ls[:, None], ms[:, None], theta[None, :], phi[None, :])
+    theta, phi = theta.ravel(), phi.ravel()
+    if _few_directions(l_max, theta.size):
+        return _ylm_columns(
+            l_max,
+            [
+                _ylm_point(l_max, math.cos(t), cmath.rect(math.sin(t), p))
+                for t, p in zip(theta.tolist(), phi.tolist())
+            ],
+        )
+    return _ylm_vectorized(l_max, np.cos(theta), np.sin(theta) * np.exp(1j * phi))
+
+
+def ylm_directions(l_max: int, nhat) -> np.ndarray:
+    """All harmonics up to ``l_max`` at direction vectors of shape ``(..., 3)``.
+
+    Like ``ylm_table`` on the angles of ``nhat``, without forming them:
+    ``Y_lm = Q_lm(z/r) ((x + i y)/r)**m``.  Vectors need not be normalized;
+    zero vectors are rejected.  Returns shape ``((l_max+1)**2, n_points)``
+    with the directions flattened.
+    """
+    nhat = np.asarray(nhat, dtype=float)
+    if nhat.shape[-1] != 3:
+        raise ValueError("directions must have shape (..., 3)")
+    pts = nhat.reshape(-1, 3)
+    if _few_directions(l_max, pts.shape[0]):
+        columns = []
+        for x, y, z in pts.tolist():
+            r = math.hypot(x, y, z)
+            if r == 0.0:
+                raise ValueError("zero direction vector")
+            columns.append(_ylm_point(l_max, z / r, complex(x, y) / r))
+        return _ylm_columns(l_max, columns)
+    r = np.linalg.norm(pts, axis=1)
+    if not np.all(r):
+        raise ValueError("zero direction vector")
+    return _ylm_vectorized(l_max, pts[:, 2] / r, (pts[:, 0] + 1j * pts[:, 1]) / r)
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +518,7 @@ class AngularGrid:
 def _sphere_grid_arrays(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_theta = order + 1
     n_phi = 2 * order + 1
-    x, w = np.polynomial.legendre.leggauss(n_theta)
+    x, w = leggauss(n_theta)
     theta_1d = np.arccos(x)
     phi_1d = 2.0 * np.pi * np.arange(n_phi) / n_phi
     theta = np.repeat(theta_1d, n_phi)

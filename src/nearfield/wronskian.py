@@ -334,8 +334,8 @@ def pair_matrix(l_max: int, z: complex) -> np.ndarray:
     out = _pair_stack(l_max, complex(z))[0]
     if not np.all(np.isfinite(out)):
         raise FluxDomainError(
-            f"pair factors at l_max={l_max}, z={complex(z)} exceed the float64 limit "
-            f"{_FLOAT_MAX:.4g}: they grow like |2z|**-(2*l_max+1); raise |z| = k R "
+            f"pair factors at l_max={l_max}, kR={abs(z):.6g} exceed the float64 "
+            f"limit {_FLOAT_MAX:.4g}: they grow like (2 kR)**-(2*l_max+1); raise kR "
             f"or lower l_max"
         )
     return out
@@ -366,9 +366,17 @@ def integral_representation_check(j: int, l: int, z: float) -> IntegralCheckRepo
     terminating series enter and the quadrature is well conditioned at any
     ``z``.  Returns both values and the adaptive quadrature's own error
     estimate.
+
+    The quadrature is SciPy's ``quad``, imported here so that the package
+    imports without SciPy; without it this raises ``ImportError``.
     """
-    # imported here: scipy.integrate is about a third of the package's import time
-    from scipy.integrate import quad
+    try:
+        from scipy.integrate import quad
+    except ImportError as exc:
+        raise ImportError(
+            "integral_representation_check needs SciPy (scipy.integrate.quad), "
+            "which is not installed"
+        ) from exc
 
     _check_orders(j, l)
     if not (z > 0):

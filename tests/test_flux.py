@@ -686,3 +686,51 @@ def test_optical_theorem_hard_sphere():
     cs = ChannelSet(channels=(Channel("el", 1.0),), entrance="el")
     f = amplitudes_from_smatrix(model, cs)
     assert optical_theorem_defect(f, cs) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# contraction buffers
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("l_max", [0, 3, 10])
+def test_flux_rows_equal_two_quadratic_forms_bitwise(l_max):
+    f, cs, _ = unitary_amplitude(3, l_max, seed=70 + l_max)
+    pts = np.random.default_rng(l_max).normal(size=(50, 3))
+    k_min = min(cs.k(label) for label in cs.labels)
+    distances = np.geomspace(0.5, 300.0, 7) / k_min
+    sums = _degree_sums(f, cs, pts)
+    rows = flux_module._flux_rows(sums, cs, l_max, distances, pts.shape[0])
+    expected = np.zeros_like(rows)
+    for label, collapsed in sums:
+        stack = wronskian._pair_stack(l_max, -1j * cs.k(label) * distances)
+        for i, w_pairs in enumerate(stack):
+            values = _kernels.quadratic_form(collapsed, w_pairs)
+            scale = _kernels.quadratic_form(np.abs(collapsed), np.abs(w_pairs))
+            expected[i] += cs.weight(label) * _real_with_hermitian_check(values, scale)
+    np.testing.assert_array_equal(rows, expected)
+
+
+def _contraction_peak(sums, cs, l_max, distances, n_points) -> tuple[int, int]:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rows = flux_module._flux_rows(sums, cs, l_max, distances, n_points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - rows.nbytes, rows[0].nbytes
+
+
+def test_flux_peak_memory_does_not_grow_with_distances():
+    # the per-distance products live in two buffers reused across distances
+    # and channels, so 38 more distances add less than one output row to
+    # the contraction's peak (measured past the degree sums, whose table
+    # would otherwise set the peak)
+    f, cs, _ = unitary_amplitude(3, 3, seed=71)
+    pts = np.random.default_rng(71).normal(size=(8000, 3))
+    sums = _degree_sums(f, cs, pts)
+    differential_flux_exact(f, cs, 1.0, pts[:1])  # warm the lazy tables
+    few, row = _contraction_peak(sums, cs, 3, np.array([1.0, 7.0]), pts.shape[0])
+    many, _ = _contraction_peak(sums, cs, 3, np.geomspace(1.0, 300.0, 40), pts.shape[0])
+    assert many <= few + row

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nearfield
 from nearfield import cli
 from nearfield.amplitudes import Channel, ChannelSet, PartialWaveAmplitude
 from nearfield.io import (
@@ -590,3 +594,15 @@ def test_cli_parser_level_exits(capsys):
     assert cli.main(["not-a-command"]) == 2
     capsys.readouterr()
     assert cli.main(["check", "bogus"]) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(nearfield.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import nearfield.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

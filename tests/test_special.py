@@ -5,12 +5,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import eval_legendre, sph_harm_y, spherical_jn, spherical_yn
 
 from nearfield.special import (
     AngularGrid,
     ChiPolynomial,
+    _few_directions,
+    _legendre_table,
+    _radial_table,
+    _ylm_point,
+    _ylm_vectorized,
     angles_from_unit,
     chi,
     chi_coefficient,
@@ -22,6 +29,7 @@ from nearfield.special import (
     regular_psi,
     sph_harm,
     unit_from_angles,
+    ylm_directions,
     ylm_table,
 )
 
@@ -153,6 +161,63 @@ def test_regular_psi_ode():
     assert d2 == pytest.approx(-(1 - l * (l + 1) / x**2) * regular_psi(l, x), rel=1e-8)
 
 
+def _scipy_psi_y(l_max, x):
+    ls = np.arange(l_max + 1)
+    return x * spherical_jn(ls, x), spherical_yn(ls, x)
+
+
+def test_radial_table_matches_scipy():
+    # errors in units of the local size: |h_l| x in the oscillatory region
+    # l < x, |x j_l| itself where it decays; SciPy's own x j_l is off by up
+    # to 1.2e-13 relative there (against mpmath), hence 5e-13
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([rng.uniform(0.3, 120.0, 40), [0.3, np.pi, 2 * np.pi, 10 * np.pi, 120.0]])
+    ls = np.arange(101)
+    for x in xs:
+        psi, y = _radial_table(100, x)
+        psi_ref, y_ref = _scipy_psi_y(100, x)
+        envelope = np.hypot(psi_ref, x * y_ref)
+        psi_scale = np.where(ls < x, envelope, np.abs(psi_ref))
+        assert np.all(np.abs(psi - psi_ref) <= 5e-13 * psi_scale), x
+        assert np.all(np.abs(x * (y - y_ref)) <= 1e-13 * envelope), x
+
+
+def test_radial_table_underflow_side_matches_scipy():
+    # x << l: the downward pass runs on ratios, so nothing overflows, and
+    # values below the float64 range come out zero
+    for x in np.geomspace(1e-3, 0.3, 15):
+        psi, y = _radial_table(100, x)
+        psi_ref, y_ref = _scipy_psi_y(100, x)
+        normal = np.abs(psi_ref) > 1e-280
+        assert np.all(np.abs(psi - psi_ref)[normal] <= 5e-13 * np.abs(psi_ref[normal])), x
+        assert np.all(np.abs(psi[~normal]) < 1e-270)
+        finite = np.isfinite(y_ref)
+        assert np.all(np.abs(y[finite] - y_ref[finite]) <= 1e-13 * np.abs(y_ref[finite])), x
+        assert np.array_equal(y[~finite], y_ref[~finite])
+
+
+def test_radial_table_regular_matches_mpmath():
+    for x, l_max in ((1e-3, 60), (0.0324, 100), (2.5, 30), (17.25, 100), (120.0, 100)):
+        psi = _radial_table(l_max, x)[0]
+        for l in range(0, l_max + 1, 3):
+            with mpmath.workdps(40):
+                ref = float(
+                    mpmath.sqrt(mpmath.pi * mpmath.mpf(x) / 2) * mpmath.besselj(l + 0.5, x)
+                )
+            # below l = x the envelope |x h_l(x)| is at least 1
+            scale = max(abs(ref), 1.0) if l < x else abs(ref)
+            if scale > 1e-280:
+                assert abs(psi[l] - ref) <= 1e-14 * scale * max(1.0, l / 10), (x, l)
+
+
+def test_legendre_table_matches_scipy():
+    ls = np.arange(151)
+    assert np.array_equal(_legendre_table(150, 1.0), np.ones(151))
+    assert np.array_equal(_legendre_table(150, -1.0), (-1.0) ** ls)
+    for c in (0.0, -0.93, -0.41, 0.07, 0.5, 0.999):
+        assert np.max(np.abs(_legendre_table(150, c) - eval_legendre(ls, c))) <= 5e-14, c
+
+
 def test_regular_psi_rejects_nonpositive():
     with pytest.raises(ValueError):
         regular_psi(2, 0.0)
@@ -216,6 +281,57 @@ def test_ylm_table_matches_pointwise(rng):
         for p in range(5):
             nhat = unit_from_angles(theta[p], phi[p])
             assert table[i, p] == pytest.approx(sph_harm(l, m, nhat), rel=1e-13, abs=1e-15)
+
+
+def _scipy_table(l_max, theta, phi):
+    ls = mode_degrees(l_max)
+    ms = np.arange(ls.size) - ls * ls - ls
+    return sph_harm_y(ls[:, None], ms[:, None], theta[None, :], phi[None, :])
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 2, 6, 20, 40, 75])
+def test_ylm_table_matches_scipy(l_max):
+    rng = np.random.default_rng(l_max)
+    theta = np.concatenate([[0.0, np.pi], np.arccos(rng.uniform(-1.0, 1.0, 30))])
+    phi = rng.uniform(0.0, 2 * np.pi, theta.size)
+    ref = _scipy_table(l_max, theta, phi)
+    table = ylm_table(l_max, theta, phi)
+    assert table.shape == ref.shape
+    # largest error seen over five seeds: 1.4e-14 of the table maximum
+    assert np.max(np.abs(table - ref)) <= 3e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("l_max", [2, 6, 20, 75])
+def test_ylm_directions_match_scipy(l_max):
+    rng = np.random.default_rng(100 + l_max)
+    nhat = rng.normal(size=(30, 3)) * rng.uniform(0.5, 3.0, (30, 1))
+    nhat[0], nhat[1] = (0.0, 0.0, 2.0), (0.0, 0.0, -0.5)
+    theta, phi = angles_from_unit(nhat)
+    ref = _scipy_table(l_max, theta, phi)
+    # SciPy sees the rounded angles: up to 2.4e-14 of the maximum over five seeds
+    assert np.max(np.abs(ylm_directions(l_max, nhat) - ref)) <= 5e-14 * np.max(np.abs(ref))
+    with pytest.raises(ValueError):
+        ylm_directions(l_max, np.zeros(3))
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 3, 6, 12])
+def test_small_table_path_matches_vectorized_path(l_max):
+    rng = np.random.default_rng(l_max)
+    nhat = rng.normal(size=(6, 3))
+    nhat[0] = (0.0, 0.0, -1.0)
+    r = np.linalg.norm(nhat, axis=1)
+    c, w = nhat[:, 2] / r, (nhat[:, 0] + 1j * nhat[:, 1]) / r
+    vectorized = _ylm_vectorized(l_max, c, w)
+    small = np.array([_ylm_point(l_max, ci, wi) for ci, wi in zip(c.tolist(), w.tolist())]).T
+    # the same operations in the same order: equal to a few ulps of the maximum
+    assert np.max(np.abs(small - vectorized)) <= 1e-15 * np.max(np.abs(vectorized))
+    assert ylm_directions(l_max, np.zeros((0, 3))).shape == ((l_max + 1) ** 2, 0)
+    # the public entry points switch paths by table size, one point at a time
+    for p in range(nhat.shape[0]):
+        assert _few_directions(l_max, 1)
+        one = ylm_directions(l_max, nhat[p])
+        assert one.shape == ((l_max + 1) ** 2, 1)
+        assert np.max(np.abs(one[:, 0] - vectorized[:, p])) <= 1e-15 * np.max(np.abs(vectorized))
 
 
 def test_unit_angle_round_trip(rng):

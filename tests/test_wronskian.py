@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import warnings
 from fractions import Fraction
 
@@ -270,6 +271,13 @@ def test_integral_representation_diagonal_trivial():
     assert abs(report.difference) < 1e-12
 
 
+def test_integral_representation_without_scipy_names_it(monkeypatch):
+    # a None entry makes the import fail as if SciPy were not installed
+    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+    with pytest.raises(ImportError, match="SciPy"):
+        integral_representation_check(3, 2, 1.5)
+
+
 # ----------------------------------------------------------------------
 # float64 domain
 # ----------------------------------------------------------------------
@@ -280,7 +288,11 @@ def test_pair_matrix_overflow_raises_typed_error_without_warnings():
         with pytest.raises(FluxDomainError) as info:
             pair_matrix(40, -1e-3j)
     message = str(info.value)
-    assert "l_max=40" in message and "z=" in message and "1.798e+308" in message
+    # named like the flux path's error: kR = |z|, not the complex z
+    assert message == (
+        "pair factors at l_max=40, kR=0.001 exceed the float64 limit 1.798e+308: "
+        "they grow like (2 kR)**-(2*l_max+1); raise kR or lower l_max"
+    )
 
 
 def test_laurent_coefficients_beyond_float_range_raise_typed_error():
