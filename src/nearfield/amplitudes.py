@@ -349,9 +349,8 @@ class SMatrixModel:
 
     def unitarity_defect(self) -> float:
         eye = np.eye(self.n_channels)
-        return max(
-            float(np.max(np.abs(mat.conj().T @ mat - eye))) for mat in self.matrices
-        )
+        # np.max, not max(): a nan defect must propagate, not lose to a number
+        return float(np.max([np.abs(mat.conj().T @ mat - eye) for mat in self.matrices]))
 
 
 def random_unitary_smatrix(n_channels: int, l_max: int, seed: int = 0) -> SMatrixModel:
@@ -384,7 +383,11 @@ def hard_sphere_model(k: float, a: float, l_max: int) -> SMatrixModel:
     x = k * a
     psi, yl = _radial_table(l_max, x)
     jl = psi / x
-    s = (yl + 1j * jl) / (yl - 1j * jl)
+    # where y_l overflows to -inf the phase shift is 0 and S_l is exactly 1
+    s = np.ones(l_max + 1, dtype=complex)
+    finite = np.isfinite(yl)
+    y, j = yl[finite], jl[finite]
+    s[finite] = (y + 1j * j) / (y - 1j * j)
     return SMatrixModel(matrices=tuple(np.array([[v]]) for v in s))
 
 
@@ -406,7 +409,7 @@ def amplitudes_from_smatrix(
     if model.n_channels != len(channels.channels):
         raise ValueError("model channel count does not match channel set")
     defect = model.unitarity_defect()
-    if defect > unitarity_tolerance:
+    if not defect <= unitarity_tolerance:
         raise ValueError(f"model is not unitary: defect {defect:.3e}")
     table = ylm_directions(model.l_max, kappa_hat)[:, 0]
     idx_in = channels.labels.index(channels.entrance)

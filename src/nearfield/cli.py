@@ -33,8 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io as nf_io
+from .amplitudes import PartialWaveAmplitude
 from .flux import (
     _summed_cross_section,
+    default_grid,
     differential_flux_asymptotic,
     differential_flux_exact,
     flux_profile,
@@ -58,17 +60,17 @@ _fmt = nf_io._fmt
 # flux
 # ----------------------------------------------------------------------
 
-def _flux_grid(config: RunConfig, l_max: int):
+def _flux_grid(config: RunConfig, f: PartialWaveAmplitude):
     """Quadrature grid for the run, raised to resolve every mode pair."""
-    minimum = max(2 * l_max, 1)
+    if config.grid_degree is None:
+        return default_grid(f)
+    minimum = max(2 * f.l_max, 1)
     degree = config.grid_degree
-    if degree is None:
-        degree = 2 * l_max + 4
-    elif degree < minimum:
+    if degree < minimum:
         log.warning(
             "grid_degree %d cannot resolve mode pairs up to degree %d; raising to %d",
             degree,
-            l_max,
+            f.l_max,
             minimum,
         )
         degree = minimum
@@ -79,7 +81,7 @@ def cmd_flux(config: RunConfig) -> int:
     source = nf_io.resolve_amplitude(config)
     if config.r_values is None:
         raise ConfigError("flux needs a distance schedule (r_values or r_range)")
-    grid = _flux_grid(config, source.f.l_max)
+    grid = _flux_grid(config, source.f)
     profile = flux_profile(source.f, source.channels, config.r_values, grid=grid)
 
     labels = source.channels.labels
@@ -276,7 +278,7 @@ def _check_unitarity(config: RunConfig, source: AmplitudeSource) -> float:
 
 
 def _check_conservation(config: RunConfig, source: AmplitudeSource) -> float:
-    grid = _flux_grid(config, source.f.l_max)
+    grid = _flux_grid(config, source.f)
     sigma = _summed_cross_section(source.f, source.channels)
     if sigma == 0.0:
         return 0.0

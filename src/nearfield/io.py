@@ -11,7 +11,7 @@ re-saving a file produced here is the identity on bytes.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -105,22 +105,40 @@ def save_amplitude(path: str | Path, f: PartialWaveAmplitude, channels: ChannelS
     Path(path).write_text(dumps_amplitude(f, channels), encoding="utf-8")
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> None:
+def _require_keys(
+    obj: dict, allowed: set[str], required: set[str], what: str, error: type[ValueError]
+) -> None:
     unknown = set(obj) - allowed
     if unknown:
-        raise AmplitudeDataError(f"{what}: unknown keys {sorted(unknown)}")
+        raise error(f"{what}: unknown keys {sorted(unknown)}")
     missing = required - set(obj)
     if missing:
-        raise AmplitudeDataError(f"{what}: missing keys {sorted(missing)}")
+        raise error(f"{what}: missing keys {sorted(missing)}")
 
 
-def _number(obj: dict, key: str, what: str) -> float:
-    value = obj.get(key)
+def _number(value: Any, what: str, error: type[ValueError]) -> float:
+    """``value`` as a float, or ``error`` unless it is a finite JSON number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise AmplitudeDataError(f"{what}: {key} must be a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise AmplitudeDataError(f"{what}: {key} must be finite")
+        raise error(f"{what} must be a number")
+    # false for nan and infinities, and for integers past the float64 range
+    if not abs(value) <= sys.float_info.max:
+        raise error(f"{what} must be finite")
+    return float(value)
+
+
+def _numbers(
+    values: Any, what: str, error: type[ValueError], length: int | None = None
+) -> list[float]:
+    """A non-empty JSON list of finite numbers, of ``length`` entries if given."""
+    if not isinstance(values, list) or not values or length and len(values) != length:
+        raise error(f"{what} must be a list of {length or 'one or more'} numbers")
+    return [_number(v, what, error) for v in values]
+
+
+def _integer(value: Any, what: str, error: type[ValueError], minimum: int = 0) -> int:
+    """``value`` if it is a JSON integer ``>= minimum``, else ``error``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise error(f"{what} must be an integer >= {minimum}")
     return value
 
 
@@ -137,6 +155,7 @@ def loads_amplitude(text: str) -> tuple[PartialWaveAmplitude, ChannelSet]:
         allowed={"channels", "alpha", "weight_mode", "coefficients"},
         required={"channels", "alpha", "coefficients"},
         what="amplitude document",
+        error=AmplitudeDataError,
     )
     raw_channels = doc["channels"]
     if not isinstance(raw_channels, list) or not raw_channels:
@@ -146,12 +165,14 @@ def loads_amplitude(text: str) -> tuple[PartialWaveAmplitude, ChannelSet]:
         what = f"channel[{i}]"
         if not isinstance(entry, dict):
             raise AmplitudeDataError(f"{what}: must be an object")
-        _require_keys(entry, allowed={"label", "k", "v"}, required={"label", "k"}, what=what)
+        _require_keys(entry, {"label", "k", "v"}, {"label", "k"}, what, AmplitudeDataError)
         label = entry["label"]
         if not isinstance(label, str) or not label:
             raise AmplitudeDataError(f"{what}: label must be a non-empty string")
-        k = _number(entry, "k", what)
-        velocity = _number(entry, "v", what) if "v" in entry else None
+        k = _number(entry["k"], f"{what}: k", AmplitudeDataError)
+        velocity = None
+        if "v" in entry:
+            velocity = _number(entry["v"], f"{what}: v", AmplitudeDataError)
         try:
             parsed.append(Channel(label=label, k=k, velocity=velocity))
         except ValueError as exc:
@@ -178,21 +199,19 @@ def loads_amplitude(text: str) -> tuple[PartialWaveAmplitude, ChannelSet]:
         what = f"coefficient[{i}]"
         if not isinstance(entry, dict):
             raise AmplitudeDataError(f"{what}: must be an object")
-        _require_keys(
-            entry,
-            allowed={"beta", "l", "m", "re", "im"},
-            required={"beta", "l", "m", "re", "im"},
-            what=what,
-        )
+        keys = {"beta", "l", "m", "re", "im"}
+        _require_keys(entry, keys, keys, what, AmplitudeDataError)
         beta = entry["beta"]
         if beta not in labels:
             raise AmplitudeDataError(f"{what}: unknown exit channel {beta!r}")
-        l, m = entry["l"], entry["m"]
-        if not isinstance(l, int) or isinstance(l, bool) or l < 0:
-            raise AmplitudeDataError(f"{what}: l must be a non-negative integer")
-        if not isinstance(m, int) or isinstance(m, bool) or abs(m) > l:
-            raise AmplitudeDataError(f"{what}: m must be an integer with |m| <= l")
-        value = complex(_number(entry, "re", what), _number(entry, "im", what))
+        l = _integer(entry["l"], f"{what}: l", AmplitudeDataError)
+        m = _integer(entry["m"], f"{what}: m", AmplitudeDataError, minimum=-l)
+        if m > l:
+            raise AmplitudeDataError(f"{what}: m must satisfy |m| <= l")
+        value = complex(
+            _number(entry["re"], f"{what}: re", AmplitudeDataError),
+            _number(entry["im"], f"{what}: im", AmplitudeDataError),
+        )
         if (beta, l, m) in coeffs:
             raise AmplitudeDataError(f"{what}: duplicate mode ({beta!r}, {l}, {m})")
         coeffs[(beta, l, m)] = value
@@ -249,40 +268,27 @@ _CONFIG_KEYS = {
 
 
 def _parse_r_schedule(doc: dict) -> np.ndarray | None:
-    has_values = "r_values" in doc
-    has_range = "r_range" in doc
-    if has_values and has_range:
+    if "r_values" in doc and "r_range" in doc:
         raise ConfigError("give either r_values or r_range, not both")
-    if has_values:
-        values = doc["r_values"]
-        if not isinstance(values, list) or not values:
-            raise ConfigError("r_values must be a non-empty list of distances")
-        arr = np.array(
-            [v for v in values if isinstance(v, (int, float)) and not isinstance(v, bool)],
-            dtype=float,
-        )
-        if arr.size != len(values):
-            raise ConfigError("r_values entries must be numbers")
+    if "r_values" in doc:
+        arr = np.array(_numbers(doc["r_values"], "r_values", ConfigError))
         if np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
             raise ConfigError("r_values must be positive and strictly increasing")
         return arr
-    if has_range:
+    if "r_range" in doc:
         rng = doc["r_range"]
         if not isinstance(rng, dict):
             raise ConfigError("r_range must be an object")
-        unknown = set(rng) - {"min", "max", "points", "spacing"}
-        if unknown:
-            raise ConfigError(f"r_range: unknown keys {sorted(unknown)}")
-        try:
-            lo, hi = float(rng["min"]), float(rng["max"])
-            points = int(rng["points"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"r_range needs numeric min, max, points: {exc}") from exc
+        keys = {"min", "max", "points"}
+        _require_keys(rng, keys | {"spacing"}, keys, "r_range", ConfigError)
+        lo = _number(rng["min"], "r_range: min", ConfigError)
+        hi = _number(rng["max"], "r_range: max", ConfigError)
+        points = _integer(rng["points"], "r_range: points", ConfigError, minimum=2)
         spacing = rng.get("spacing", "log")
         if spacing not in ("log", "linear"):
             raise ConfigError("r_range spacing must be 'log' or 'linear'")
-        if not (0 < lo < hi) or points < 2:
-            raise ConfigError("r_range needs 0 < min < max and points >= 2")
+        if not 0 < lo < hi:
+            raise ConfigError("r_range needs 0 < min < max")
         if spacing == "log":
             return np.geomspace(lo, hi, points)
         return np.linspace(lo, hi, points)
@@ -301,9 +307,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
+    _require_keys(doc, _CONFIG_KEYS, set(), "config", ConfigError)
 
     amplitude = doc.get("amplitude")
     if amplitude is not None and not isinstance(amplitude, dict):
@@ -311,8 +315,7 @@ def load_config(path: str | Path) -> RunConfig:
 
     grid_degree = doc.get("grid_degree")
     if grid_degree is not None:
-        if not isinstance(grid_degree, int) or isinstance(grid_degree, bool) or grid_degree < 1:
-            raise ConfigError("grid_degree must be a positive integer")
+        grid_degree = _integer(grid_degree, "grid_degree", ConfigError, minimum=1)
 
     fmt = doc.get("format", "csv")
     if fmt not in ("csv", "json"):
@@ -333,18 +336,12 @@ def load_config(path: str | Path) -> RunConfig:
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be an object")
-    unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
-    if unknown:
-        raise ConfigError(f"tolerances: unknown names {sorted(unknown)}")
+    _require_keys(tolerances, set(DEFAULT_TOLERANCES), set(), "tolerances", ConfigError)
     clean_tol = {}
     for name, value in tolerances.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"tolerance {name} must be a positive number")
-        clean_tol[name] = float(value)
-
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
+        clean_tol[name] = _number(value, f"tolerances: {name}", ConfigError)
+        if clean_tol[name] <= 0:
+            raise ConfigError(f"tolerances: {name} must be positive")
 
     return RunConfig(
         amplitude=amplitude,
@@ -355,7 +352,7 @@ def load_config(path: str | Path) -> RunConfig:
         per_angle=per_angle,
         weight_mode=weight_mode,
         tolerances=clean_tol,
-        seed=seed,
+        seed=_integer(doc.get("seed", 0), "seed", ConfigError),
         base_dir=path.parent,
     )
 
@@ -375,9 +372,9 @@ class AmplitudeSource:
 
 
 def _resolve_file(config: RunConfig, spec: dict) -> AmplitudeSource:
-    unknown = set(spec) - {"file"}
-    if unknown:
-        raise ConfigError(f"amplitude file source: unknown keys {sorted(unknown)}")
+    _require_keys(spec, {"file"}, {"file"}, "amplitude file source", ConfigError)
+    if not isinstance(spec["file"], str):
+        raise ConfigError("amplitude file source: file must be a path string")
     raw = Path(spec["file"])
     path = raw if raw.is_absolute() else config.base_dir / raw
     f, channels = load_amplitude(path)
@@ -396,24 +393,21 @@ def _resolve_file(config: RunConfig, spec: dict) -> AmplitudeSource:
 
 
 def _resolve_hard_sphere(config: RunConfig, spec: dict) -> AmplitudeSource:
-    unknown = set(spec) - {"model", "k", "radius", "l_max", "label"}
-    if unknown:
-        raise ConfigError(f"hard_sphere model: unknown keys {sorted(unknown)}")
-    try:
-        k = float(spec.get("k", 1.0))
-        radius = float(spec.get("radius", 1.0))
-        l_max = int(spec.get("l_max", 8))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"hard_sphere model: {exc}") from exc
+    what = "hard_sphere model"
+    allowed = {"model", "k", "radius", "l_max", "label"}
+    _require_keys(spec, allowed, set(), what, ConfigError)
+    k = _number(spec.get("k", 1.0), f"{what}: k", ConfigError)
+    radius = _number(spec.get("radius", 1.0), f"{what}: radius", ConfigError)
+    l_max = _integer(spec.get("l_max", 8), f"{what}: l_max", ConfigError)
     label = spec.get("label", "elastic")
     if not isinstance(label, str) or not label:
-        raise ConfigError("hard_sphere model: label must be a non-empty string")
-    if k <= 0 or radius <= 0 or l_max < 0:
-        raise ConfigError("hard_sphere model needs k > 0, radius > 0, l_max >= 0")
+        raise ConfigError(f"{what}: label must be a non-empty string")
+    if k <= 0 or radius <= 0:
+        raise ConfigError(f"{what} needs k > 0 and radius > 0")
+    if config.weight_mode == "velocity_ratio":
+        raise ConfigError(f"{what} does not define velocities")
     model = hard_sphere_model(k, radius, l_max)
     channels = ChannelSet(channels=(Channel(label, k),), entrance=label)
-    if config.weight_mode == "velocity_ratio":
-        raise ConfigError("hard_sphere model does not define velocities")
     f = amplitudes_from_smatrix(model, channels)
     return AmplitudeSource(
         f=f,
@@ -424,18 +418,14 @@ def _resolve_hard_sphere(config: RunConfig, spec: dict) -> AmplitudeSource:
 
 
 def _resolve_random_unitary(config: RunConfig, spec: dict) -> AmplitudeSource:
+    what = "random_unitary model"
     allowed = {"model", "n_channels", "l_max", "seed", "k", "v", "labels", "alpha", "kappa"}
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ConfigError(f"random_unitary model: unknown keys {sorted(unknown)}")
-    try:
-        n_channels = int(spec.get("n_channels", 2))
-        l_max = int(spec.get("l_max", 3))
-        seed = int(spec.get("seed", config.seed))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"random_unitary model: {exc}") from exc
-    if n_channels < 1 or l_max < 0:
-        raise ConfigError("random_unitary model needs n_channels >= 1, l_max >= 0")
+    _require_keys(spec, allowed, set(), what, ConfigError)
+    n_channels = _integer(
+        spec.get("n_channels", 2), f"{what}: n_channels", ConfigError, minimum=1
+    )
+    l_max = _integer(spec.get("l_max", 3), f"{what}: l_max", ConfigError)
+    seed = _integer(spec.get("seed", config.seed), f"{what}: seed", ConfigError)
     labels = spec.get("labels")
     if labels is None:
         labels = [f"ch{i}" for i in range(n_channels)]
@@ -444,40 +434,34 @@ def _resolve_random_unitary(config: RunConfig, spec: dict) -> AmplitudeSource:
         or len(labels) != n_channels
         or not all(isinstance(s, str) and s for s in labels)
     ):
-        raise ConfigError("random_unitary model: labels must be n_channels strings")
+        raise ConfigError(f"{what}: labels must be n_channels strings")
     ks = spec.get("k")
     if ks is None:
         rng = np.random.default_rng(seed + 1)
         ks = list(np.round(rng.uniform(0.5, 2.0, n_channels), 6))
-    if not isinstance(ks, list) or len(ks) != n_channels:
-        raise ConfigError("random_unitary model: k must list one wavenumber per channel")
+    ks = _numbers(ks, f"{what}: k", ConfigError, n_channels)
     vs = spec.get("v")
-    if vs is not None and (not isinstance(vs, list) or len(vs) != n_channels):
-        raise ConfigError("random_unitary model: v must list one velocity per channel")
+    if vs is not None:
+        vs = _numbers(vs, f"{what}: v", ConfigError, n_channels)
     alpha = spec.get("alpha", labels[0])
     if alpha not in labels:
-        raise ConfigError(f"random_unitary model: alpha {alpha!r} not in labels")
-    kappa = spec.get("kappa", [0.0, 0.0, 1.0])
-    if not isinstance(kappa, list) or len(kappa) != 3:
-        raise ConfigError("random_unitary model: kappa must be a 3-vector")
-    weight_mode = config.weight_mode or "momentum_ratio"
+        raise ConfigError(f"{what}: alpha {alpha!r} not in labels")
+    kappa = _numbers(spec.get("kappa", [0.0, 0.0, 1.0]), f"{what}: kappa", ConfigError, 3)
+    if not any(kappa):
+        raise ConfigError(f"{what}: kappa must be a nonzero vector")
     try:
         channels = ChannelSet(
             channels=tuple(
-                Channel(
-                    label=labels[i],
-                    k=float(ks[i]),
-                    velocity=float(vs[i]) if vs is not None else None,
-                )
-                for i in range(n_channels)
+                Channel(label, k, None if vs is None else vs[i])
+                for i, (label, k) in enumerate(zip(labels, ks))
             ),
             entrance=alpha,
-            weight_mode=weight_mode,
+            weight_mode=config.weight_mode or "momentum_ratio",
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"random_unitary model: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
     model = random_unitary_smatrix(n_channels, l_max, seed=seed)
-    f = amplitudes_from_smatrix(model, channels, kappa_hat=tuple(float(c) for c in kappa))
+    f = amplitudes_from_smatrix(model, channels, kappa_hat=tuple(kappa))
     return AmplitudeSource(
         f=f,
         channels=channels,

@@ -230,6 +230,10 @@ def test_hard_sphere_phases():
     tiny = hard_sphere_model(1.0, 0.05, 1)
     delta1 = np.angle(tiny.matrices[1][0, 0]) / 2
     assert delta1 == pytest.approx(-(0.05**3) / 3, rel=2e-3)
+    # past the float64 range of y_l (l above about 150 at ka = 1) S_l is 1
+    deep = hard_sphere_model(1.0, 1.0, 200)
+    assert deep.matrices[200][0, 0] == 1.0
+    assert deep.unitarity_defect() < 1e-12
 
 
 def test_amplitudes_from_smatrix_axis_coefficients():
@@ -271,6 +275,11 @@ def test_amplitudes_from_smatrix_rejects_nonunitary():
     cs = channel_set(2)
     with pytest.raises(ValueError):
         amplitudes_from_smatrix(scaled, cs)
+    # a nan block must fail the gate, also behind finite ones
+    poisoned = type(model)(matrices=model.matrices + (np.full((2, 2), np.nan),))
+    assert math.isnan(poisoned.unitarity_defect())
+    with pytest.raises(ValueError):
+        amplitudes_from_smatrix(poisoned, cs)
 
 
 def test_identity_smatrix_gives_empty_amplitude():

@@ -188,6 +188,11 @@ def test_load_config_schedules_and_overrides(tmp_path):
         {"r_values": [2.0, 1.0]},
         {"r_values": [-1.0]},
         {"r_values": ["x"]},
+        {"r_values": [float("nan")]},
+        {"r_values": [1.0, float("inf")]},
+        {"r_range": {"min": 1, "max": float("inf"), "points": 3}},
+        {"r_range": {"min": "1.0", "max": 2, "points": 3}},
+        {"r_range": {"min": 1, "max": 2, "points": 3.9}},
         {"r_range": {"min": 1, "max": 2}},
         {"r_range": {"min": 1, "max": 2, "points": 2, "spacing": "cubic"}},
         {"r_range": {"min": 2, "max": 1, "points": 2}},
@@ -205,6 +210,8 @@ def test_load_config_schedules_and_overrides(tmp_path):
         {"tolerances": {"mystery": 1e-3}},
         {"tolerances": {"greens": -1.0}},
         {"tolerances": {"greens": True}},
+        {"tolerances": {"greens": float("inf")}},
+        {"tolerances": {"greens": float("nan")}},
         {"seed": -1},
         {"seed": "x"},
         {"amplitude": "hard_sphere"},
@@ -246,10 +253,17 @@ def test_resolve_hard_sphere_source():
     assert source.f.l_max == 4
     assert source.family is not None
     assert "hard_sphere" in source.description
-    with pytest.raises(ConfigError):
-        resolve_amplitude(RunConfig(amplitude={"model": "hard_sphere", "k": -1.0}))
-    with pytest.raises(ConfigError):
-        resolve_amplitude(RunConfig(amplitude={"model": "hard_sphere", "color": "red"}))
+    for bad in (
+        {"k": -1.0},
+        {"color": "red"},
+        {"k": float("nan")},
+        {"k": True},
+        {"radius": float("inf")},
+        {"l_max": 2.7},
+        {"l_max": True},
+    ):
+        with pytest.raises(ConfigError):
+            resolve_amplitude(RunConfig(amplitude={"model": "hard_sphere", **bad}))
     with pytest.raises(ConfigError):
         resolve_amplitude(
             RunConfig(
@@ -292,6 +306,14 @@ def test_resolve_random_unitary_source_is_deterministic():
         {"model": "random_unitary", "alpha": "zz"},
         {"model": "random_unitary", "kappa": [1.0, 0.0]},
         {"model": "random_unitary", "flavor": "x"},
+        {"model": "random_unitary", "seed": -3},
+        {"model": "random_unitary", "kappa": [0, 0, 0]},
+        {"model": "random_unitary", "kappa": ["a", 0, 1]},
+        {"model": "random_unitary", "kappa": [float("nan"), 0, 1]},
+        {"model": "random_unitary", "l_max": -0.5},
+        {"model": "random_unitary", "n_channels": "2"},
+        {"model": "random_unitary", "k": ["1", 1.0]},
+        {"model": "random_unitary", "v": ["1", 2.0]},
     ],
 )
 def test_resolve_random_unitary_rejects_bad_specs(spec):
@@ -328,6 +350,8 @@ def test_resolve_file_source_with_weight_override(tmp_path):
         resolve_amplitude(
             RunConfig(amplitude={"file": "amp.json", "x": 1}, base_dir=tmp_path)
         )
+    with pytest.raises(ConfigError):
+        resolve_amplitude(RunConfig(amplitude={"file": 5}, base_dir=tmp_path))
 
 
 # ----------------------------------------------------------------------
@@ -427,6 +451,32 @@ def test_cli_flux_error_exit_codes(tmp_path, capsys):
     )
     assert cli.main(["flux", "--config", str(bad_amp)]) == 3
     assert "amplitude data error" in capsys.readouterr().err
+
+
+def test_cli_malformed_model_value_is_a_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"amplitude": {"model": "random_unitary", "kappa": [0, 0, 0]}})
+    assert cli.main(["check", "all", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: random_unitary model: kappa")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_check_hard_sphere_past_the_overflow_of_y_l(tmp_path, capsys):
+    # y_l overflows to -inf above l of about 150 at ka = 1: S_l = 1 there, so
+    # the amplitude resolves and only the two-path expansion leaves float64
+    cfg = _write_config(
+        tmp_path, {"amplitude": {"model": "hard_sphere", "k": 1, "radius": 1, "l_max": 200}}
+    )
+    assert cli.main(["check", "all", "--config", str(cfg)]) == 4
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "check greens", "check unitarity", "check optical", "check conservation"
+    ]
+    assert all(line.endswith("PASS") for line in lines)
+    assert captured.err.startswith("domain error:")
 
 
 def test_cli_flux_domain_error_exit_code(tmp_path, capsys):
