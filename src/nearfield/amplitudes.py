@@ -20,7 +20,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .special import _chi_integers, _radial_table, chi, mode_index, ylm_directions
+from .special import (
+    _chi_integers, _radial_table, chi, mode_degrees, mode_index, mode_list, ylm_directions
+)
 
 __all__ = [
     "Channel",
@@ -381,6 +383,8 @@ def hard_sphere_model(k: float, a: float, l_max: int) -> SMatrixModel:
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
     x = k * a
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"k*a = {x!r} is not a positive finite float")
     psi, yl = _radial_table(l_max, x)
     jl = psi / x
     # where y_l overflows to -inf the phase shift is 0 and S_l is exactly 1
@@ -404,7 +408,9 @@ def amplitudes_from_smatrix(
     survives and the coefficient reduces to
     ``sqrt(4 pi (2l+1)) (S_l - 1)_{beta, entrance} / (2 i sqrt(k k'))``; a
     general direction is the rigid rotation of those multiplets, which is
-    exactly what the conjugated harmonic factor implements.
+    exactly what the conjugated harmonic factor implements.  All exit
+    channels and modes come from one array expression over one harmonic
+    table at ``kappa_hat``; exact zeros are left out of the result.
     """
     if model.n_channels != len(channels.channels):
         raise ValueError("model channel count does not match channel set")
@@ -414,23 +420,22 @@ def amplitudes_from_smatrix(
     table = ylm_directions(model.l_max, kappa_hat)[:, 0]
     idx_in = channels.labels.index(channels.entrance)
     k_in = channels.entrance_channel.k
-    coeffs: dict[tuple[str, int, int], complex] = {}
-    for l, mat in enumerate(model.matrices):
-        t_col = mat[:, idx_in] - np.eye(model.n_channels)[:, idx_in]
-        for i_beta, label in enumerate(channels.labels):
-            if t_col[i_beta] == 0:
-                continue
-            for m in range(-l, l + 1):
-                value = (
-                    4.0
-                    * np.pi
-                    * t_col[i_beta]
-                    * np.conj(table[mode_index(l, m)])
-                    / (2j * math.sqrt(k_in * channels.k(label)))
-                )
-                if value != 0:
-                    coeffs[(label, l, m)] = complex(value)
-    return PartialWaveAmplitude(coeffs)
+    # (S_l - 1)[beta, entrance] on every mode of degree l
+    t = np.array(model.matrices)[:, :, idx_in].T[:, mode_degrees(model.l_max)]
+    t[idx_in] -= 1.0
+    root = np.array([_root_product(k_in, c.k) for c in channels.channels])
+    # dividing by 2i alone is exact and keeps 2 sqrt(k k') from overflowing
+    values = 4.0 * np.pi * t * np.conj(table) / 2j / root[:, None]
+    keys = [(label, l, m) for label in channels.labels for l, m in mode_list(model.l_max)]
+    return PartialWaveAmplitude(
+        {key: value for key, value in zip(keys, values.ravel().tolist()) if value != 0}
+    )
+
+
+def _root_product(a: float, b: float) -> float:
+    """``sqrt(a b)``, split into ``sqrt(a) sqrt(b)`` where ``a b`` leaves the float range."""
+    product = a * b
+    return math.sqrt(product) if 0.0 < product < math.inf else math.sqrt(a) * math.sqrt(b)
 
 
 def smatrix_amplitude_family(

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -590,10 +591,12 @@ def unitarity_defect(
     unitary amplitude family gives rounding-level values.
 
     ``f`` may be a family callable ``(entrance_label, direction) ->
-    PartialWaveAmplitude``.  A single amplitude only supplies the diagonal
-    sample ``gamma = alpha`` at its own incident direction; requesting more
-    directions with a bare amplitude raises, since the reciprocal amplitude
-    data is missing.
+    PartialWaveAmplitude``; it is called once per entrance and distinct
+    direction, and every sampled amplitude value comes from one harmonic
+    table at those directions.  A single amplitude only supplies the
+    diagonal sample ``gamma = alpha`` at its own incident direction;
+    requesting more directions with a bare amplitude raises, since the
+    reciprocal amplitude data is missing.
     """
     if kappa_hats is None:
         kappa_hats = _DEFAULT_DIRECTIONS
@@ -601,54 +604,41 @@ def unitarity_defect(
         s_hats = kappa_hats
     kappa_hats = [tuple(np.asarray(v, dtype=float)) for v in np.atleast_2d(kappa_hats)]
     s_hats = [tuple(np.asarray(v, dtype=float)) for v in np.atleast_2d(s_hats)]
+    directions = list(dict.fromkeys(s_hats + kappa_hats))
 
     if isinstance(f, PartialWaveAmplitude):
-        if len(kappa_hats) > 1 or len(s_hats) > 1 or kappa_hats[0] != s_hats[0]:
+        if len(kappa_hats) > 1 or kappa_hats != s_hats:
             raise ValueError(
                 "missing reciprocal amplitude data: a single amplitude only "
                 "supports the diagonal sample; pass an amplitude family"
             )
-        direction = kappa_hats[0]
-        fixed = f
-
-        def family(entrance: str, khat) -> PartialWaveAmplitude:
-            if entrance != channels.entrance or tuple(khat) != direction:
-                raise ValueError("missing reciprocal amplitude data")
-            return fixed
-
         entrances = [channels.entrance]
+        amplitudes = {(channels.entrance, directions[0]): f}
     else:
-        family = f
         entrances = list(channels.labels)
+        amplitudes = {(e, d): f(e, d) for e in entrances for d in directions}
 
-    cache: dict[tuple[str, tuple[float, ...]], PartialWaveAmplitude] = {}
-
-    def get(entrance: str, khat: tuple[float, ...]) -> PartialWaveAmplitude:
-        key = (entrance, khat)
-        if key not in cache:
-            cache[key] = family(entrance, khat)
-        return cache[key]
+    l_max = max(amp.l_max for amp in amplitudes.values())
+    table = ylm_directions(l_max, np.array(directions))
+    k = np.array([[channels.k(label)] for label in channels.labels])
+    dense = {
+        key: np.array([amp.dense(label, l_max) for label in channels.labels])
+        for key, amp in amplitudes.items()
+    }
+    weighted = {key: k * coeffs for key, coeffs in dense.items()}
+    values = {key: coeffs @ table for key, coeffs in dense.items()}
 
     # np.max, not max(): a nan defect must propagate, not lose to 0.0
     defects: list[float] = []
     scales: list[float] = []
-    for gamma in entrances:
-        for alpha in entrances:
-            for s_hat in s_hats:
-                for kappa_hat in kappa_hats:
-                    fg = get(gamma, s_hat)
-                    fa = get(alpha, kappa_hat)
-                    l_max = max(fg.l_max, fa.l_max)
-                    bilinear = 0.0 + 0.0j
-                    for label in channels.labels:
-                        bilinear += channels.k(label) * np.vdot(
-                            fg.dense(label, l_max), fa.dense(label, l_max)
-                        )
-                    forward = evaluate(fa, gamma, np.asarray(s_hat))
-                    backward = evaluate(fg, alpha, np.asarray(kappa_hat))
-                    rhs = -(4.0 * np.pi / 2j) * (forward - np.conj(backward))
-                    defects.append(abs(bilinear + rhs))
-                    scales.append(abs(bilinear))
+    for gamma, alpha, s_hat, kappa_hat in product(entrances, entrances, s_hats, kappa_hats):
+        g, a = (gamma, s_hat), (alpha, kappa_hat)
+        bilinear = np.vdot(dense[g], weighted[a])
+        forward = values[a][channels.labels.index(gamma), directions.index(s_hat)]
+        backward = values[g][channels.labels.index(alpha), directions.index(kappa_hat)]
+        rhs = -(4.0 * np.pi / 2j) * (forward - np.conj(backward))
+        defects.append(abs(bilinear + rhs))
+        scales.append(abs(bilinear))
     worst = float(np.max(defects))
     scale = float(np.max(scales))
     if scale == 0.0:

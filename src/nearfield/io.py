@@ -11,6 +11,7 @@ re-saving a file produced here is the identity on bytes.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -404,6 +405,8 @@ def _resolve_hard_sphere(config: RunConfig, spec: dict) -> AmplitudeSource:
         raise ConfigError(f"{what}: label must be a non-empty string")
     if k <= 0 or radius <= 0:
         raise ConfigError(f"{what} needs k > 0 and radius > 0")
+    if not 0.0 < k * radius < math.inf:
+        raise ConfigError(f"{what}: k*radius = {k * radius!r} is not a positive finite float")
     if config.weight_mode == "velocity_ratio":
         raise ConfigError(f"{what} does not define velocities")
     model = hard_sphere_model(k, radius, l_max)

@@ -22,7 +22,7 @@ from nearfield.amplitudes import (
     scattered_wave_series,
     smatrix_amplitude_family,
 )
-from nearfield.special import chi, mode_index, sph_harm, unit_from_angles
+from nearfield.special import chi, mode_index, sph_harm, unit_from_angles, ylm_directions
 
 from conftest import channel_set, raw_amplitude, unitary_amplitude
 
@@ -267,6 +267,67 @@ def test_amplitudes_from_smatrix_general_direction():
         2j * math.sqrt(k_in * cs.k("c1"))
     )
     assert value == pytest.approx(expect, rel=1e-13)
+
+
+def _scalar_smatrix_coefficients(model, channels, kappa_hat):
+    """Reference: the coefficient formula evaluated one NumPy scalar at a time."""
+    table = ylm_directions(model.l_max, kappa_hat)[:, 0]
+    idx_in = channels.labels.index(channels.entrance)
+    k_in = channels.entrance_channel.k
+    coeffs = {}
+    for l, mat in enumerate(model.matrices):
+        t_col = mat[:, idx_in] - np.eye(model.n_channels)[:, idx_in]
+        for i_beta, label in enumerate(channels.labels):
+            for m in range(-l, l + 1):
+                value = (
+                    4.0
+                    * np.pi
+                    * t_col[i_beta]
+                    * np.conj(table[mode_index(l, m)])
+                    / (2j * math.sqrt(k_in * channels.k(label)))
+                )
+                if value != 0:
+                    coeffs[(label, l, m)] = complex(value)
+    return coeffs
+
+
+@pytest.mark.parametrize("n_channels", [1, 2, 3])
+def test_amplitudes_from_smatrix_match_scalar_formula(n_channels):
+    model = random_unitary_smatrix(n_channels, 12, seed=40 + n_channels)
+    directions = np.random.default_rng(n_channels).normal(size=(20, 3))
+    for entrance in channel_set(n_channels).labels:
+        cs = channel_set(n_channels).with_entrance(entrance)
+        # on the axis every coefficient is bitwise the scalar formula's
+        axis = amplitudes_from_smatrix(model, cs)
+        expect = _scalar_smatrix_coefficients(model, cs, (0.0, 0.0, 1.0))
+        assert axis.coefficients.keys() == expect.keys()
+        for key, value in expect.items():
+            got = axis.coefficients[key]
+            assert (got.real, got.imag) == (value.real, value.imag)
+        for kappa in directions:
+            f = amplitudes_from_smatrix(model, cs, kappa_hat=kappa)
+            expect = _scalar_smatrix_coefficients(model, cs, kappa)
+            assert f.coefficients.keys() == expect.keys()
+            for key, value in expect.items():
+                assert abs(f.coefficients[key] - value) <= 1e-15 * abs(value)
+
+
+def test_amplitudes_from_smatrix_wavenumbers_near_float_max():
+    model = random_unitary_smatrix(2, 2, seed=4)
+    cs = ChannelSet(channels=(Channel("a", 1e308), Channel("b", 1e308)), entrance="a")
+    f = amplitudes_from_smatrix(model, cs)
+    s_10 = model.matrices[1][1, 0] * math.sqrt(12 * math.pi) / 2j
+    assert f.coefficient("b", 1, 0) == pytest.approx(s_10 / 1e308, rel=1e-14)
+    # the product of two tiny wavenumbers underflows instead
+    tiny = ChannelSet(channels=(Channel("a", 1e-200), Channel("b", 1e-200)), entrance="a")
+    g = amplitudes_from_smatrix(model, tiny)
+    assert g.coefficient("b", 1, 0) == pytest.approx(s_10 / 1e-200, rel=1e-14)
+
+
+def test_hard_sphere_model_rejects_ka_outside_float_range():
+    for k, a in ((1e200, 1e200), (1e-200, 1e-200)):
+        with pytest.raises(ValueError, match="k\\*a"):
+            hard_sphere_model(k, a, 4)
 
 
 def test_amplitudes_from_smatrix_rejects_nonunitary():

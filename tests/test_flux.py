@@ -647,15 +647,90 @@ def test_unitarity_defect_family_vs_scaled():
 
 def test_unitarity_defect_propagates_nan(monkeypatch):
     _, cs, family = unitary_amplitude(2, 2, seed=31)
-    real_evaluate = flux_module.evaluate
+    real_table = flux_module.ylm_directions
+
+    def poisoned(l_max, nhat):
+        table = real_table(l_max, nhat).copy()
+        table[1, 1] = np.nan
+        return table
+
+    monkeypatch.setattr(flux_module, "ylm_directions", poisoned)
+    assert np.isnan(unitarity_defect(family, cs))
+
+
+def _reference_unitarity_defect(family, channels, kappa_hats, s_hats):
+    """The identity sample by sample: two ``evaluate`` calls and a vdot per label."""
+    defects, scales = [], []
+    for gamma in channels.labels:
+        for alpha in channels.labels:
+            for s_hat in s_hats:
+                for kappa_hat in kappa_hats:
+                    fg = family(gamma, tuple(s_hat))
+                    fa = family(alpha, tuple(kappa_hat))
+                    l_max = max(fg.l_max, fa.l_max)
+                    bilinear = 0.0 + 0.0j
+                    for label in channels.labels:
+                        bilinear += channels.k(label) * np.vdot(
+                            fg.dense(label, l_max), fa.dense(label, l_max)
+                        )
+                    forward = evaluate(fa, gamma, np.asarray(s_hat))
+                    backward = evaluate(fg, alpha, np.asarray(kappa_hat))
+                    rhs = -(4.0 * np.pi / 2j) * (forward - np.conj(backward))
+                    defects.append(abs(bilinear + rhs))
+                    scales.append(abs(bilinear))
+    return max(defects) / max(scales)
+
+
+_S_HATS = ((0.0, 0.0, 1.0), (0.3, -0.4, 0.5))
+_KAPPA_HATS = ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (-0.2, 0.9, -0.4))
+
+
+@pytest.mark.parametrize("n_channels", [1, 2, 3])
+@pytest.mark.parametrize("l_max", range(7))
+def test_unitarity_defect_matches_sample_loop(n_channels, l_max):
+    _, cs, family = unitary_amplitude(n_channels, l_max, seed=10 * n_channels + l_max)
+    ref = _reference_unitarity_defect(
+        family, cs, flux_module._DEFAULT_DIRECTIONS, flux_module._DEFAULT_DIRECTIONS
+    )
+    assert abs(unitarity_defect(family, cs) - ref) <= 1e-15
+    ref = _reference_unitarity_defect(family, cs, _KAPPA_HATS, _S_HATS)
+    got = unitarity_defect(family, cs, kappa_hats=_KAPPA_HATS, s_hats=_S_HATS)
+    assert abs(got - ref) <= 1e-15
+
+    # the inconsistent scaled family is compared too, far from rounding level
+    def scaled(entrance, kappa_hat):
+        return family(entrance, kappa_hat).scaled(1.0 + 0.1 * (entrance == "c0"))
+
+    ref = _reference_unitarity_defect(scaled, cs, _KAPPA_HATS, _S_HATS)
+    got = unitarity_defect(scaled, cs, kappa_hats=_KAPPA_HATS, s_hats=_S_HATS)
+    assert abs(got - ref) <= 1e-15
+
+
+def test_unitarity_defect_takes_each_amplitude_and_table_once(monkeypatch):
+    _, cs, family = unitary_amplitude(3, 4, seed=12)
     calls = []
 
-    def flaky(*args, **kwargs):
-        calls.append(1)
-        return complex("nan") if len(calls) == 2 else real_evaluate(*args, **kwargs)
+    def spy(entrance, kappa_hat):
+        calls.append((entrance, tuple(kappa_hat)))
+        return family(entrance, kappa_hat)
 
-    monkeypatch.setattr(flux_module, "evaluate", flaky)
-    assert np.isnan(unitarity_defect(family, cs))
+    real_table = flux_module.ylm_directions
+    tables = []
+
+    def counted(l_max, nhat):
+        tables.append(np.shape(nhat))
+        return real_table(l_max, nhat)
+
+    def no_evaluate(*args, **kwargs):
+        raise AssertionError("evaluate called")
+
+    monkeypatch.setattr(flux_module, "ylm_directions", counted)
+    monkeypatch.setattr(flux_module, "evaluate", no_evaluate)
+    assert unitarity_defect(spy, cs, kappa_hats=_KAPPA_HATS, s_hats=_S_HATS) < 1e-12
+    distinct = set(_KAPPA_HATS) | set(_S_HATS)
+    assert len(distinct) == 4
+    assert sorted(calls) == sorted((e, d) for e in cs.labels for d in distinct)
+    assert tables == [(4, 3)]
 
 
 def test_unitarity_defect_bare_amplitude_diagonal_only():

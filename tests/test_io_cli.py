@@ -261,9 +261,15 @@ def test_resolve_hard_sphere_source():
         {"radius": float("inf")},
         {"l_max": 2.7},
         {"l_max": True},
+        {"k": 1e200, "radius": 1e200},
+        {"k": 1e-200, "radius": 1e-200},
     ):
         with pytest.raises(ConfigError):
             resolve_amplitude(RunConfig(amplitude={"model": "hard_sphere", **bad}))
+    with pytest.raises(ConfigError, match=r"k\*radius"):
+        resolve_amplitude(
+            RunConfig(amplitude={"model": "hard_sphere", "k": 1e200, "radius": 1e200})
+        )
     with pytest.raises(ConfigError):
         resolve_amplitude(
             RunConfig(
