@@ -63,7 +63,6 @@ from .io import (
 )
 from .special import (
     AngularGrid,
-    ChiPolynomial,
     FluxDomainError,
     angles_from_unit,
     chi,
@@ -93,7 +92,6 @@ __all__ = [
     "AngularGrid",
     "Channel",
     "ChannelSet",
-    "ChiPolynomial",
     "ConfigError",
     "CrossSections",
     "DEFAULT_TOLERANCES",

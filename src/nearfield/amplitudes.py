@@ -13,7 +13,6 @@ satisfy it exactly.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -21,7 +20,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .special import (
-    _chi_integers, _radial_table, chi, mode_degrees, mode_index, mode_list, ylm_directions
+    _chi_integers, _chi_table, _radial_table, mode_degrees, mode_index, mode_list, ylm_directions
 )
 
 __all__ = [
@@ -254,23 +253,18 @@ def apply_angular_operator(f: PartialWaveAmplitude, power: int = 1) -> PartialWa
     return f.map_modes(lambda l: float(l * (l + 1)) ** power)
 
 
-def _h_multiplier(l: int, s: int) -> int:
-    # prod_{mu=1}^{s} [l(l+1) - mu(mu-1)] / s! is the decaying solution's
-    # series integer (l+s)!/(s!(l-s)!); zero for s > l
-    return _chi_integers(l)[s] if s <= l else 0
-
-
 def h_coefficient(f: PartialWaveAmplitude, s: int) -> PartialWaveAmplitude:
     """Distance-expansion coefficient amplitude of order ``s``.
 
     Multiplies each mode by ``(1/s!) prod_{mu=1}^{s} [l(l+1) - mu(mu-1)]``,
-    computed in exact rational arithmetic.  The ``mu = l + 1`` factor kills
-    every mode with ``l < s``, so the expansion of any finite amplitude
-    terminates at ``s = l_max``.
+    the decaying solution's series integer ``(l+s)!/(s!(l-s)!)``, taken as
+    the float of the exact integer.  The ``mu = l + 1`` factor kills every
+    mode with ``l < s``, so the expansion of any finite amplitude terminates
+    at ``s = l_max``.
     """
     if s < 1:
         raise ValueError("order s must be a positive integer")
-    return f.map_modes(lambda l: float(_h_multiplier(l, s)))
+    return f.map_modes(lambda l: float(_chi_integers(l)[s]) if s <= l else 0.0)
 
 
 def scattered_wave(
@@ -281,13 +275,7 @@ def scattered_wave(
     Per mode, the far-field coefficient rides the exact decaying radial
     solution: ``(1/r) sum B_{lm} chi_l(-i k r) Y_l^m``.
     """
-    if r <= 0:
-        raise ValueError("distance must be positive")
-    k = channels.k(beta)
-    z = -1j * k * r
-    radial = {l: chi(l, z) for l in range(f.l_max + 1)}
-    g = f.map_modes(lambda l: radial[l])
-    return evaluate(g, beta, nhat) / r
+    return scattered_wave_series(f, channels, beta, r, nhat)
 
 
 def scattered_wave_series(
@@ -300,22 +288,23 @@ def scattered_wave_series(
 ) -> complex | np.ndarray:
     """Distance expansion of the scattered wave through order ``s_max``.
 
-    ``(e^{ikr}/r) [f + sum_{s=1}^{s_max} h_s(f) / (-2 i k r)^s]``; with
-    ``s_max >= l_max`` this reproduces ``scattered_wave`` exactly because
-    the per-mode series terminates.
+    ``(e^{ikr}/r) [f + sum_{s=1}^{s_max} h_s(f) / (-2 i k r)^s]``: each
+    degree's decaying solution at ``-i k r`` with its series cut at
+    ``s_max`` (default ``l_max``), spread over the modes and contracted with
+    one harmonic table.  With ``s_max >= l_max`` every series is complete,
+    and this is ``scattered_wave`` bit for bit.
     """
     if r <= 0:
         raise ValueError("distance must be positive")
-    if s_max is None:
-        s_max = f.l_max
-    if s_max < 0:
+    if s_max is not None and s_max < 0:
         raise ValueError("s_max must be non-negative")
-    k = channels.k(beta)
-    total = evaluate(f, beta, nhat)
-    for s in range(1, s_max + 1):
-        term = evaluate(h_coefficient(f, s), beta, nhat)
-        total = total + term / (-2j * k * r) ** s
-    return cmath.exp(1j * k * r) / r * total
+    l_max = f.l_max
+    radial = _chi_table(l_max, -1j * channels.k(beta) * r, s_max)
+    nhat = np.asarray(nhat, dtype=float)
+    values = (f.dense(beta) * radial[mode_degrees(l_max)]) @ ylm_directions(l_max, nhat) / r
+    if nhat.ndim == 1:
+        return complex(values[0])
+    return values.reshape(nhat.shape[:-1])
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 from . import io as nf_io
 from .amplitudes import PartialWaveAmplitude
 from .flux import (
-    _summed_cross_section,
+    _check_scale,
     default_grid,
     differential_flux_asymptotic,
     differential_flux_exact,
@@ -279,7 +279,7 @@ def _check_unitarity(config: RunConfig, source: AmplitudeSource) -> float:
 
 def _check_conservation(config: RunConfig, source: AmplitudeSource) -> float:
     grid = _flux_grid(config, source.f)
-    sigma = _summed_cross_section(source.f, source.channels)
+    sigma = _check_scale(source.f, source.channels)
     if sigma == 0.0:
         return 0.0
     k_min = min(source.channels.k(label) for label in source.channels.labels)
@@ -302,6 +302,8 @@ def _check_two_path(config: RunConfig, source: AmplitudeSource) -> float:
     distances run from ``kR = 0.7`` to 120 in the slowest channel.
     """
     f, channels = source.f, source.channels
+    # the relative gaps below would read 0 where every flux underflows
+    _check_scale(f, channels)
     k_min = min(channels.k(label) for label in channels.labels)
     directions = unit_from_angles(
         np.array([0.0, 1.1, 2.0, 2.9]), np.array([0.0, 0.7, 3.9, 5.2])

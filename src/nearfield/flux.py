@@ -146,6 +146,25 @@ def _summed_cross_section(f: PartialWaveAmplitude, channels: ChannelSet) -> floa
     return float(sum(_cross_sections_per_channel(f, channels).values()))
 
 
+def _check_scale(f: PartialWaveAmplitude, channels: ChannelSet) -> float:
+    """Summed cross section as the scale of a relative check defect.
+
+    It is 0.0 for a zero amplitude, whose defects are 0 by convention.  A
+    nonzero amplitude whose squared coefficients underflow would read 0.0
+    too and pass the check without testing anything, so it raises
+    ``FluxDomainError``.
+    """
+    sigma = _summed_cross_section(f, channels)
+    largest = max(float(np.max(np.abs(f.dense(label)))) for label in channels.labels)
+    if sigma == 0.0 and largest > 0.0:
+        raise FluxDomainError(
+            f"summed cross section underflows to 0.0 at largest |B| = {largest:.4g}: "
+            f"the squared coefficients fall below the float64 range "
+            f"(smallest normal {np.finfo(float).tiny:.4g}); rescale the amplitude"
+        )
+    return sigma
+
+
 def _is_canonical_grid(grid: AngularGrid) -> bool:
     if grid.n_nodes != (grid.order + 1) * (2 * grid.order + 1):
         return False
@@ -653,11 +672,12 @@ def optical_theorem_defect(
 
     ``|sum_beta sigma_beta - (4 pi / k_entrance) Im f_entrance(kappa_hat)|``
     normalized by the summed cross sections; zero amplitude gives 0 by
-    convention.  The sum rule holds for momentum-ratio weighting; velocity
+    convention, and a nonzero one whose cross sections underflow to 0 raises
+    ``FluxDomainError``.  The sum rule holds for momentum-ratio weighting; velocity
     weighting departs from it unless velocities are proportional to the
     wavenumbers.
     """
-    sigma = _summed_cross_section(f, channels)
+    sigma = _check_scale(f, channels)
     if sigma == 0.0:
         return 0.0
     forward = evaluate(f, channels.entrance, np.asarray(kappa_hat, dtype=float))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import FluxDomainError, _legendre_table, _radial_table, chi_terms
+from .special import FluxDomainError, _chi_table, _legendre_table, _radial_table
 
 __all__ = [
     "GreensQuery",
@@ -95,30 +95,19 @@ def auto_l_max(k: float, r: float) -> int:
     return int(math.ceil(math.e * k * r)) + 30
 
 
-def _outer_factors(z: complex, l_max: int, s_max: int) -> np.ndarray:
-    """Decaying solutions ``exp(-z) sum_{s<=s_max} c_s(l)/(2z)^s`` for ``l <= l_max``.
-
-    The terms come from ``chi_terms`` with ``s`` along axis 0, so the sum
-    adds each degree's terms in order: past ``l ~ kR`` the terms cancel
-    heavily, and NumPy's pairwise sum along a row lost about three times as
-    many digits there.
-    """
-    return np.exp(-z) * chi_terms(l_max, s_max, 0.5 / z).sum(axis=0)
-
-
 def _assemble(query: GreensQuery, l_max: int, s_max: int) -> complex:
     k, R, r = query.k, query.big_r, query.small_r
     z = -query.sign * 1j * k * R
     if r == 0.0:
         # only the degree-0 mode survives; its inner factor tends to 1
-        return complex(_outer_factors(z, 0, 0)[0] / (4.0 * np.pi * R))
+        return complex(_chi_table(0, z)[0] / (4.0 * np.pi * R))
     ls = np.arange(l_max + 1)
     cos_gamma = np.clip(query.R_vec @ query.x_vec / (R * r), -1.0, 1.0)
     phases = (1j) ** (-query.sign * ls)
     psi = _radial_table(l_max, k * r)[0]
     msums = (2 * ls + 1) / (4.0 * np.pi) * _legendre_table(l_max, cos_gamma)
     with np.errstate(over="ignore", invalid="ignore"):
-        outer = _outer_factors(z, l_max, min(s_max, l_max))
+        outer = _chi_table(l_max, z, s_max)
         value = complex(np.sum(outer * phases * psi * msums) / (k * r * R))
     if not cmath.isfinite(value):
         # the outer factors pass the float64 limit while the inner ones

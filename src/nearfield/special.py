@@ -17,7 +17,9 @@ uniform-azimuth sphere grid whose quadrature is exact for harmonic pair
 products up to a requested degree.
 
 Every special function comes from a short recurrence in NumPy or ``math``:
-Miller's downward recurrence for ``x j_l`` (Gautschi, SIAM Review 9, 1967),
+the neighbour ratios of the series integers for ``chi`` (``chi_terms``),
+Miller's downward recurrence for ``x j_l`` (Gautschi, SIAM Review 9, 1967;
+upward where ``x`` exceeds every degree),
 the upward one for ``y_l`` (DLMF 10.51.1), Bonnet's for ``P_l`` (DLMF
 14.10.3) and the normalized associated-Legendre recurrence for the harmonics
 (DLMF 14.10.3 with the ``m``-dependent normalization folded in).
@@ -36,7 +38,6 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "AngularGrid",
-    "ChiPolynomial",
     "FluxDomainError",
     "angles_from_unit",
     "chi",
@@ -73,11 +74,6 @@ def _chi_integers(order: int) -> tuple[int, ...]:
     return tuple(f(order + s) // (f(s) * f(order - s)) for s in range(order + 1))
 
 
-@lru_cache(maxsize=None)
-def _chi_coefficients(order: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in _chi_integers(order))
-
-
 def chi_coefficient(l: int, s: int) -> Fraction:
     """Exact series coefficient ``(l+s)! / (s! (l-s)!)``; zero for ``s > l``.
 
@@ -91,105 +87,89 @@ def chi_coefficient(l: int, s: int) -> Fraction:
         raise ValueError("orders must be non-negative")
     if s > l:
         return Fraction(0)
-    return _chi_coefficients(l)[s]
+    return Fraction(_chi_integers(l)[s])
 
 
-@dataclass(frozen=True)
-class ChiPolynomial:
-    """Terminating series content of the decaying radial solution.
-
-    ``evaluate(z)`` returns the full solution including the ``exp(-z)``
-    factor; ``series(z)`` returns only the polynomial part in ``1/(2z)``,
-    which is what survives when exponentials cancel analytically inside a
-    product (see ``wronskian.integral_representation_check``).
-    """
-
-    order: int
-    coefficients: tuple[Fraction, ...]
-
-    @classmethod
-    def for_order(cls, order: int) -> "ChiPolynomial":
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        return cls(order=order, coefficients=_chi_coefficients(order))
-
-    def series(self, z: complex | np.ndarray) -> complex | np.ndarray:
-        z = np.asarray(z)
-        if np.any(z == 0):
-            raise ValueError("series is singular at z = 0")
-        u = 1.0 / (2.0 * z)
-        # Ascending accumulation through the neighbor ratio
-        # c_{s+1}/c_s = (order+s+1)(order-s)/(s+1): materialized float
-        # coefficients overflow near order 140 even when every term of the
-        # sum is moderate.
-        term = np.ones_like(u)
-        acc = np.ones_like(u)
-        for s in range(self.order):
-            term = term * u * ((self.order + s + 1) * (self.order - s) / (s + 1))
-            acc = acc + term
-        return acc if acc.ndim else acc[()]
-
-    def evaluate(self, z: complex | np.ndarray) -> complex | np.ndarray:
-        return np.exp(-np.asarray(z)) * self.series(z)
-
-    def __call__(self, z: complex | np.ndarray) -> complex | np.ndarray:
-        return self.evaluate(z)
-
-
-def chi_terms(l_max: int, s_max: int, u: complex) -> np.ndarray:
+def chi_terms(l_max: int, s_max: int, u: complex | np.ndarray) -> np.ndarray:
     """Series terms ``c_s(l) u**s`` for ``s <= s_max`` and ``l <= l_max``.
 
-    Shape ``(s_max + 1, l_max + 1)``: row ``s`` holds the order-``s`` term
-    of every degree, zero for ``s > l``; with ``u = 1/(2z)`` the column sums
-    are ``exp(z) chi_l(z)`` truncated at ``s_max``.  The integers
-    ``c_s(l) = (l+s)!/(s!(l-s)!)`` enter only through the neighbour ratio
-    ``c_{s+1}/c_s = (l+s+1)(l-s)/(s+1)``, accumulated by one ``cumprod`` down
-    the rows: materialized coefficients would overflow near degree 140 even
-    where every term is moderate.  Toward small ``|z|`` high orders can
-    still overflow; callers check the result.
+    Shape ``(s_max + 1, l_max + 1, *np.shape(u))``: row ``s`` holds the
+    order-``s`` term of every degree at every ``u``, zero for ``s > l``; with
+    ``u = 1/(2z)`` the sums over axis 0 are ``exp(z) chi_l(z)`` truncated at
+    ``s_max``.  The integers ``c_s(l) = (l+s)!/(s!(l-s)!)`` enter only
+    through the neighbour ratio ``c_{s+1}/c_s = (l+s+1)(l-s)/(s+1)``,
+    accumulated by one ``cumprod`` down the rows: materialized coefficients
+    would overflow near degree 140 even where every term is moderate.
+    Toward small ``|z|`` high orders can still overflow; callers check the
+    result.
     """
     s = np.arange(s_max)[:, None]
     l = np.arange(l_max + 1)[None, :]
-    ratios = (l + s + 1) * (l - s) / (s + 1) * u
-    return np.concatenate([np.ones((1, l_max + 1)), np.cumprod(ratios, axis=0)])
+    ratios = np.multiply.outer((l + s + 1) * (l - s) / (s + 1), u)
+    return np.concatenate([np.ones((1, *ratios.shape[1:])), np.cumprod(ratios, axis=0)])
+
+
+def _chi_table(l_max: int, z: complex | np.ndarray, s_max: int | None = None) -> np.ndarray:
+    """Decaying solutions ``exp(-z) sum_{s<=s_max} c_s(l)/(2z)^s`` for ``l <= l_max``.
+
+    Shape ``(l_max + 1, *np.shape(z))``; ``s_max`` defaults to ``l_max``,
+    where every series is complete.  The terms come from ``chi_terms`` with
+    ``s`` along axis 0, so the sum adds each degree's terms in order: past
+    ``l ~ |z|`` the terms cancel heavily, and NumPy's pairwise sum along a
+    row lost about three times as many digits there.
+    """
+    if np.any(np.asarray(z) == 0):
+        raise ValueError("the decaying solution is singular at z = 0")
+    s_max = l_max if s_max is None else min(s_max, l_max)
+    return np.exp(-z) * chi_terms(l_max, s_max, 0.5 / z).sum(axis=0)
 
 
 def chi(l: int, z: complex | np.ndarray) -> complex | np.ndarray:
     """Decaying free radial solution ``exp(-z) * sum_S c_S / (2z)**S``."""
-    return ChiPolynomial.for_order(l).evaluate(z)
+    if l < 0:
+        raise ValueError("order must be non-negative")
+    return _chi_table(l, z)[l]
 
 
 def _radial_table(l_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """Regular ``x j_l(x)`` and irregular ``y_l(x)`` for ``l <= l_max``, ``x > 0``.
 
-    ``x j_l`` is the minimal solution of ``f_{l-1} = (2l+1)/x f_l - f_{l+1}``,
-    so it comes from Miller's downward recurrence (Gautschi 1967), run on
-    the ratios ``r_l = f_l / f_{l+1}``: started from ``f = 0`` above
-    ``max(l_max, x)`` with a margin for the turning-point region, it cannot
-    leave the float64 range on the way down.  The values then follow upward
-    from whichever closed form is larger, ``sin x`` (degree 0) or
-    ``sin x / x - cos x`` (degree 1), and underflow to zero where they
-    must.  ``y_l`` is the dominant solution and runs upward from
-    ``y_0 = -cos x / x`` and ``y_{-1} = sin x / x``; past the float64 range
-    it is ``-inf``.  Plain float loops: at the sizes of one kernel or
-    phase-shift evaluation they beat vector operations.
+    ``x j_l`` solves ``f_{l+1} = (2l+1)/x f_l - f_{l-1}``.  Where ``x >
+    l_max`` every degree lies below the turning point ``l ~ x``, both
+    solutions oscillate there, and the recurrence runs upward from ``sin x``
+    and ``sin x / x - cos x``.  Otherwise ``x j_l`` is the minimal solution
+    past the turning point, so it comes from Miller's downward recurrence
+    (Gautschi 1967), run on the ratios ``r_l = f_l / f_{l+1}``: started
+    from ``f = 0`` above ``max(l_max, x)`` with a margin for the
+    turning-point region, it cannot leave the float64 range on the way
+    down.  The values then follow upward from whichever closed form is
+    larger, ``sin x`` (degree 0) or ``sin x / x - cos x`` (degree 1), and
+    underflow to zero where they must.  ``y_l`` is the dominant solution
+    and runs upward from ``y_0 = -cos x / x`` and ``y_{-1} = sin x / x``;
+    past the float64 range it is ``-inf``.  Plain float loops: at the sizes
+    of one kernel or phase-shift evaluation they beat vector operations.
     """
     x = float(x)
-    top = max(l_max, math.ceil(x + 10.0 * x ** (1.0 / 3.0))) + 20
-    ratios = [0.0] * max(l_max, 1)
-    inverse = 0.0
-    for l in range(top, 0, -1):
-        ratio = (2 * l + 1) / x - inverse
-        inverse = 1.0 / ratio
-        if l <= len(ratios):
-            ratios[l - 1] = ratio
     sin, cos = math.sin(x), math.cos(x)
     first = sin / x - cos
-    value = sin if abs(sin) >= abs(first) else first * ratios[0]
-    regular = [value]
-    for ratio in ratios[:l_max]:
-        value /= ratio
-        regular.append(value)
+    if x > l_max:
+        regular = [sin, first][: l_max + 1]
+        for l in range(1, l_max):
+            regular.append((2 * l + 1) / x * regular[-1] - regular[-2])
+    else:
+        top = max(l_max, math.ceil(x + 10.0 * x ** (1.0 / 3.0))) + 20
+        ratios = [0.0] * max(l_max, 1)
+        inverse = 0.0
+        for l in range(top, 0, -1):
+            ratio = (2 * l + 1) / x - inverse
+            inverse = 1.0 / ratio
+            if l <= len(ratios):
+                ratios[l - 1] = ratio
+        value = sin if abs(sin) >= abs(first) else first * ratios[0]
+        regular = [value]
+        for ratio in ratios[:l_max]:
+            value /= ratio
+            regular.append(value)
     lower, y = sin / x, -cos / x
     irregular = [y]
     for l in range(l_max):

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import ChiPolynomial, FluxDomainError, _chi_integers
+from .special import FluxDomainError, _chi_integers, chi_terms
 
 __all__ = [
     "IntegralCheckReport",
@@ -382,11 +382,12 @@ def integral_representation_check(j: int, l: int, z: float) -> IntegralCheckRepo
     if not (z > 0):
         raise ValueError("integral representation requires real z > 0")
     delta = j * (j + 1) - l * (l + 1)
-    p_conj = ChiPolynomial.for_order(l)
-    p_dir = ChiPolynomial.for_order(j)
 
     def integrand(t: float) -> float:
-        return (p_conj.series(-t) * p_dir.series(t)).real / (t * t)
+        # the series parts exp(+-t) chi(+-t): column sums of chi_terms at +-1/(2t)
+        conj = chi_terms(l, l, -0.5 / t)[:, l].sum()
+        direct = chi_terms(j, j, 0.5 / t)[:, j].sum()
+        return float(conj * direct) / (t * t)
 
     value, err = quad(integrand, z, np.inf, limit=300)
     closed = float(np.real(half_wronskian_exact(j, l, z)))

@@ -174,16 +174,18 @@ def test_h_coefficient_terminates(rng):
 def test_scattered_wave_equals_terminated_series(rng):
     cs = channel_set(2)
     f = raw_amplitude(rng, cs, 4)
-    k = cs.k("c1")
+    nhat = unit_from_angles(np.array([0.4, 2.2]), np.array([1.0, 4.4]))
     for r in (0.8, 3.0, 20.0):
-        for ang in ((0.4, 1.0), (2.2, 4.4)):
-            nhat = unit_from_angles(*ang)
-            exact = scattered_wave(f, cs, "c1", r, nhat)
-            series = scattered_wave_series(f, cs, "c1", r, nhat)
-            assert series == pytest.approx(exact, rel=1e-12)
-            # adding terms beyond the termination order changes nothing
-            longer = scattered_wave_series(f, cs, "c1", r, nhat, s_max=9)
-            assert longer == exact or longer == pytest.approx(exact, rel=1e-15)
+        exact = scattered_wave(f, cs, "c1", r, nhat)
+        assert exact.shape == (2,)
+        # the series terminates at l_max, so every cut at or past it is
+        # the exact wave bit for bit
+        for s_max in (None, 4, 5, 9):
+            series = scattered_wave_series(f, cs, "c1", r, nhat, s_max=s_max)
+            assert np.array_equal(series, exact)
+        for i in range(2):
+            single = scattered_wave(f, cs, "c1", r, nhat[i])
+            assert single == pytest.approx(exact[i], rel=1e-14)
 
 
 def test_scattered_wave_single_mode_chi_form():
@@ -194,6 +196,30 @@ def test_scattered_wave_single_mode_chi_form():
     k = 1.3
     expect = chi(2, -1j * k * r) / r * sph_harm(2, 0, nhat)
     assert scattered_wave(f, cs, "a", r, nhat) == pytest.approx(expect, rel=1e-14)
+
+
+def _series_by_h_coefficients(f, cs, beta, r, nhat, s_max):
+    # the order-by-order route: one coefficient amplitude and one harmonic
+    # evaluation per order of the distance expansion
+    k = cs.k(beta)
+    total = evaluate(f, beta, nhat)
+    for s in range(1, s_max + 1):
+        total = total + evaluate(h_coefficient(f, s), beta, nhat) / (-2j * k * r) ** s
+    return cmath.exp(1j * k * r) / r * total
+
+
+def test_scattered_wave_series_matches_the_h_coefficient_sum(rng):
+    cs = channel_set(3)
+    f = raw_amplitude(rng, cs, 8)
+    nhat = unit_from_angles(np.array([0.2, 1.1, 2.5, 3.0]), np.array([0.4, 3.3, 1.9, 6.0]))
+    worst = 0.0
+    for beta in cs.labels:
+        for r in (0.9, 5.0, 60.0):
+            for s_max in range(8):
+                got = scattered_wave_series(f, cs, beta, r, nhat, s_max=s_max)
+                expect = _series_by_h_coefficients(f, cs, beta, r, nhat, s_max)
+                worst = max(worst, float(np.max(np.abs(got - expect) / np.abs(expect))))
+    assert worst <= 1e-13
 
 
 # ----------------------------------------------------------------------

@@ -752,6 +752,10 @@ def test_optical_theorem_defects():
     assert optical_theorem_defect(real_f, channel_set(1)) == pytest.approx(1.0)
     empty = PartialWaveAmplitude({})
     assert optical_theorem_defect(empty, channel_set(1)) == 0.0
+    # squares below the float64 range: a nonzero amplitude must not read as empty
+    tiny = PartialWaveAmplitude({("c0", 0, 0): 1e-170, ("c0", 1, 0): -3e-171j})
+    with pytest.raises(FluxDomainError, match="underflows"):
+        optical_theorem_defect(tiny, channel_set(1))
 
 
 def test_optical_theorem_hard_sphere():

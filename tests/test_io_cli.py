@@ -485,6 +485,26 @@ def test_cli_check_hard_sphere_past_the_overflow_of_y_l(tmp_path, capsys):
     assert captured.err.startswith("domain error:")
 
 
+def test_cli_checks_refuse_a_cross_section_that_underflows(tmp_path, capsys):
+    # coefficients near 1e-307 square to 0.0: optical, conservation and
+    # two-path would divide by a zero cross section and pass untested
+    cfg = _write_config(
+        tmp_path,
+        {"amplitude": {"model": "random_unitary", "n_channels": 2, "l_max": 3, "k": [1e308, 1e308]}},
+    )
+    assert cli.main(["check", "all", "--config", str(cfg)]) == 4
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["check greens", "check unitarity"]
+    assert all(line.endswith("PASS") for line in lines)
+    assert captured.err.startswith("domain error:") and "underflows" in captured.err
+    for name in ("optical", "conservation", "two-path"):
+        assert cli.main(["check", name, "--config", str(cfg)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: summed cross section underflows")
+
+
 def test_cli_flux_domain_error_exit_code(tmp_path, capsys):
     # degree 40 at kR = 1e-3: the pair factors leave the float64 range
     (tmp_path / "high.json").write_text(

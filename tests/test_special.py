@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,7 +15,7 @@ from scipy.special import eval_legendre, sph_harm_y, spherical_jn, spherical_yn
 
 from nearfield.special import (
     AngularGrid,
-    ChiPolynomial,
+    _chi_table,
     _few_directions,
     _legendre_table,
     _radial_table,
@@ -89,12 +92,45 @@ def test_chi_matches_macdonald_oracle():
         assert chi(l, z) == pytest.approx(expect, rel=1e-12)
 
 
-def test_chi_polynomial_series_vs_evaluate():
-    poly = ChiPolynomial.for_order(4)
-    z = 1.3 - 0.8j
-    assert poly.evaluate(z) == pytest.approx(np.exp(-z) * poly.series(z), rel=1e-14)
+def test_chi_rejects_negative_order_and_the_origin():
     with pytest.raises(ValueError):
-        poly.series(0.0)
+        chi(-1, 1.0)
+    with pytest.raises(ValueError):
+        chi(3, 0.0)
+    with pytest.raises(ValueError):
+        chi(3, np.array([1.0 + 1.0j, 0.0]))
+
+
+def _scalar_chi_terms(l_max, s_max, u):
+    # reference for scalar u: the neighbour ratios scaled by u in one
+    # elementwise product, then one cumprod down the rows
+    s = np.arange(s_max)[:, None]
+    l = np.arange(l_max + 1)[None, :]
+    ratios = (l + s + 1) * (l - s) / (s + 1) * u
+    return np.concatenate([np.ones((1, l_max + 1)), np.cumprod(ratios, axis=0)])
+
+
+def test_chi_terms_at_array_u_stack_the_scalar_calls_bitwise():
+    u = 0.5 / np.array([[0.9 - 0.4j, -3.0j, 7.5j], [2.0 + 0.0j, 0.3 + 0.1j, -40.0j]])
+    for l_max, s_max in ((0, 0), (6, 3), (12, 12), (5, 9)):
+        terms = chi_terms(l_max, s_max, u)
+        assert terms.shape == (s_max + 1, l_max + 1, *u.shape)
+        for idx in np.ndindex(u.shape):
+            single = chi_terms(l_max, s_max, complex(u[idx]))
+            assert np.array_equal(terms[(slice(None), slice(None), *idx)], single)
+            assert np.array_equal(single, _scalar_chi_terms(l_max, s_max, complex(u[idx])))
+
+
+def test_chi_table_at_scalar_z_is_the_summed_scalar_terms_bitwise():
+    # the greens outer factors and the flux expansion rest on this sum
+    for z in (-1j * 0.7, -1j * 13.0, 1j * 250.0, 0.8 - 2.5j):
+        for l_max, s_max in ((0, 0), (8, 8), (30, 5), (60, 60)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _chi_table(l_max, z, s_max)
+                expect = np.exp(-z) * _scalar_chi_terms(l_max, s_max, 0.5 / z).sum(axis=0)
+            assert np.array_equal(got, expect, equal_nan=True)
+    # orders past l_max add nothing
+    assert np.array_equal(_chi_table(6, -2.0j, 40), _chi_table(6, -2.0j))
 
 
 def test_chi_terms_match_exact_coefficients():
@@ -208,6 +244,40 @@ def test_radial_table_regular_matches_mpmath():
             scale = max(abs(ref), 1.0) if l < x else abs(ref)
             if scale > 1e-280:
                 assert abs(psi[l] - ref) <= 1e-14 * scale * max(1.0, l / 10), (x, l)
+
+
+def test_radial_table_above_l_max_matches_mpmath():
+    # x > l_max puts every degree below the turning point l ~ x, where x j_l
+    # comes upward from sin x; errors are measured against |x h_l(x)|
+    cases = [(l_max, math.nextafter(float(l_max), math.inf)) for l_max in (1, 4, 30, 150)]
+    cases += [(30, 30.5), (150, 300.0), (12, 1e3), (4, 1e7), (2, 12345.678)]
+    for l_max, x in cases:
+        psi, y = _radial_table(l_max, x)
+        with mpmath.workdps(40):
+            for l in range(l_max + 1):
+                half = mpmath.sqrt(mpmath.pi * mpmath.mpf(x) / 2)
+                ref_j = half * mpmath.besselj(l + 0.5, x)
+                ref_y = half * mpmath.bessely(l + 0.5, x)
+                envelope = float(mpmath.sqrt(ref_j**2 + ref_y**2))
+                assert abs(psi[l] - float(ref_j)) <= 1e-14 * envelope, (x, l)
+                assert abs(x * y[l] - float(ref_y)) <= 1e-13 * envelope, (x, l)
+
+
+def test_hard_sphere_model_at_huge_ka_returns_promptly():
+    # x = k a far above l_max, where a Miller start loop would take about x
+    # steps; the timeout only guards against a hang
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from nearfield.amplitudes import hard_sphere_model\n"
+        "for args in ((1.0, 1e300, 4), (1, 1e7, 2)):\n"
+        "    m = hard_sphere_model(*args)\n"
+        "    assert m.l_max == args[2] and m.unitarity_defect() < 1e-14\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_legendre_table_matches_scipy():
