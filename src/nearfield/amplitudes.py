@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .special import (
-    _chi_integers, _chi_table, _radial_table, mode_degrees, mode_index, mode_list, ylm_directions
+    _chi_integers, _chi_table, _radial_table, mode_degrees, mode_list, ylm_directions
 )
 
 __all__ = [
@@ -150,31 +150,36 @@ class PartialWaveAmplitude:
     _dense: dict[str, np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        clean: dict[tuple[str, int, int], complex] = {}
-        for key, value in self.coefficients.items():
+        keys: list[tuple[str, int, int]] = []
+        labels: dict[str, int] = {}
+        rows: list[int] = []
+        positions: list[int] = []
+        for key in self.coefficients:
             try:
                 beta, l, m = key
             except (TypeError, ValueError):
                 raise ValueError(f"coefficient key {key!r} is not (channel, l, m)")
             if not isinstance(beta, str):
                 raise ValueError(f"exit channel {beta!r} must be a string label")
-            if not isinstance(l, int) or not isinstance(m, int) or l < 0 or abs(m) > l:
+            if not (isinstance(l, int) and isinstance(m, int) and -l <= m <= l):
                 raise ValueError(f"invalid mode indices (l={l!r}, m={m!r})")
-            value = complex(value)
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ValueError(f"coefficient at {key!r} is not finite")
-            clean[(beta, l, m)] = value
-        l_max = max((l for (_, l, _) in clean), default=0)
-        dense: dict[str, np.ndarray] = {}
-        for (beta, l, m), value in clean.items():
-            if beta not in dense:
-                dense[beta] = np.zeros((l_max + 1) ** 2, dtype=complex)
-            dense[beta][mode_index(l, m)] = value
-        for arr in dense.values():
-            arr.flags.writeable = False
-        object.__setattr__(self, "coefficients", clean)
+            keys.append((beta, l, m))
+            rows.append(labels.setdefault(beta, len(labels)))
+            positions.append(l * l + l + m)  # mode_index(l, m)
+        values = np.fromiter(
+            map(complex, self.coefficients.values()), dtype=complex, count=len(keys)
+        )
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"coefficient at {keys[int(np.argmin(finite))]!r} is not finite")
+        # position l*l + l + m has integer square root l
+        l_max = math.isqrt(max(positions, default=0))
+        table = np.zeros((len(labels), (l_max + 1) ** 2), dtype=complex)
+        table[rows, positions] = values
+        table.flags.writeable = False
+        object.__setattr__(self, "coefficients", dict(zip(keys, values.tolist())))
         object.__setattr__(self, "l_max", l_max)
-        object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "_dense", {beta: table[i] for beta, i in labels.items()})
 
     @property
     def exit_labels(self) -> tuple[str, ...]:

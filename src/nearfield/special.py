@@ -20,7 +20,7 @@ Every special function comes from a short recurrence in NumPy or ``math``:
 the neighbour ratios of the series integers for ``chi`` (``chi_terms``),
 Miller's downward recurrence for ``x j_l`` (Gautschi, SIAM Review 9, 1967;
 upward where ``x`` exceeds every degree),
-the upward one for ``y_l`` (DLMF 10.51.1), Bonnet's for ``P_l`` (DLMF
+the upward one for ``y_l`` and ``x h_l`` (DLMF 10.51.1), Bonnet's for ``P_l`` (DLMF
 14.10.3) and the normalized associated-Legendre recurrence for the harmonics
 (DLMF 14.10.3 with the ``m``-dependent normalization folded in).
 """
@@ -125,71 +125,131 @@ def _chi_table(l_max: int, z: complex | np.ndarray, s_max: int | None = None) ->
 
 
 def chi(l: int, z: complex | np.ndarray) -> complex | np.ndarray:
-    """Decaying free radial solution ``exp(-z) * sum_S c_S / (2z)**S``."""
+    """Decaying free radial solution ``exp(-z) * sum_S c_S / (2z)**S``.
+
+    Toward small ``|z|`` high orders leave the float64 range, which raises
+    ``FluxDomainError``.
+    """
     if l < 0:
         raise ValueError("order must be non-negative")
-    return _chi_table(l, z)[l]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _chi_table(l, z)[l]
+    finite = np.isfinite(value)
+    if not np.all(finite):
+        bad = np.asarray(z)[~finite][0]
+        raise FluxDomainError(
+            f"chi at l={l}, z={bad} is not finite: the series terms exceed the "
+            f"float64 limit {np.finfo(float).max:.4g}; lower l or raise |z|"
+        )
+    return value
 
 
-def _radial_table(l_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+def _upward(l_max: int, x: np.ndarray, f_0: np.ndarray, f_minus: np.ndarray) -> np.ndarray:
+    """Rows ``l <= l_max`` of ``f_{l+1} = (2l+1)/x f_l - f_{l-1}``.
+
+    Started from ``f_0`` and ``f_{-1} = f_minus``, one step per degree for
+    all arguments of the 1-d ``x`` at once; an overflow leaves non-finite
+    entries, without a warning.
+    """
+    out = np.empty((l_max + 1, x.size), dtype=np.result_type(f_0, f_minus))
+    out[0] = f_0
+    lower = f_minus
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, step in enumerate((2 * np.arange(l_max) + 1)[:, None] / x):
+            np.multiply(step, out[l], out=out[l + 1])
+            out[l + 1] -= lower
+            lower = out[l]
+    return out
+
+
+def _radial_table(l_max: int, x: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Regular ``x j_l(x)`` and irregular ``y_l(x)`` for ``l <= l_max``, ``x > 0``.
 
-    ``x j_l`` solves ``f_{l+1} = (2l+1)/x f_l - f_{l-1}``.  Where ``x >
-    l_max`` every degree lies below the turning point ``l ~ x``, both
-    solutions oscillate there, and the recurrence runs upward from ``sin x``
-    and ``sin x / x - cos x``.  Otherwise ``x j_l`` is the minimal solution
-    past the turning point, so it comes from Miller's downward recurrence
-    (Gautschi 1967), run on the ratios ``r_l = f_l / f_{l+1}``: started
-    from ``f = 0`` above ``max(l_max, x)`` with a margin for the
-    turning-point region, it cannot leave the float64 range on the way
-    down.  The values then follow upward from whichever closed form is
-    larger, ``sin x`` (degree 0) or ``sin x / x - cos x`` (degree 1), and
-    underflow to zero where they must.  ``y_l`` is the dominant solution
-    and runs upward from ``y_0 = -cos x / x`` and ``y_{-1} = sin x / x``;
-    past the float64 range it is ``-inf``.  Plain float loops: at the sizes
-    of one kernel or phase-shift evaluation they beat vector operations.
+    Both tables have shape ``(l_max + 1, *np.shape(x))``; the regular one
+    is ``_regular_table``.  ``y_l`` is the dominant solution of ``f_{l+1} =
+    (2l+1)/x f_l - f_{l-1}`` and runs upward from ``y_0 = -cos x / x`` and
+    ``y_{-1} = sin x / x``, one step per degree for all arguments at once;
+    past the float64 range it is ``-inf``.
     """
-    x = float(x)
-    sin, cos = math.sin(x), math.cos(x)
-    first = sin / x - cos
-    if x > l_max:
-        regular = [sin, first][: l_max + 1]
-        for l in range(1, l_max):
-            regular.append((2 * l + 1) / x * regular[-1] - regular[-2])
-    else:
-        top = max(l_max, math.ceil(x + 10.0 * x ** (1.0 / 3.0))) + 20
-        ratios = [0.0] * max(l_max, 1)
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    irregular = _upward(l_max, flat, -np.cos(flat) / flat, np.sin(flat) / flat)
+    # y_l < 0 past the turning point, the only place it can overflow; the
+    # step after -inf is inf - inf
+    irregular[np.isnan(irregular)] = -np.inf
+    return _regular_table(l_max, x), irregular.reshape(l_max + 1, *x.shape)
+
+
+def _regular_table(l_max: int, x: float | np.ndarray) -> np.ndarray:
+    """Regular ``x j_l(x)`` for ``l <= l_max``, ``x > 0``.
+
+    Shape ``(l_max + 1, *np.shape(x))``. ``x j_l`` solves ``f_{l+1} =
+    (2l+1)/x f_l - f_{l-1}``, one step per degree for all arguments at once.
+    Where ``x > l_max`` every degree lies below the turning point ``l ~ x``,
+    the solutions oscillate there, and the recurrence runs upward from ``x
+    j_0 = sin x`` and ``x j_{-1} = cos x``. Otherwise ``x j_l`` is the
+    minimal solution past the turning point, so it comes from Miller's
+    downward recurrence (Gautschi 1967), run on the ratios ``r_l = f_l /
+    f_{l+1}``: started from ``f = 0`` above ``max(l_max, x)`` with a margin
+    for the turning-point region (one start for all such arguments, set by
+    the largest), it cannot leave the float64 range on the way down. The
+    values then follow upward from whichever closed form is larger, ``sin
+    x`` (degree 0) or ``sin x / x - cos x`` (degree 1), and underflow to
+    zero where they must.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    sin, cos = np.sin(flat), np.cos(flat)
+    regular = np.empty((l_max + 1, flat.size))
+    up = flat > l_max
+    if up.any():
+        regular[:, up] = _upward(l_max, flat[up], sin[up], cos[up])
+    down = ~up
+    if down.any():
+        xd = flat[down]
+        big = float(xd.max())
+        top = max(l_max, math.ceil(big + 10.0 * big ** (1.0 / 3.0))) + 20
+        # row l-1 becomes r_{l-1} = (2l+1)/x - 1/r_l, from r_top = (2 top + 1)/x down
+        ratios = (2 * np.arange(1, top + 1) + 1)[:, None] / xd
         inverse = 0.0
-        for l in range(top, 0, -1):
-            ratio = (2 * l + 1) / x - inverse
+        for ratio in ratios[::-1]:
+            ratio -= inverse
             inverse = 1.0 / ratio
-            if l <= len(ratios):
-                ratios[l - 1] = ratio
-        value = sin if abs(sin) >= abs(first) else first * ratios[0]
-        regular = [value]
-        for ratio in ratios[:l_max]:
-            value /= ratio
-            regular.append(value)
-    lower, y = sin / x, -cos / x
-    irregular = [y]
-    for l in range(l_max):
-        lower, y = y, (2 * l + 1) / x * y - lower
-        if math.isinf(y):
-            irregular += [y] * (l_max - l)
-            break
-        irregular.append(y)
-    return np.array(regular), np.array(irregular)
+        zeroth, first = sin[down], sin[down] / xd - cos[down]
+        start = np.where(np.abs(zeroth) >= np.abs(first), zeroth, first * ratios[0])
+        regular[:, down] = np.divide.accumulate(
+            np.concatenate([start[None], ratios[:l_max]]), axis=0
+        )
+    return regular.reshape(l_max + 1, *x.shape)
 
 
-def _legendre_table(l_max: int, c: float) -> np.ndarray:
-    """Legendre polynomials ``P_l(c)`` for ``l <= l_max`` by Bonnet's recurrence."""
-    c = float(c)
-    lower, p = 0.0, 1.0
-    out = [p]
+def _hankel_table(l_max: int, x: np.ndarray) -> np.ndarray:
+    """``x h_l(x) = x j_l(x) + i x y_l(x)`` for ``l <= l_max`` at a 1-d array of ``x > 0``.
+
+    The dominant solution of the radial recurrence, so it runs upward from
+    ``x h_0 = -i e^{ix}`` and ``x h_{-1} = e^{ix}`` (DLMF 10.51.1): a
+    degree's value does not depend on ``l_max``.  Past the turning point
+    the real part is the minimal ``x j_l`` and keeps only an absolute
+    accuracy of a few ulp of ``|x h_l|``, which is all a product with the
+    inner factor needs.  Past the float64 range the entries are not finite.
+    """
+    cos, sin = np.cos(x), np.sin(x)
+    return _upward(l_max, x, sin - 1j * cos, cos + 1j * sin)
+
+
+def _legendre_table(l_max: int, c: float | np.ndarray) -> np.ndarray:
+    """Legendre polynomials ``P_l(c)`` for ``l <= l_max`` by Bonnet's recurrence.
+
+    Shape ``(l_max + 1, *np.shape(c))``, one step per degree for all ``c``.
+    """
+    c = np.asarray(c, dtype=float)
+    out = np.empty((l_max + 1, *c.shape))
+    lower, p = 0.0, np.ones_like(c)
+    out[0] = p
     for l in range(l_max):
         lower, p = p, ((2 * l + 1) * c * p - l * lower) / (l + 1)
-        out.append(p)
-    return np.array(out)
+        out[l + 1] = p
+    return out
 
 
 def regular_psi(l: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -202,8 +262,7 @@ def regular_psi(l: int, x: float | np.ndarray) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("argument must be positive")
-    out = np.array([_radial_table(l, v)[0][l] for v in x.ravel().tolist()])
-    out = out.reshape(x.shape)
+    out = _regular_table(l, x)[l]
     return out if out.ndim else out[()]
 
 

@@ -75,19 +75,13 @@ def test_multipole_matches_point_battery(rng):
     # fixed truncation at 60 converges only while the turning point
     # l ~ kr + 7 kr^(1/3) stays below it, so assert it for kr <= 35 and
     # cover the rest of the domain at a truncation past the turning point
-    worst_fixed = 0.0
-    worst_past = 0.0
-    for sign in (1, -1):
-        for _ in range(20):
-            q = _random_query(rng, sign)
-            exact = greens_point(q)
-            if q.k * q.small_r <= 35.0:
-                got = greens_multipole(q, l_max=60)
-                worst_fixed = max(worst_fixed, abs(got - exact) / abs(exact))
-            got = greens_multipole(q, l_max=90)
-            worst_past = max(worst_past, abs(got - exact) / abs(exact))
-    assert worst_fixed < 1e-9
-    assert worst_past < 1e-9
+    queries = [_random_query(rng, sign) for sign in (1, -1) for _ in range(20)]
+    exact = np.array([greens_point(q) for q in queries])
+    fixed = np.array([q.k * q.small_r <= 35.0 for q in queries])
+    got_fixed = greens_multipole([q for q, f in zip(queries, fixed) if f], l_max=60)
+    got_past = greens_multipole(queries, l_max=90)
+    assert np.max(np.abs(got_fixed - exact[fixed]) / np.abs(exact[fixed])) < 1e-9
+    assert np.max(np.abs(got_past - exact) / np.abs(exact)) < 1e-9
 
 
 def test_sign_flip_is_conjugation(rng):
@@ -145,13 +139,9 @@ def test_default_cutoff_battery():
     # auto_l_max must hold the tail below 1e-9 over the whole documented
     # domain, including small k*r where it decays only like (r/R)**l
     rng = np.random.default_rng(31)
-    worst = 0.0
-    for sign in (1, -1):
-        for _ in range(250):
-            q = _random_query(rng, sign)
-            exact = greens_point(q)
-            worst = max(worst, abs(greens_multipole(q) - exact) / abs(exact))
-    assert worst < 1e-9
+    queries = [_random_query(rng, sign) for sign in (1, -1) for _ in range(250)]
+    exact = np.array([greens_point(q) for q in queries])
+    assert np.max(np.abs(greens_multipole(queries) - exact) / np.abs(exact)) < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -169,6 +159,44 @@ def test_default_cutoff_edges(k_r, ratio):
     )
     exact = greens_point(q)
     assert abs(greens_multipole(q) - exact) / abs(exact) < 1e-12
+
+
+def test_outer_factors_hold_past_the_turning_point():
+    # at k|x| = 50 the cutoff reaches degree 166, far past kR = 100, where
+    # the series sum_s c_s/(2z)^s of the outer factor cancels from 1e18
+    # terms; summed that way the kernel was off by 4-5e-12
+    geometries = [((0.4, 2.0), (2.2, 5.1)), ((1.3, 0.3), (1.9, 4.0)), ((2.8, 5.5), (0.6, 1.2))]
+    for (t_big, p_big), (t_small, p_small) in geometries:
+        for sign in (1, -1):
+            q = GreensQuery(
+                k=1.0,
+                R_vec=100.0 * unit_from_angles(t_big, p_big),
+                x_vec=50.0 * unit_from_angles(t_small, p_small),
+                sign=sign,
+            )
+            exact = greens_point(q)
+            assert abs(greens_multipole(q) - exact) / abs(exact) < 1e-13
+
+
+def test_sequence_of_queries_matches_single_calls():
+    # mixed default cutoffs (31 to 166) and a source at the origin, whose
+    # cutoff of 30 reduces to the degree-0 mode
+    rng = np.random.default_rng(8)
+    queries = [_random_query(rng, sign, k_hi=6.0) for sign in (1, -1) for _ in range(8)]
+    queries.insert(3, GreensQuery(k=1.7, R_vec=np.array([2.0, -1.0, 2.0]), x_vec=np.zeros(3)))
+    assert len({auto_l_max(q.k, q.small_r) for q in queries}) > 10
+    for batch, single in (
+        (greens_multipole(queries), [greens_multipole(q) for q in queries]),
+        (greens_multipole(queries, l_max=40), [greens_multipole(q, l_max=40) for q in queries]),
+        (greens_asymptotic(queries, s_max=3), [greens_asymptotic(q, s_max=3) for q in queries]),
+    ):
+        assert isinstance(single[0], complex)
+        assert batch.shape == (len(queries),)
+        single = np.array(single)
+        assert np.all(np.abs(batch - single) <= 1e-15 * np.abs(single))
+    assert greens_multipole([]).shape == (0,)
+    with pytest.raises(TypeError):
+        greens_multipole([queries[0], 1.0])
 
 
 def test_auto_l_max_monotone():
@@ -260,3 +288,8 @@ def test_multipole_overflow_raises_typed_error():
     with pytest.raises(FluxDomainError):
         greens_asymptotic(query, s_max=200, l_max=200)
     assert np.isfinite(greens_multipole(query))
+    # inside a batch whose other queries stay finite at the same cutoff
+    other = GreensQuery(k=1.0, R_vec=np.array([0.0, 0.0, 9.0]), x_vec=np.array([3.0, 0.0, 0.0]))
+    assert np.isfinite(greens_multipole(other, l_max=200))
+    with pytest.raises(FluxDomainError, match="l_max=200"):
+        greens_multipole([other, query, other], l_max=200)

@@ -15,8 +15,10 @@ from scipy.special import eval_legendre, sph_harm_y, spherical_jn, spherical_yn
 
 from nearfield.special import (
     AngularGrid,
+    FluxDomainError,
     _chi_table,
     _few_directions,
+    _hankel_table,
     _legendre_table,
     _radial_table,
     _ylm_point,
@@ -99,6 +101,17 @@ def test_chi_rejects_negative_order_and_the_origin():
         chi(3, 0.0)
     with pytest.raises(ValueError):
         chi(3, np.array([1.0 + 1.0j, 0.0]))
+
+
+def test_chi_past_the_float_range_raises_typed_error():
+    # toward small |z| the series leaves the float64 range; chi used to
+    # return nan or inf with a RuntimeWarning, which this suite makes an error
+    for l, z in ((150, 0.01j), (300, 1.0)):
+        with pytest.raises(FluxDomainError, match=f"l={l}, z={z}"):
+            chi(l, z)
+    with pytest.raises(FluxDomainError, match=r"z=0\.01j"):
+        chi(150, np.array([2.0j, 0.01j]))
+    assert np.isfinite(chi(150, 2.0j))
 
 
 def _scalar_chi_terms(l_max, s_max, u):
@@ -216,6 +229,12 @@ def test_radial_table_matches_scipy():
         psi_scale = np.where(ls < x, envelope, np.abs(psi_ref))
         assert np.all(np.abs(psi - psi_ref) <= 5e-13 * psi_scale), x
         assert np.all(np.abs(x * (y - y_ref)) <= 1e-13 * envelope), x
+    # the upward x h_l: both parts to the same envelope, the minimal real
+    # part past l ~ x only in that absolute sense
+    for x, hankel in zip(xs, _hankel_table(100, xs).T):
+        psi_ref, y_ref = _scipy_psi_y(100, x)
+        envelope = np.hypot(psi_ref, x * y_ref)
+        assert np.all(np.abs(hankel - (psi_ref + 1j * x * y_ref)) <= 1e-13 * envelope), x
 
 
 def test_radial_table_underflow_side_matches_scipy():
@@ -261,6 +280,24 @@ def test_radial_table_above_l_max_matches_mpmath():
                 envelope = float(mpmath.sqrt(ref_j**2 + ref_y**2))
                 assert abs(psi[l] - float(ref_j)) <= 1e-14 * envelope, (x, l)
                 assert abs(x * y[l] - float(ref_y)) <= 1e-13 * envelope, (x, l)
+
+
+def test_radial_table_at_array_x_stacks_the_scalar_calls():
+    # one pass over the degrees for arguments on both sides of l_max: the
+    # Miller start is shared, which moves a converged ratio by an ulp at most
+    xs = np.array([[1e-3, 0.5, 3.0, 17.25], [29.5, 31.0, 55.0, 120.0]])
+    for l_max in (0, 1, 5, 30, 100):
+        psi, y = _radial_table(l_max, xs)
+        assert psi.shape == y.shape == (l_max + 1, *xs.shape)
+        for idx in np.ndindex(xs.shape):
+            psi_1, y_1 = _radial_table(l_max, xs[idx])
+            assert np.all(np.abs(psi[(slice(None), *idx)] - psi_1) <= 1e-15 * np.abs(psi_1))
+            assert np.array_equal(y[(slice(None), *idx)], y_1)
+    c = np.array([[0.3, -1.0], [0.999, 0.0]])
+    table = _legendre_table(40, c)
+    assert table.shape == (41, 2, 2)
+    for idx in np.ndindex(c.shape):
+        assert np.array_equal(table[(slice(None), *idx)], _legendre_table(40, c[idx]))
 
 
 def test_hard_sphere_model_at_huge_ka_returns_promptly():
