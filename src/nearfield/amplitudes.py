@@ -1,8 +1,9 @@
 """Multichannel partial-wave amplitudes and unitary test-amplitude generators.
 
-An amplitude here is the finite partial-wave content of an exit wave: a
-sparse map ``(exit_channel, l, m) -> complex`` such that the angular
-amplitude for exit channel ``beta`` is ``f_beta(nhat) = sum B_{lm} Y_l^m``.
+An amplitude here is the finite partial-wave content of an exit wave: the
+coefficients ``B_{beta}^{lm}`` such that the angular amplitude for exit
+channel ``beta`` is ``f_beta(nhat) = sum B_{lm} Y_l^m``, stored as one
+table with a row per exit channel and a column per mode ``(l, m)``.
 Channels carry wavenumbers and an entrance label; flux weights are either
 wavenumber ratios or, for rearrangement-style weighting, velocity ratios.
 
@@ -14,8 +15,8 @@ satisfy it exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -135,98 +136,129 @@ class ChannelSet:
 # amplitudes
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PartialWaveAmplitude:
-    """Sparse partial-wave coefficients keyed by ``(exit_label, l, m)``.
+    """Partial-wave coefficients ``B_{beta}^{lm}``, stored as one read-only table.
 
-    Immutable; all transformations return new instances.  ``l_max`` is the
-    largest populated degree (0 for the empty amplitude).  Construction also
-    lays each exit channel's coefficients out in ``mode_list`` order, which
-    ``dense`` hands out without another pass over the dict.
+    ``table[i, mode_index(l, m)]`` is the coefficient of ``exit_labels[i]``;
+    labels are sorted, and only those with a nonzero coefficient have a row.
+    ``l_max`` is the largest degree with one (0 if none), so amplitudes are
+    equal exactly when their labels and tables are.  The constructor takes
+    ``{(exit_label, l, m): value}``, where a zero adds nothing.  Immutable.
     """
 
-    coefficients: Mapping[tuple[str, int, int], complex] = field(default_factory=dict)
-    l_max: int = field(init=False, compare=False, repr=False)
-    _dense: dict[str, np.ndarray] = field(init=False, compare=False, repr=False)
+    exit_labels: tuple[str, ...]
+    table: np.ndarray
+    l_max: int
 
-    def __post_init__(self) -> None:
-        keys: list[tuple[str, int, int]] = []
-        labels: dict[str, int] = {}
-        rows: list[int] = []
-        positions: list[int] = []
-        for key in self.coefficients:
-            try:
-                beta, l, m = key
-            except (TypeError, ValueError):
-                raise ValueError(f"coefficient key {key!r} is not (channel, l, m)")
-            if not isinstance(beta, str):
-                raise ValueError(f"exit channel {beta!r} must be a string label")
-            if not (isinstance(l, int) and isinstance(m, int) and -l <= m <= l):
-                raise ValueError(f"invalid mode indices (l={l!r}, m={m!r})")
-            keys.append((beta, l, m))
-            rows.append(labels.setdefault(beta, len(labels)))
-            positions.append(l * l + l + m)  # mode_index(l, m)
-        values = np.fromiter(
-            map(complex, self.coefficients.values()), dtype=complex, count=len(keys)
-        )
-        finite = np.isfinite(values)
+    def __init__(self, coefficients: Mapping[tuple[str, int, int], complex] | None = None):
+        coefficients = coefficients or {}
+        keys = list(coefficients)
+        for key in keys:
+            if not (isinstance(key, tuple) and len(key) == 3 and isinstance(key[0], str)):
+                raise ValueError(f"coefficient key {key!r} is not (exit label, l, m)")
+            if not (isinstance(key[1], int) and isinstance(key[2], int)):
+                raise ValueError(f"invalid mode indices in key {key!r}")
+        labels = list(dict.fromkeys(beta for beta, _, _ in keys))
+        l, m = np.array([key[1:] for key in keys], dtype=np.int64).reshape(-1, 2).T
+        invalid = ~((-l <= m) & (m <= l))
+        if invalid.any():
+            raise ValueError(f"invalid mode indices in key {keys[np.argmax(invalid)]!r}")
+        table = np.zeros((len(labels), (int(l.max(initial=0)) + 1) ** 2), dtype=complex)
+        values = np.fromiter(map(complex, coefficients.values()), dtype=complex, count=len(keys))
+        table[[labels.index(beta) for beta, _, _ in keys], l * l + l + m] = values
+        self._store(tuple(labels), table)
+
+    @classmethod
+    def _from_table(cls, labels: Sequence[str], table: np.ndarray) -> "PartialWaveAmplitude":
+        amplitude = cls.__new__(cls)
+        amplitude._store(tuple(labels), np.asarray(table, dtype=complex))
+        return amplitude
+
+    def _store(self, labels: tuple[str, ...], table: np.ndarray) -> None:
+        """The one validation path of every builder: check, then keep the canonical form."""
+        n_rows, width = table.shape
+        if n_rows != len(labels) or not 0 < width == math.isqrt(width) ** 2:
+            raise ValueError(f"table of shape {table.shape} is not labels by (l_max+1)**2 modes")
+        finite = np.isfinite(table)
         if not finite.all():
-            raise ValueError(f"coefficient at {keys[int(np.argmin(finite))]!r} is not finite")
+            row, position = divmod(int(np.argmin(finite)), width)
+            key = (labels[row], *mode_list(math.isqrt(width) - 1)[position])
+            raise ValueError(f"coefficient at {key!r} is not finite")
+        nonzero = table != 0
+        kept = sorted(np.flatnonzero(nonzero.any(axis=1)), key=lambda i: labels[i])
+        used = np.flatnonzero(nonzero.any(axis=0))
         # position l*l + l + m has integer square root l
-        l_max = math.isqrt(max(positions, default=0))
-        table = np.zeros((len(labels), (l_max + 1) ** 2), dtype=complex)
-        table[rows, positions] = values
-        table.flags.writeable = False
-        object.__setattr__(self, "coefficients", dict(zip(keys, values.tolist())))
+        l_max = math.isqrt(int(used[-1])) if used.size else 0
+        canonical = table[kept, : (l_max + 1) ** 2]
+        canonical[canonical == 0] = 0  # +0, the 0.0 that an absent key adds in a sum
+        canonical.flags.writeable = False
+        object.__setattr__(self, "exit_labels", tuple(labels[i] for i in kept))
+        object.__setattr__(self, "table", canonical)
         object.__setattr__(self, "l_max", l_max)
-        object.__setattr__(self, "_dense", {beta: table[i] for beta, i in labels.items()})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PartialWaveAmplitude):
+            return NotImplemented
+        return self.exit_labels == other.exit_labels and np.array_equal(self.table, other.table)
 
     @property
-    def exit_labels(self) -> tuple[str, ...]:
-        return tuple(sorted({beta for (beta, _, _) in self.coefficients}))
+    def coefficients(self) -> dict[tuple[str, int, int], complex]:
+        """The nonzero coefficients as ``{(exit_label, l, m): value}``, in table order."""
+        modes = mode_list(self.l_max)
+        rows, positions = np.nonzero(self.table)
+        values = self.table[rows, positions].tolist()
+        return {
+            (self.exit_labels[i], *modes[p]): value
+            for i, p, value in zip(rows.tolist(), positions.tolist(), values)
+        }
 
     def coefficient(self, beta: str, l: int, m: int) -> complex:
-        return self.coefficients.get((beta, l, m), 0.0 + 0.0j)
+        inside = 0 <= l <= self.l_max and -l <= m <= l
+        return complex(self.dense(beta)[l * l + l + m]) if inside else 0.0 + 0.0j
 
-    def dense(self, beta: str, l_max: int | None = None) -> np.ndarray:
-        """Read-only coefficients of exit channel ``beta`` in ``mode_list`` order.
+    def rows(self, labels: Sequence[str], l_max: int | None = None) -> np.ndarray:
+        """Read-only rows of ``labels``, cut at or zero-padded to degree ``l_max``.
 
-        Cut at, or zero-padded to, degree ``l_max`` (default: the
-        amplitude's own).
-        """
-        if l_max is None:
-            l_max = self.l_max
-        n = (l_max + 1) ** 2
-        own = self._dense.get(beta)
-        if own is not None and own.size >= n:
-            return own[:n]
-        out = np.zeros(n, dtype=complex)
-        if own is not None:
-            out[: own.size] = own
+        Absent labels read as zeros; a run of the table's rows is a view of it."""
+        n = ((self.l_max if l_max is None else l_max) + 1) ** 2
+        width = self.table.shape[1]
+        index = [self.exit_labels.index(b) if b in self.exit_labels else -1 for b in labels]
+        start = min(index, default=0)
+        if start >= 0 and n <= width and index == list(range(start, start + len(index))):
+            return self.table[start : start + len(index), :n]
+        padded = np.zeros((len(self.exit_labels) + 1, max(n, width)), dtype=complex)
+        padded[:-1, :width] = self.table  # row -1 stays zero, for absent labels
+        out = padded[index, :n]
         out.flags.writeable = False
         return out
 
-    def map_modes(
-        self, multiplier: Callable[[int], complex | float]
-    ) -> "PartialWaveAmplitude":
-        """New amplitude with each coefficient scaled by ``multiplier(l)``."""
-        return PartialWaveAmplitude(
-            {
-                key: value * multiplier(key[1])
-                for key, value in self.coefficients.items()
-            }
-        )
+    def dense(self, beta: str, l_max: int | None = None) -> np.ndarray:
+        """``rows((beta,), l_max)[0]``: the coefficients of exit channel ``beta``."""
+        return self.rows((beta,), l_max)[0]
+
+    def map_modes(self, multiplier: Callable[[int], complex | float]) -> "PartialWaveAmplitude":
+        """New amplitude with each coefficient times ``multiplier(l)``, called once per l."""
+        factors = np.array([multiplier(l) for l in range(self.l_max + 1)], dtype=complex)
+        scaled = _product(self.table, factors[mode_degrees(self.l_max)])
+        return self._from_table(self.exit_labels, scaled)
 
     def __add__(self, other: "PartialWaveAmplitude") -> "PartialWaveAmplitude":
-        out = dict(self.coefficients)
-        for key, value in other.coefficients.items():
-            out[key] = out.get(key, 0.0) + value
-        return PartialWaveAmplitude(out)
+        labels = sorted(set(self.exit_labels) | set(other.exit_labels))
+        l_max = max(self.l_max, other.l_max)
+        return self._from_table(labels, self.rows(labels, l_max) + other.rows(labels, l_max))
 
     def scaled(self, factor: complex) -> "PartialWaveAmplitude":
-        return PartialWaveAmplitude(
-            {key: value * factor for key, value in self.coefficients.items()}
-        )
+        return self._from_table(self.exit_labels, _product(self.table, factor))
+
+
+def _product(a: np.ndarray, b) -> np.ndarray:
+    """``a * b``, rounded as Python's complex product: NumPy's may fuse a multiply-add."""
+    b = np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def evaluate(
@@ -404,13 +436,23 @@ def amplitudes_from_smatrix(
     general direction is the rigid rotation of those multiplets, which is
     exactly what the conjugated harmonic factor implements.  All exit
     channels and modes come from one array expression over one harmonic
-    table at ``kappa_hat``; exact zeros are left out of the result.
+    table at ``kappa_hat``, which is the amplitude's table.
     """
+    _require_unitary(model, channels, unitarity_tolerance)
+    return _smatrix_amplitude(model, channels, kappa_hat)
+
+
+def _require_unitary(model: SMatrixModel, channels: ChannelSet, tolerance: float) -> None:
+    """The gate of ``amplitudes_from_smatrix``: matching channels, unitary blocks."""
     if model.n_channels != len(channels.channels):
         raise ValueError("model channel count does not match channel set")
     defect = model.unitarity_defect()
-    if not defect <= unitarity_tolerance:
+    if not defect <= tolerance:
         raise ValueError(f"model is not unitary: defect {defect:.3e}")
+
+
+def _smatrix_amplitude(model: SMatrixModel, channels: ChannelSet, kappa_hat):
+    """``amplitudes_from_smatrix`` past its gate: the table from one array expression."""
     table = ylm_directions(model.l_max, kappa_hat)[:, 0]
     idx_in = channels.labels.index(channels.entrance)
     k_in = channels.entrance_channel.k
@@ -420,10 +462,7 @@ def amplitudes_from_smatrix(
     root = np.array([_root_product(k_in, c.k) for c in channels.channels])
     # dividing by 2i alone is exact and keeps 2 sqrt(k k') from overflowing
     values = 4.0 * np.pi * t * np.conj(table) / 2j / root[:, None]
-    keys = [(label, l, m) for label in channels.labels for l, m in mode_list(model.l_max)]
-    return PartialWaveAmplitude(
-        {key: value for key, value in zip(keys, values.ravel().tolist()) if value != 0}
-    )
+    return PartialWaveAmplitude._from_table(channels.labels, values)
 
 
 def _root_product(a: float, b: float) -> float:
@@ -439,12 +478,12 @@ def smatrix_amplitude_family(
 
     Returns ``family(entrance_label, incident_direction)``; the bilinear
     conservation identity couples amplitudes with different entrances and
-    incident directions, which a single amplitude cannot supply.
+    incident directions, which a single amplitude cannot supply.  The
+    unitarity gate of ``amplitudes_from_smatrix`` runs once, here.
     """
+    _require_unitary(model, channels, 1e-10)
 
     def family(entrance: str, kappa_hat) -> PartialWaveAmplitude:
-        return amplitudes_from_smatrix(
-            model, channels.with_entrance(entrance), kappa_hat
-        )
+        return _smatrix_amplitude(model, channels.with_entrance(entrance), kappa_hat)
 
     return family

@@ -85,83 +85,53 @@ def cmd_flux(config: RunConfig) -> int:
     profile = flux_profile(source.f, source.channels, config.r_values, grid=grid)
 
     labels = source.channels.labels
+    far = float(profile.far_field_total)
+    head = {
+        "amplitude": source.description,
+        "entrance": source.channels.entrance,
+        "grid_order": grid.order,
+        "far_field_total": far,
+        "cross_section_total": far,
+    }
+    r_values = profile.r_values.tolist()
+    kr = np.multiply.outer(profile.r_values, [source.channels.k(label) for label in labels])
+    columns = ("total_flux", "differential_min", "differential_max")
+    values = np.column_stack([profile.total, profile.diff_min, profile.diff_max]).tolist()
+    nodes = list(zip(grid.theta.tolist(), grid.phi.tolist())) if config.per_angle else []
     if config.format == "json":
-        rows = []
-        for i, r in enumerate(profile.r_values):
-            rows.append(
-                {
-                    "R": float(r),
-                    "kR": {
-                        label: float(source.channels.k(label) * r) for label in labels
-                    },
-                    "total_flux": float(profile.total[i]),
-                    "differential_min": float(profile.diff_min[i]),
-                    "differential_max": float(profile.diff_max[i]),
-                    "within_validity": bool(profile.validity[i]),
-                }
-            )
-        doc = {
-            "amplitude": source.description,
-            "entrance": source.channels.entrance,
-            "grid_order": grid.order,
-            "far_field_total": float(profile.far_field_total),
-            "cross_section_total": float(profile.far_field_total),
-            "rows": rows,
-        }
+        rows = [
+            {"R": r, "kR": dict(zip(labels, kr[i].tolist()))}
+            | dict(zip(columns, values[i]))
+            | {"within_validity": bool(profile.validity[i])}
+            for i, r in enumerate(r_values)
+        ]
+        doc = head | {"rows": rows}
         if config.per_angle:
-            theta, phi = grid.theta, grid.phi
             doc["angles"] = [
                 {
-                    "R": float(r),
+                    "R": r,
                     "samples": [
-                        {
-                            "theta": float(theta[a]),
-                            "phi": float(phi[a]),
-                            "flux": float(profile.samples[i, a]),
-                        }
-                        for a in range(grid.n_nodes)
+                        {"theta": theta, "phi": phi, "flux": flux}
+                        for (theta, phi), flux in zip(nodes, profile.samples[i].tolist())
                     ],
                 }
-                for i, r in enumerate(profile.r_values)
+                for i, r in enumerate(r_values)
             ]
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        lines = [
-            f"# amplitude: {source.description}",
-            f"# entrance: {source.channels.entrance}",
-            f"# grid_order: {grid.order}",
-            f"# far_field_total: {_fmt(profile.far_field_total)}",
-            f"# cross_section_total: {_fmt(profile.far_field_total)}",
-        ]
-        header = ["R"]
-        header += [f"kR_{label}" for label in labels]
-        header += ["total_flux", "differential_min", "differential_max", "within_validity"]
+        lines = [f"# {key}: {v if isinstance(v, str) else _fmt(v)}" for key, v in head.items()]
+        header = ["R", *(f"kR_{label}" for label in labels), *columns, "within_validity"]
         lines.append(",".join(header))
-        for i, r in enumerate(profile.r_values):
-            row = [_fmt(r)]
-            row += [_fmt(source.channels.k(label) * r) for label in labels]
-            row += [
-                _fmt(profile.total[i]),
-                _fmt(profile.diff_min[i]),
-                _fmt(profile.diff_max[i]),
-                "1" if profile.validity[i] else "0",
-            ]
-            lines.append(",".join(row))
+        for i, r in enumerate(r_values):
+            flag = "1" if profile.validity[i] else "0"
+            lines.append(",".join(map(_fmt, [r, *kr[i], *values[i]])) + "," + flag)
         if config.per_angle:
-            lines.append("# per-angle samples")
-            lines.append("R,theta,phi,flux")
-            for i, r in enumerate(profile.r_values):
-                for a in range(grid.n_nodes):
-                    lines.append(
-                        ",".join(
-                            (
-                                _fmt(r),
-                                _fmt(grid.theta[a]),
-                                _fmt(grid.phi[a]),
-                                _fmt(profile.samples[i, a]),
-                            )
-                        )
-                    )
+            lines += ["# per-angle samples", "R,theta,phi,flux"]
+            lines += [
+                ",".join(map(_fmt, (r, theta, phi, flux)))
+                for i, r in enumerate(r_values)
+                for (theta, phi), flux in zip(nodes, profile.samples[i].tolist())
+            ]
         text = "\n".join(lines) + "\n"
 
     if config.out is None:
@@ -235,22 +205,27 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 # check
 # ----------------------------------------------------------------------
 
+def _greens_battery(seed: int) -> list[GreensQuery]:
+    """The 48 queries of ``check greens``: 24 geometries of seven draws each, in
+    one array (``k``, ``k |R|``, ``|x| / |R|``, ``cos theta`` and ``phi`` of both
+    points), queried with both signs."""
+    rng = np.random.default_rng(seed + 17)
+    low = (0.3, 2.0, 0.02, -1.0, 0.0, -1.0, 0.0)
+    high = (4.0, 100.0, 0.5, 1.0, 2 * np.pi, 1.0, 2 * np.pi)
+    k, big, ratio, cos_r, phi_r, cos_x, phi_x = rng.uniform(low, high, size=(24, 7)).T
+    big = big / k
+    r_vecs = big[:, None] * unit_from_angles(np.arccos(cos_r), phi_r)
+    x_vecs = (big * ratio)[:, None] * unit_from_angles(np.arccos(cos_x), phi_x)
+    return [
+        GreensQuery(k=k_i, R_vec=r_vec, x_vec=x_vec, sign=sign)
+        for k_i, r_vec, x_vec in zip(k.tolist(), r_vecs, x_vecs)
+        for sign in (1, -1)
+    ]
+
+
 def _check_greens(config: RunConfig) -> float:
-    rng = np.random.default_rng(config.seed + 17)
-    queries = []
-    for _ in range(24):
-        k = rng.uniform(0.3, 4.0)
-        big = rng.uniform(2.0, 100.0) / k
-        small = big * rng.uniform(0.02, 0.5)
-        r_vec = big * unit_from_angles(
-            np.arccos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * np.pi)
-        )
-        x_vec = small * unit_from_angles(
-            np.arccos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * np.pi)
-        )
-        for sign in (1, -1):
-            queries.append(GreensQuery(k=k, R_vec=r_vec, x_vec=x_vec, sign=sign))
-    exact = np.array([greens_point(query) for query in queries])
+    queries = _greens_battery(config.seed)
+    exact = greens_point(queries)
     # the default cutoff of each query is auto_l_max(k, |x|)
     defects = np.abs(greens_multipole(queries) - exact) / np.abs(exact)
     # np.max, not max(): a nan defect must fail the check, not lose to 0.0
@@ -283,9 +258,8 @@ def _check_conservation(config: RunConfig, source: AmplitudeSource) -> float:
     if sigma == 0.0:
         return 0.0
     k_min = min(source.channels.k(label) for label in source.channels.labels)
-    if config.r_values is not None:
-        r_values = config.r_values
-    else:
+    r_values = config.r_values
+    if r_values is None:
         r_values = np.geomspace(0.2, 200.0, 7) / k_min
     defects = [
         abs(total_flux(source.f, source.channels, float(r), grid=grid) - sigma) / sigma
@@ -310,12 +284,8 @@ def _check_two_path(config: RunConfig, source: AmplitudeSource) -> float:
     )
     r_values = np.array([0.7, 2.0, 9.0, 120.0]) / k_min
     exact = differential_flux_exact(f, channels, r_values, directions)
-    series = np.array(
-        [
-            differential_flux_asymptotic(f, channels, r, directions, order=2 * f.l_max)
-            for r in r_values
-        ]
-    )
+    order = 2 * f.l_max
+    series = [differential_flux_asymptotic(f, channels, r, directions, order) for r in r_values]
     return float(np.max(np.abs(exact - series) / np.maximum(np.abs(exact), 1e-300)))
 
 

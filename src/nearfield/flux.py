@@ -124,22 +124,18 @@ def _real_with_hermitian_check(values: np.ndarray, scale: np.ndarray) -> np.ndar
     return values.real
 
 
-def _channel_dense(f: PartialWaveAmplitude, channels: ChannelSet):
-    l_max = f.l_max
-    for label in channels.labels:
-        dense = f.dense(label, l_max)
-        if dense.any():
-            yield label, dense
+def _channel_rows(f: PartialWaveAmplitude, channels: ChannelSet):
+    """``(label, coefficient row)`` of each channel with a nonzero coefficient."""
+    rows = f.rows(channels.labels)
+    return [(label, row) for label, row in zip(channels.labels, rows) if row.any()]
 
 
 def _cross_sections_per_channel(
     f: PartialWaveAmplitude, channels: ChannelSet
 ) -> dict[str, float]:
     """``weight_beta * sum |B|**2`` per label, exact by orthonormality."""
-    return {
-        label: float(channels.weight(label) * np.sum(np.abs(f.dense(label)) ** 2))
-        for label in channels.labels
-    }
+    sums = np.sum(np.abs(f.rows(channels.labels)) ** 2, axis=1)
+    return {label: float(channels.weight(label) * s) for label, s in zip(channels.labels, sums)}
 
 
 def _summed_cross_section(f: PartialWaveAmplitude, channels: ChannelSet) -> float:
@@ -155,7 +151,7 @@ def _check_scale(f: PartialWaveAmplitude, channels: ChannelSet) -> float:
     ``FluxDomainError``.
     """
     sigma = _summed_cross_section(f, channels)
-    largest = max(float(np.max(np.abs(f.dense(label)))) for label in channels.labels)
+    largest = float(np.max(np.abs(f.rows(channels.labels))))
     if sigma == 0.0 and largest > 0.0:
         raise FluxDomainError(
             f"summed cross section underflows to 0.0 at largest |B| = {largest:.4g}: "
@@ -208,8 +204,8 @@ def _degree_sums(
             table = ylm_directions(l_max, directions)
         degree_starts = np.arange(l_max + 1) ** 2
     sums = []
-    for label, dense in _channel_dense(f, channels):
-        terms = dense[:, None] * table
+    for label, row in _channel_rows(f, channels):
+        terms = row[:, None] * table
         if fourier is None:
             sums.append((label, np.add.reduceat(terms, degree_starts, axis=0)))
             continue
@@ -438,20 +434,11 @@ def cross_sections(
         grid = default_grid(f)
     table = ylm_directions(f.l_max, grid.points)
     labels = channels.labels
-    per = _cross_sections_per_channel(f, channels)
-    quad: dict[str, float] = {}
-    diff = np.zeros((len(labels), grid.n_nodes))
-    for i, label in enumerate(labels):
-        values = channels.weight(label) * np.abs(f.dense(label) @ table) ** 2
-        diff[i] = values
-        quad[label] = float(grid.integrate(values))
-    return CrossSections(
-        labels=labels,
-        per_channel=per,
-        quadrature_per_channel=quad,
-        differential=diff,
-        grid=grid,
-    )
+    # row by row: each row's samples are those of ``evaluate``, bit for bit
+    samples = [np.abs(row @ table) ** 2 for row in f.rows(labels)]
+    diff = np.array([channels.weight(label) * s for label, s in zip(labels, samples)])
+    quad = {label: float(grid.integrate(values)) for label, values in zip(labels, diff)}
+    return CrossSections(labels, _cross_sections_per_channel(f, channels), quad, diff, grid)
 
 
 def total_flux(
@@ -505,11 +492,11 @@ def total_flux(
         return _summed_cross_section(f, channels)
     gram = sphere_mode_gram(grid.order, l_max)
     total = 0.0
-    for label, dense in _channel_dense(f, channels):
+    for label, row in _channel_rows(f, channels):
         z = -1j * channels.k(label) * R
         w_pairs = _mode_pair_matrix(l_max, z)
         value = _kernels.weighted_pair_sum(
-            np.ascontiguousarray(dense), w_pairs, np.ascontiguousarray(gram)
+            np.ascontiguousarray(row), w_pairs, np.ascontiguousarray(gram)
         )
         total += channels.weight(label) * value.real
     return float(total)
@@ -640,19 +627,16 @@ def unitarity_defect(
     l_max = max(amp.l_max for amp in amplitudes.values())
     table = ylm_directions(l_max, np.array(directions))
     k = np.array([[channels.k(label)] for label in channels.labels])
-    dense = {
-        key: np.array([amp.dense(label, l_max) for label in channels.labels])
-        for key, amp in amplitudes.items()
-    }
-    weighted = {key: k * coeffs for key, coeffs in dense.items()}
-    values = {key: coeffs @ table for key, coeffs in dense.items()}
+    rows = {key: amp.rows(channels.labels, l_max) for key, amp in amplitudes.items()}
+    weighted = {key: k * coeffs for key, coeffs in rows.items()}
+    values = {key: coeffs @ table for key, coeffs in rows.items()}
 
     # np.max, not max(): a nan defect must propagate, not lose to 0.0
     defects: list[float] = []
     scales: list[float] = []
     for gamma, alpha, s_hat, kappa_hat in product(entrances, entrances, s_hats, kappa_hats):
         g, a = (gamma, s_hat), (alpha, kappa_hat)
-        bilinear = np.vdot(dense[g], weighted[a])
+        bilinear = np.vdot(rows[g], weighted[a])
         forward = values[a][channels.labels.index(gamma), directions.index(s_hat)]
         backward = values[g][channels.labels.index(alpha), directions.index(kappa_hat)]
         rhs = -(4.0 * np.pi / 2j) * (forward - np.conj(backward))

@@ -3,9 +3,13 @@
 ``greens_point`` evaluates the closed form ``exp(+-ik|R - x|)/(4 pi |R - x|)``
 directly and serves as the oracle.  ``greens_multipole`` rebuilds it from the
 mode sum over products of the regular solution at the inner radius and the
-decaying solution at the outer radius, valid for ``|x| < |R|``.  Both mode
-sums take one query or a sequence of them; a sequence runs as one array pass
-over the degrees and returns an array.
+decaying solution at the outer radius, valid for ``|x| < |R|``.  All three
+routes take one query or a sequence of them; a sequence runs as one array
+pass (over the degrees, for the mode sums) and returns an array.  A lone
+query takes the same array pass, and there is no scalar path: a lone mode
+sum costs about 0.5 ms at k|x| = 1 and 5 (CPython 3.11, NumPy 2.4, 2-core
+x86-64), some four times a per-degree float loop, but nothing sums lone
+queries in a loop; many queries go in as one sequence.
 ``greens_asymptotic`` replaces each mode's decaying solution by its distance
 expansion truncated at a chosen order, which is the per-mode image of the
 operator expansion of the kernel; with the truncation order at or above the
@@ -63,13 +67,11 @@ class GreensQuery:
             raise ValueError("wavenumber must be positive")
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 (outgoing) or -1 (incoming)")
-        R = np.asarray(self.R_vec, dtype=float).reshape(3)
-        x = np.asarray(self.x_vec, dtype=float).reshape(3)
-        R.flags.writeable = False
-        x.flags.writeable = False
-        object.__setattr__(self, "R_vec", R)
-        object.__setattr__(self, "x_vec", x)
-        if not np.linalg.norm(x) < np.linalg.norm(R):
+        for name in ("R_vec", "x_vec"):
+            vec = np.asarray(getattr(self, name), dtype=float).reshape(3)
+            vec.flags.writeable = False
+            object.__setattr__(self, name, vec)
+        if not self.small_r < self.big_r:
             raise ValueError("require |x_vec| < |R_vec| for the mode expansion")
 
     @property
@@ -81,12 +83,25 @@ class GreensQuery:
         return float(np.linalg.norm(self.x_vec))
 
 
-def greens_point(query: GreensQuery) -> complex:
-    """Closed-form kernel ``exp(+-ik d)/(4 pi d)``, ``d = |R_vec - x_vec|``."""
-    d = float(np.linalg.norm(query.R_vec - query.x_vec))
-    if d == 0.0:
+def _queries(query: GreensQuery | Sequence[GreensQuery]) -> tuple[GreensQuery, ...]:
+    queries = (query,) if isinstance(query, GreensQuery) else tuple(query)
+    if not all(isinstance(q, GreensQuery) for q in queries):
+        raise TypeError("expected a GreensQuery or a sequence of them")
+    return queries
+
+
+def greens_point(query: GreensQuery | Sequence[GreensQuery]) -> complex | np.ndarray:
+    """Closed-form kernel ``exp(+-ik d)/(4 pi d)``, ``d = |R_vec - x_vec|``, per query."""
+    queries = _queries(query)
+    gap = np.array([q.R_vec - q.x_vec for q in queries]).reshape(-1, 3)
+    # a (1, 3) @ (3, 1) product per query is the dot product that
+    # np.linalg.norm takes of one vector, so each d is that norm bit for bit
+    d = np.sqrt(np.matmul(gap[:, None, :], gap[:, :, None]).reshape(-1))
+    if (d == 0.0).any():
         raise ValueError("coincident source and observation points")
-    return complex(np.exp(1j * query.sign * query.k * d) / (4.0 * np.pi * d))
+    phase = np.array([1j * q.sign * q.k for q in queries], dtype=complex)
+    values = np.exp(phase * d) / (4.0 * np.pi * d)
+    return complex(values[0]) if isinstance(query, GreensQuery) else values
 
 
 def auto_l_max(k: float, r: float) -> int:
@@ -154,9 +169,7 @@ def _assemble(queries: tuple[GreensQuery, ...], cutoffs: np.ndarray, s_max: floa
 def _evaluate(
     query: GreensQuery | Sequence[GreensQuery], l_max: int | None, s_max: float
 ) -> complex | np.ndarray:
-    queries = (query,) if isinstance(query, GreensQuery) else tuple(query)
-    if not all(isinstance(q, GreensQuery) for q in queries):
-        raise TypeError("expected a GreensQuery or a sequence of them")
+    queries = _queries(query)
     if l_max is None:
         cutoffs = np.array([auto_l_max(q.k, q.small_r) for q in queries], dtype=int)
     elif l_max < 0:

@@ -30,6 +30,7 @@ from .amplitudes import (
     random_unitary_smatrix,
     smatrix_amplitude_family,
 )
+from .special import mode_list
 
 __all__ = [
     "AmplitudeDataError",
@@ -77,28 +78,23 @@ def dumps_amplitude(f: PartialWaveAmplitude, channels: ChannelSet) -> str:
     float formatting are all fixed, which is what makes load/save an exact
     round trip.
     """
-    lines = ["{", '  "channels": [']
-    rows = []
-    for ch in channels.channels:
-        row = f'    {{"label": {json.dumps(ch.label)}, "k": {_fmt(ch.k)}'
-        if ch.velocity is not None:
-            row += f', "v": {_fmt(ch.velocity)}'
-        rows.append(row + "}")
-    lines.append(",\n".join(rows))
-    lines.append("  ],")
+    channel_rows = [
+        f'    {{"label": {json.dumps(ch.label)}, "k": {_fmt(ch.k)}'
+        + ("" if ch.velocity is None else f', "v": {_fmt(ch.velocity)}')
+        + "}"
+        for ch in channels.channels
+    ]
+    # the table's rows run in label order and its modes in (l, m) order
+    modes = mode_list(f.l_max)
+    coefficient_rows = [
+        f'    {{"beta": {json.dumps(f.exit_labels[i])}, "l": {modes[p][0]}, "m": {modes[p][1]}, '
+        f'"re": {_fmt(f.table[i, p].real)}, "im": {_fmt(f.table[i, p].imag)}}}'
+        for i, p in zip(*np.nonzero(f.table))
+    ]
+    lines = ["{", '  "channels": [', ",\n".join(channel_rows), "  ],"]
     lines.append(f'  "alpha": {json.dumps(channels.entrance)},')
     lines.append(f'  "weight_mode": {json.dumps(channels.weight_mode)},')
-    lines.append('  "coefficients": [')
-    rows = []
-    for (beta, l, m) in sorted(f.coefficients):
-        value = f.coefficients[(beta, l, m)]
-        rows.append(
-            f'    {{"beta": {json.dumps(beta)}, "l": {l}, "m": {m}, '
-            f'"re": {_fmt(value.real)}, "im": {_fmt(value.imag)}}}'
-        )
-    lines.append(",\n".join(rows))
-    lines.append("  ]")
-    lines.append("}")
+    lines += ['  "coefficients": [', ",\n".join(coefficient_rows), "  ]", "}"]
     return "\n".join(lines) + "\n"
 
 
@@ -216,11 +212,8 @@ def loads_amplitude(text: str) -> tuple[PartialWaveAmplitude, ChannelSet]:
         if (beta, l, m) in coeffs:
             raise AmplitudeDataError(f"{what}: duplicate mode ({beta!r}, {l}, {m})")
         coeffs[(beta, l, m)] = value
-    try:
-        f = PartialWaveAmplitude(coeffs)
-    except ValueError as exc:
-        raise AmplitudeDataError(str(exc)) from exc
-    return f, channels
+    # every check of the constructor has been made above, entry by entry
+    return PartialWaveAmplitude(coeffs), channels
 
 
 def load_amplitude(path: str | Path) -> tuple[PartialWaveAmplitude, ChannelSet]:

@@ -115,6 +115,117 @@ def test_dense_matches_coefficient_loop(rng, l_max):
     assert np.array_equal(f.dense("c0"), f.dense("c0", 4))
 
 
+def test_rows_view_padding_and_absent_labels(rng):
+    f = raw_amplitude(rng, channel_set(3), 2)
+    # the table's own rows at its own width come back as a view of it
+    assert np.shares_memory(f.rows(("c1", "c2")), f.table)
+    assert np.shares_memory(f.rows(("c0", "c1", "c2"), 1), f.table)
+    # other orders, absent labels and wider layouts are read-only copies
+    got = f.rows(("c2", "absent", "c0"), 3)
+    assert got.shape == (3, 16) and not got.flags.writeable
+    assert np.array_equal(got[0, :9], f.table[2]) and not got[0, 9:].any()
+    assert not got[1].any()
+    assert np.array_equal(got[2, :9], f.table[0])
+    assert np.array_equal(f.dense("c1", 3), f.rows(("c1",), 3)[0])
+
+
+def test_zero_coefficients_are_not_stored():
+    # l_max is the largest degree with a nonzero coefficient, and only the
+    # nonzero entries are listed: an explicit zero adds nothing
+    assert PartialWaveAmplitude({("a", 3, 0): 0}).l_max == 0
+    assert PartialWaveAmplitude({("a", 3, 0): 0}) == PartialWaveAmplitude()
+    f = PartialWaveAmplitude({("a", 3, 0): 0.0, ("b", 1, -1): 2.0, ("b", 2, 0): -0.0j})
+    assert f.l_max == 1
+    assert f.exit_labels == ("b",)
+    assert f.coefficients == {("b", 1, -1): 2.0}
+    assert f.table.shape == (1, 4)
+    assert h_coefficient(f, 2) == PartialWaveAmplitude()
+    assert h_coefficient(f, 2).l_max == 0
+    assert f.scaled(0.0) == PartialWaveAmplitude()
+
+
+def test_equality_compares_labels_and_table_values():
+    f = PartialWaveAmplitude({("a", 1, 0): 1.0, ("b", 0, 0): 2j})
+    assert f == PartialWaveAmplitude({("b", 0, 0): 2j, ("a", 1, 0): 1.0})
+    assert f != PartialWaveAmplitude({("a", 1, 0): 1.0, ("c", 0, 0): 2j})
+    assert f != PartialWaveAmplitude({("a", 1, 0): 1.0, ("b", 0, 0): 2j + 1e-16})
+    assert f != PartialWaveAmplitude({("a", 1, 0): 1.0})
+    assert f != f.coefficients
+    with pytest.raises(AttributeError):
+        f.l_max = 3
+    assert not f.table.flags.writeable
+
+
+def test_coefficient_map_rebuilds_every_builder(rng):
+    cs = channel_set(3)
+    model = random_unitary_smatrix(3, 5, seed=2)
+    kappa = tuple(unit_from_angles(0.9, 4.0))
+    raw = raw_amplitude(rng, channel_set(2), 3)
+    built = [
+        raw,
+        PartialWaveAmplitude({("x", 2, -1): 0.5, ("a", 0, 0): 0.0}),
+        PartialWaveAmplitude(),
+        amplitudes_from_smatrix(model, cs),
+        amplitudes_from_smatrix(model, cs.with_entrance("c2"), kappa_hat=kappa),
+        smatrix_amplitude_family(model, cs)("c1", kappa),
+        raw.map_modes(lambda l: (1j - l) ** 2),
+        apply_angular_operator(raw),
+        h_coefficient(raw, 2),
+        h_coefficient(raw, 4),
+        raw + amplitudes_from_smatrix(model, cs),
+        raw + raw.scaled(-1.0),
+        raw.scaled(0.3 - 2j),
+    ]
+    for f in built:
+        assert PartialWaveAmplitude(f.coefficients) == f
+        assert not f.table.flags.writeable
+        assert f.table.shape == (len(f.exit_labels), (f.l_max + 1) ** 2)
+        assert list(f.exit_labels) == sorted(f.exit_labels)
+        if f.exit_labels:
+            assert f.table.any(axis=1).all()
+            assert f.table[:, f.l_max**2 :].any()
+
+
+def _bits(f):
+    """``{key: (re bits, im bits)}``: equal only where the coefficients are bit for bit."""
+    return {
+        key: np.array([value.real, value.imag]).view(np.int64).tolist()
+        for key, value in f.coefficients.items()
+    }
+
+
+def test_array_builders_match_dict_loops_bitwise(rng):
+    # operands with different label sets and different widths
+    f = raw_amplitude(rng, channel_set(2), 3)
+    g = PartialWaveAmplitude(
+        {
+            (beta, l, m): complex(rng.normal(), rng.normal())
+            for beta in ("c1", "c2", "d")
+            for l in range(6)
+            for m in range(-l, l + 1)
+        }
+    )
+    for a, b in ((f, g), (g, f), (f, f)):
+        expect = dict(a.coefficients)
+        for key, value in b.coefficients.items():
+            expect[key] = expect.get(key, 0.0) + value
+        assert _bits(a + b) == _bits(PartialWaveAmplitude(expect))
+    for factor in (2.5, -0.3 + 1.7j, 1j):
+        expect = {key: value * factor for key, value in g.coefficients.items()}
+        assert _bits(g.scaled(factor)) == _bits(PartialWaveAmplitude(expect))
+    calls = []
+
+    def multiplier(l):
+        calls.append(l)
+        return complex(0.5 * l - 1.0, 1.0 / (l + 1))
+
+    expect = {key: value * multiplier(key[1]) for key, value in g.coefficients.items()}
+    calls.clear()
+    assert _bits(g.map_modes(multiplier)) == _bits(PartialWaveAmplitude(expect))
+    # one call per degree
+    assert calls == list(range(g.l_max + 1))
+
+
 def test_amplitude_rejects_invalid_modes():
     with pytest.raises(ValueError):
         PartialWaveAmplitude({("a", -1, 0): 1.0})
@@ -324,18 +435,19 @@ def test_amplitudes_from_smatrix_match_scalar_formula(n_channels):
     for entrance in channel_set(n_channels).labels:
         cs = channel_set(n_channels).with_entrance(entrance)
         # on the axis every coefficient is bitwise the scalar formula's
-        axis = amplitudes_from_smatrix(model, cs)
+        # the coefficient map is built on each read, so it is read once
+        axis = amplitudes_from_smatrix(model, cs).coefficients
         expect = _scalar_smatrix_coefficients(model, cs, (0.0, 0.0, 1.0))
-        assert axis.coefficients.keys() == expect.keys()
+        assert axis.keys() == expect.keys()
         for key, value in expect.items():
-            got = axis.coefficients[key]
+            got = axis[key]
             assert (got.real, got.imag) == (value.real, value.imag)
         for kappa in directions:
-            f = amplitudes_from_smatrix(model, cs, kappa_hat=kappa)
+            got = amplitudes_from_smatrix(model, cs, kappa_hat=kappa).coefficients
             expect = _scalar_smatrix_coefficients(model, cs, kappa)
-            assert f.coefficients.keys() == expect.keys()
+            assert got.keys() == expect.keys()
             for key, value in expect.items():
-                assert abs(f.coefficients[key] - value) <= 1e-15 * abs(value)
+                assert abs(got[key] - value) <= 1e-15 * abs(value)
 
 
 def test_amplitudes_from_smatrix_wavenumbers_near_float_max():
@@ -378,6 +490,23 @@ def test_identity_smatrix_gives_empty_amplitude():
     assert f.coefficients == {}
 
 
+def test_family_runs_the_unitarity_gate_once(monkeypatch):
+    model = random_unitary_smatrix(3, 4, seed=4)
+    cs = channel_set(3)
+    calls = []
+    gate = type(model).unitarity_defect
+    monkeypatch.setattr(type(model), "unitarity_defect", lambda m: calls.append(1) or gate(m))
+    family = smatrix_amplitude_family(model, cs)
+    for entrance in cs.labels:
+        for kappa in ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8)):
+            family(entrance, kappa)
+    assert len(calls) == 1
+    # a model that fails the gate fails it when the family is made
+    bent = type(model)(matrices=tuple(1.1 * s for s in model.matrices))
+    with pytest.raises(ValueError, match="not unitary"):
+        smatrix_amplitude_family(bent, cs)
+
+
 def test_family_matches_direct_construction():
     model = random_unitary_smatrix(3, 2, seed=9)
     cs = channel_set(3)
@@ -387,4 +516,4 @@ def test_family_matches_direct_construction():
         model, cs.with_entrance("c2"), kappa_hat=tuple(kappa)
     )
     via_family = family("c2", tuple(kappa))
-    assert via_family.coefficients == direct.coefficients
+    assert via_family == direct

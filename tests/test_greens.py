@@ -57,6 +57,24 @@ def test_point_kernel_closed_form():
     assert greens_point(q) == pytest.approx(np.exp(2j * d) / (4 * np.pi * d), rel=1e-15)
 
 
+def test_point_kernel_of_a_sequence_is_the_single_query_formula(rng):
+    queries = [_random_query(rng, sign) for sign in (1, -1) for _ in range(30)]
+    # the scalar formula, with np.linalg.norm of one difference vector
+    expect = []
+    for q in queries:
+        d = float(np.linalg.norm(q.R_vec - q.x_vec))
+        expect.append(complex(np.exp(1j * q.sign * q.k * d) / (4.0 * np.pi * d)))
+    expect = np.array(expect)
+    got = greens_point(queries)
+    assert got.shape == (60,)
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    lone = greens_point(queries[7])
+    assert type(lone) is complex and lone == expect[7]
+    assert greens_point([]).shape == (0,)
+    with pytest.raises(TypeError):
+        greens_point([queries[0], "not a query"])
+
+
 def test_golden_values():
     l_max = GOLDEN["l_max"]
     rtol = GOLDEN["rtol"]

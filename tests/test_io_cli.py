@@ -13,6 +13,7 @@ import pytest
 import nearfield
 from nearfield import cli
 from nearfield.amplitudes import Channel, ChannelSet, PartialWaveAmplitude
+from nearfield.special import unit_from_angles
 from nearfield.io import (
     AmplitudeDataError,
     ConfigError,
@@ -64,6 +65,45 @@ def test_amplitude_round_trip_through_files(tmp_path):
     f2, cs2 = load_amplitude(path)
     assert f2.coefficients == f.coefficients
     assert cs2.weight_mode == cs.weight_mode
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _resolved({"model": "hard_sphere", "k": 1.3, "radius": 6.0, "l_max": 20}),
+        lambda: _resolved(
+            {
+                "model": "random_unitary",
+                "n_channels": 3,
+                "l_max": 7,
+                "seed": 11,
+                "kappa": [0.3, -0.5, 0.2],
+                "labels": ["z", "b", "a"],
+                "alpha": "b",
+            }
+        ),
+        lambda: _combined(),
+    ],
+    ids=["hard_sphere_l20", "random_unitary_kappa", "sum_and_scaled"],
+)
+def test_save_load_save_is_byte_identical(tmp_path, build):
+    f, cs = build()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_amplitude(first, f, cs)
+    f2, cs2 = load_amplitude(first)
+    save_amplitude(second, f2, cs2)
+    assert first.read_bytes() == second.read_bytes()
+    assert f2 == f
+
+
+def _resolved(spec: dict):
+    source = resolve_amplitude(RunConfig(amplitude=spec))
+    return source.f, source.channels
+
+
+def _combined():
+    f, cs, family = unitary_amplitude(3, 4, seed=8)
+    return f + family("c2", (0.6, 0.0, 0.8)).scaled(0.25 - 1.5j), cs
 
 
 def test_loads_amplitude_valid_document():
@@ -577,6 +617,31 @@ def test_cli_check_single_battery(capsys):
     assert "check optical: defect=" in out
     assert "PASS" in out
     assert "# amplitude: random_unitary" in out
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_greens_battery_is_the_scalar_loop_draw(seed):
+    # the draw as one scalar call per number, in the same stream order
+    rng = np.random.default_rng(seed + 17)
+    expect = []
+    for _ in range(24):
+        k = rng.uniform(0.3, 4.0)
+        big = rng.uniform(2.0, 100.0) / k
+        small = big * rng.uniform(0.02, 0.5)
+        r_vec = big * unit_from_angles(
+            np.arccos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * np.pi)
+        )
+        x_vec = small * unit_from_angles(
+            np.arccos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * np.pi)
+        )
+        expect += [(k, r_vec, x_vec, sign) for sign in (1, -1)]
+    queries = cli._greens_battery(seed)
+    assert len(queries) == 48
+    for query, (k, r_vec, x_vec, sign) in zip(queries, expect):
+        assert type(query.k) is float and query.k == k
+        assert np.array_equal(query.R_vec, r_vec)
+        assert np.array_equal(query.x_vec, x_vec)
+        assert query.sign == sign
 
 
 def test_cli_check_all_passes(tmp_path, capsys):
