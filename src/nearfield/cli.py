@@ -248,8 +248,8 @@ def _check_unitarity(config: RunConfig, source: AmplitudeSource) -> float:
     if source.family is not None:
         return unitarity_defect(source.family, source.channels)
     # a bare amplitude (say, from a file) carries no reciprocal data, so only
-    # the diagonal sample at its incident direction, +z as in the optical check
-    return unitarity_defect(source.f, source.channels, kappa_hats=[(0.0, 0.0, 1.0)])
+    # the diagonal sample at its incident direction, as in the optical check
+    return unitarity_defect(source.f, source.channels, kappa_hats=[source.kappa_hat])
 
 
 def _check_conservation(config: RunConfig, source: AmplitudeSource) -> float:
@@ -299,7 +299,7 @@ def _run_check(name: str, config: RunConfig, source: AmplitudeSource | None) -> 
     if name == "unitarity":
         return _check_unitarity(config, source)
     if name == "optical":
-        return optical_theorem_defect(source.f, source.channels)
+        return optical_theorem_defect(source.f, source.channels, source.kappa_hat)
     if name == "conservation":
         return _check_conservation(config, source)
     return _check_two_path(config, source)

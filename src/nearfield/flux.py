@@ -6,8 +6,9 @@ every other through the exact radial pair factors of ``wronskian``.  Those
 factors depend only on the two degrees, so the pointwise path first sums
 each degree's harmonics, ``S_l(p) = sum_m B_lm Y_lm(p)``, and then contracts
 at degree level, with one set of sums for all distances of a scan; the
-pair factors of all distances of a channel come from one stacked Horner
-pass over the exact coefficient tensor (``wronskian._pair_stack``).  On the
+pair factors of all channels and distances come from one stacked
+Clenshaw-Curtis evaluation on the imaginary axis (``wronskian._pair_stack``),
+exact in structure and without a degree limit.  On the
 canonical product grid the harmonics separate, ``Y_lm(theta_i, phi_j) =
 y_lm(theta_i) exp(i m phi_j)``, so the sums come from a table on the polar
 nodes alone and one product with the azimuthal Fourier matrix.  Because the
@@ -226,14 +227,29 @@ def _flux_rows(
     """Differential flux, shape ``(n_distances, n_points)``, from degree sums.
 
     ``weight_beta * sum_{l,j} conj(S_l) HW_lj S_j`` with the exact pair
-    factors at ``z = -i k_beta R``, evaluated for all distances of a channel
-    in one stacked Horner pass.  The result is real up to rounding, which
-    is asserted against the absolute-value contraction before the imaginary
-    residue is discarded.  Per distance this is ``_kernels.quadratic_form``
-    of the sums and of their moduli, bit for bit, with ``conj(S)`` formed
-    once per channel and the products written into reused buffers.
+    factors at ``z = -i k_beta R``, evaluated for all channels and distances
+    in one stacked call of ``wronskian._pair_stack``.  The result is real up
+    to rounding, which is asserted against the absolute-value contraction
+    before the imaginary residue is discarded.  Per distance this is
+    ``_kernels.quadratic_form`` of the sums and of their moduli, bit for
+    bit, with ``conj(S)`` formed once per channel and the products written
+    into reused buffers.
     """
     total = np.zeros((distances.size, n_points))
+    if not sums:
+        return total
+    ks = [channels.k(label) for label, _ in sums]
+    stacks = _pair_stack(l_max, np.concatenate([-1j * k * distances for k in ks]))
+    stacks = stacks.reshape(len(sums), distances.size, l_max + 1, l_max + 1)
+    finite = np.isfinite(stacks).all(axis=(2, 3))
+    for k, row in zip(ks, finite):
+        if not row.all():
+            kr = k * float(distances[~row].min())
+            raise FluxDomainError(
+                f"pair factors at l_max={l_max}, kR={kr:.6g} exceed the float64 "
+                f"limit {np.finfo(float).max:.4g}: they grow like "
+                f"(2 kR)**-(2*l_max+1); raise kR or lower l_max"
+            )
     # buffers shared by all distances and channels: at scan sizes a fresh
     # product per distance exceeds glibc's default 128 KiB mmap threshold,
     # and each one cost its own page faults
@@ -241,20 +257,10 @@ def _flux_rows(
     products = np.empty_like(conj_sums)
     abs_sums = np.empty((l_max + 1, n_points))
     abs_products = np.empty_like(abs_sums)
-    for label, collapsed in sums:
+    for (label, collapsed), stack in zip(sums, stacks):
         np.conjugate(collapsed, out=conj_sums)
         np.abs(collapsed, out=abs_sums)
-        k = channels.k(label)
         weight = channels.weight(label)
-        stack = _pair_stack(l_max, -1j * k * distances)
-        if not np.isfinite(stack).all():
-            finite = np.isfinite(stack).all(axis=(1, 2))
-            kr = k * float(distances[~finite].min())
-            raise FluxDomainError(
-                f"pair factors at l_max={l_max}, kR={kr:.6g} exceed the float64 "
-                f"limit {np.finfo(float).max:.4g}: they grow like "
-                f"(2 kR)**-(2*l_max+1); raise kR or lower l_max"
-            )
         for i, w_pairs in enumerate(stack):
             np.matmul(w_pairs, collapsed, out=products)
             products *= conj_sums

@@ -357,12 +357,18 @@ def load_config(path: str | Path) -> RunConfig:
 
 @dataclass(frozen=True)
 class AmplitudeSource:
-    """A resolved amplitude plus, when available, its whole-entrance family."""
+    """A resolved amplitude plus, when available, its whole-entrance family.
+
+    ``kappa_hat`` is the incident direction ``f`` was built for, where the
+    optical theorem takes its forward amplitude: the configured ``kappa`` of
+    a ``random_unitary`` model, ``+z`` for the hard sphere and for files.
+    """
 
     f: PartialWaveAmplitude
     channels: ChannelSet
     family: Callable[[str, Any], PartialWaveAmplitude] | None
     description: str
+    kappa_hat: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
 
 def _resolve_file(config: RunConfig, spec: dict) -> AmplitudeSource:
@@ -463,6 +469,7 @@ def _resolve_random_unitary(config: RunConfig, spec: dict) -> AmplitudeSource:
         channels=channels,
         family=smatrix_amplitude_family(model, channels),
         description=f"random_unitary(n={n_channels}, l_max={l_max}, seed={seed})",
+        kappa_hat=tuple(kappa),
     )
 
 

@@ -24,16 +24,23 @@ whose coefficients ``A_n`` are exactly the product coefficients of the two
 terminating series, ``A_n = [u**n] P_l(-u) P_j(u)``.  These corrections are
 the whole content of pre-asymptotic flux behaviour.
 
-The float coefficients come from this series route: the integer
-coefficient of ``u**(n+1)`` is ``delta * A_n / (n+1)``, an exact division,
-so each pair costs one integer product.  The current combination itself
-(three products) stays as the independent exact route behind
-``laurent_coefficients``; the two agree integer for integer.  Swapping the
-degrees mirrors the argument, ``HW(l, j; z) = HW(j, l; -z)``, so the
-mirrored pair has the same integers with the sign of every odd power of
-``u`` flipped, and one product per unordered pair fills the whole pair
-tensor.  Flux scans evaluate that tensor for all distances of a channel in
-one Horner pass (``_pair_stack``).
+The float coefficients of ``half_wronskian_exact`` come from this series
+route: the integer coefficient of ``u**(n+1)`` is ``delta * A_n / (n+1)``,
+an exact division, so each pair costs one integer product.  The current
+combination itself (three products) stays as the independent exact route
+behind ``laurent_coefficients``; the two agree integer for integer.
+
+Flux evaluation builds no integers.  The correction is the integral
+
+    HW - 1 = delta * int_0^u P_l(-t) P_j(t) dt = delta * u * int_0^1 P_l(-u x) P_j(u x) dx,
+
+whose integrand is a polynomial of degree at most ``2 l_max``, so the
+``2 l_max + 1`` point Clenshaw-Curtis rule integrates it exactly (Trefethen,
+SIAM Rev. 50, 2008).  On the imaginary axis, where the flux pairs its
+modes (``z = -i k r``), ``P_l(-v) = conj(P_l(v))``, and the pair matrix of
+one distance is one Hermitian product of the table of ``P_l`` at the nodes
+(``_pair_stack``).  That route has no degree limit; the Laurent
+coefficients themselves leave float64 above ``l_max = 75``.
 """
 
 from __future__ import annotations
@@ -252,86 +259,107 @@ def wronskian_series(j: int, l: int) -> WronskianSeries:
     )
 
 
-@lru_cache(maxsize=None)
-def _pair_coefficient_tensor(l_max: int) -> np.ndarray:
-    """Laurent coefficients of every degree pair, highest power first.
+@lru_cache(maxsize=32)
+def _pair_rule(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Recurrence steps, quadrature weights and half degree gaps for ``l_max >= 1``.
 
-    ``tensor[2*l_max + 1 - n, row, col]`` is the ``u**n`` coefficient of
-    ``HW(j=col, l=row)``; pairs of lower total degree are zero-padded at the
-    top, which leaves Horner's rule unchanged.  Only the upper triangle is
-    built from integers, one series product per pair; the lower triangle is
-    its mirror ``HW(l, j; u) = HW(j, l; -u)`` and the diagonal is exactly 1.
+    The rule is the ``2 l_max + 1`` point Clenshaw-Curtis rule on ``[0, 1]``,
+    nodes ``x_k = sin(k pi / (4 l_max))**2``, exact for polynomials of degree
+    ``2 l_max``; its weights are the closed cosine sums (Waldvogel, BIT 46,
+    2006) for an even number ``n = 2 l_max`` of panels.  ``steps[l] = 2 (2l+1)
+    x_k`` are the node factors of the ``P_l`` recurrence, and ``half_delta[l,
+    j] = (j(j+1) - l(l+1)) / 2``.
     """
-    size = 2 * l_max + 2
-    upper = np.zeros((size, l_max + 1, l_max + 1))
-    for row in range(l_max + 1):
-        for col in range(row + 1, l_max + 1):
-            coeffs = _laurent_float(row, col)
-            upper[size - coeffs.size :, row, col] = coeffs[::-1]
-    # (-1)**n for the power n = size - 1 - i held in tensor row i
-    signs = (-1.0) ** np.arange(size - 1, -1, -1)
-    tensor = upper + signs[:, None, None] * upper.transpose(0, 2, 1)
-    np.fill_diagonal(tensor[-1], 1.0)
-    tensor.flags.writeable = False
-    return tensor
+    n = 2 * l_max
+    k = np.arange(n + 1)
+    nodes = np.sin(k * np.pi / (2 * n)) ** 2
+    j = np.arange(1, l_max + 1)
+    b = np.where(j == l_max, 1.0, 2.0) / (4 * j * j - 1)
+    weights = (1.0 - b @ np.cos(2 * np.pi / n * np.outer(j, k))) / (2 * n)
+    weights[1:-1] *= 2.0
+    weights[[0, -1]] = 0.5 / (n * n - 1)
+    steps = (4 * np.arange(l_max) + 2.0)[:, None] * nodes
+    degrees = np.arange(l_max + 1) * np.arange(1, l_max + 2)
+    half_delta = 0.5 * (degrees - degrees[:, None])
+    for arr in (steps, weights, half_delta):
+        arr.flags.writeable = False
+    return steps, weights, half_delta
 
 
-# Horner's rule sweeps the tensor once per block of at most this many matrix
-# entries (512 KiB of complex128): its 2*l_max + 2 steps each rewrite one
-# block, whose size stays bounded however many distances a scan has.
+# Pair matrices are built in blocks of distances whose polynomial table has
+# at most this many entries (512 KiB of complex128), so the temporaries stay
+# bounded however many distances a scan has.
 _STACK_ENTRIES = 2**15
 
 
 def _pair_stack(l_max: int, zs) -> np.ndarray:
     """Pair matrices at every point of ``zs``, shape ``(n, l_max + 1, l_max + 1)``.
 
-    ``zs`` is one nonzero point or a 1-d array of them.  One Horner pass
-    over ``_pair_coefficient_tensor`` runs on the whole stack, in blocks of
-    at most ``_STACK_ENTRIES`` entries, with the same operations per entry
-    as a single-point evaluation.  Raises ``FluxDomainError`` above
-    ``l_max = 75``; entries past the float64 range come back non-finite,
-    without a warning, and callers name the offending point in their terms.
+    ``zs`` is one nonzero point on the imaginary axis or a 1-d array of
+    them.  With ``u = 1/(2z)``, ``HW_lj = 1 + delta_lj u G_lj`` and ``G_lj =
+    int_0^1 P_l(-u x) P_j(u x) dx``, whose integrand is a polynomial of
+    degree at most ``2 l_max``: the Clenshaw-Curtis rule of ``_pair_rule``
+    integrates it exactly.  The ``P_l(u x_k)`` come from the upward
+    recurrence ``P_{l+1} = P_{l-1} + 2 (2l+1) u x_k P_l``, ``P_{-1} = P_0 =
+    1``, and on the axis ``P_l(-v) = conj(P_l(v))``, so ``G = P^H diag(w)
+    P``, symmetrized to be Hermitian bit for bit.  Distances run in blocks of
+    at most ``_STACK_ENTRIES`` table entries, with the same operations per
+    distance as a single-point evaluation.  Entries past the float64 range
+    come back non-finite, without a warning, and callers name the offending
+    point in their terms.
     """
-    if l_max > _FLOAT_PAIR_DEGREE:
-        raise FluxDomainError(
-            f"pair factors at l_max={l_max}: the exact Laurent coefficients exceed "
-            f"the float64 limit {_FLOAT_MAX:.4g} above l_max={_FLOAT_PAIR_DEGREE}"
-        )
-    tensor = _pair_coefficient_tensor(l_max)
-    # u = 1/(2z): 0.5/z gives the same bits with one multiplication fewer
-    u = np.asarray(0.5 / zs).reshape(-1, 1, 1)
-    out = np.zeros((u.shape[0], l_max + 1, l_max + 1), dtype=complex)
-    step = max(1, _STACK_ENTRIES // (l_max + 1) ** 2)
+    u = np.atleast_1d(0.5 / np.asarray(zs))
+    if l_max == 0:
+        return np.ones((u.size, 1, 1), dtype=complex)
+    steps, weights, half_delta = _pair_rule(l_max)
+    out = np.empty((u.size, l_max + 1, l_max + 1), dtype=complex)
+    step = max(1, _STACK_ENTRIES // ((l_max + 1) * weights.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, out.shape[0], step):
-            block = out[start : start + step]
-            # a one-point block takes a 0-d factor, NumPy's scalar fast path,
-            # which keeps single-point calls as cheap as a 2-d Horner loop
-            u_block = u[start : start + step] if len(block) > 1 else u[start].reshape(())
-            for coeffs in tensor:
-                block *= u_block
-                block += coeffs
+        for start in range(0, u.size, step):
+            u_block = u[start : start + step]
+            factors = steps[:, None] * u_block[:, None]
+            table = np.empty((l_max + 1, u_block.size, weights.size), dtype=complex)
+            table[0] = 1.0
+            lower = 1.0
+            for l in range(l_max):
+                np.multiply(factors[l], table[l], out=table[l + 1])
+                table[l + 1] += lower
+                lower = table[l]
+            # (n, l, k) with the node axis last: G_lj = sum_k conj(P_lk) w_k P_jk
+            polys = table.transpose(1, 0, 2)
+            gram = np.matmul(polys.conj(), (polys * weights).transpose(0, 2, 1))
+            gram += gram.conj().transpose(0, 2, 1)
+            gram *= u_block[:, None, None] * half_delta
+            np.add(gram, 1.0, out=out[start : start + step])
     return out
 
 
 def pair_matrix(l_max: int, z: complex) -> np.ndarray:
     """Dense pair factors for all degree pairs up to ``l_max``, at one ``z``.
 
-    ``out[row, col] == half_wronskian_exact(j=col, l=row, z)``: rows index
-    the conjugated mode.  Hermitian for purely imaginary ``z``, with unit
-    diagonal at any ``z``.  This is the one-point case of the stacked
-    evaluation that flux scans use for all distances at once; ``z`` is a
-    scalar.
+    ``out[row, col] == HW(j=col, l=row; z)``: rows index the conjugated
+    mode.  ``z`` is a nonzero scalar on the imaginary axis, where the flux
+    evaluates the factors (``z = -i k R``); there the matrix is Hermitian
+    bit for bit and its diagonal is exactly 1.  This is the one-point case of
+    the stacked Clenshaw-Curtis evaluation that flux scans use for all
+    distances at once; it has no degree limit of its own.  Each entry is
+    within about 1e-13 of its exact value, relative to the entry.
 
-    Raises ``FluxDomainError`` above ``l_max = 75``, where the exact
-    coefficients leave float64, and where the factors themselves overflow:
-    they grow like ``|2z|**-(2 l_max + 1)`` toward small ``|z|``.
+    Raises ``ValueError`` off the imaginary axis, where the recurrence for
+    ``P_l(-v)`` would have to run separately and is unstable, and
+    ``FluxDomainError`` where the factors overflow float64: they grow like
+    ``|2z|**-(2 l_max + 1)`` toward small ``|z|``.
     """
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
+    z = complex(z)
     if z == 0:
         raise ValueError("evaluation point z = 0 is singular")
-    out = _pair_stack(l_max, complex(z))[0]
+    if z.real != 0:
+        raise ValueError(
+            f"pair_matrix evaluates on the imaginary axis only (z = -i k R); got z={z}"
+        )
+    out = _pair_stack(l_max, z)[0]
     if not np.all(np.isfinite(out)):
         raise FluxDomainError(
             f"pair factors at l_max={l_max}, kR={abs(z):.6g} exceed the float64 "

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,42 @@ def hard_sphere_sigma_oracle(k: float, a: float, l_max: int) -> float:
             delta = mp.atan(j / y)
             total += (2 * l + 1) * mp.sin(delta) ** 2
         return float(4 * mp.pi / mp.mpf(k) ** 2 * total)
+
+
+def _chi_series(l: int) -> list[int]:
+    """Integer coefficients ``(l+s)!/(s!(l-s)!)`` of the decaying solution's series."""
+    return [
+        math.factorial(l + s) // (math.factorial(s) * math.factorial(l - s)) for s in range(l + 1)
+    ]
+
+
+def pair_factor_oracle(l: int, js, z: complex) -> np.ndarray:
+    """``HW(j, l; z)`` for each ``j`` of ``js`` at imaginary ``z``, 50 digits (mpmath).
+
+    The Laurent coefficients in ``u = 1/(2z)`` are built here in exact
+    integers, ``1`` and ``delta * A_n / (n + 1)`` with ``A_n = [u**n]
+    P_l(-u) P_j(u)``; the sum runs in 50-digit arithmetic at the float
+    ``u`` that the program uses, split into the even and odd powers of the
+    purely imaginary ``u``.
+    """
+    import mpmath as mp
+
+    u = 0.5 / complex(z)
+    assert u.real == 0
+    conj = np.array([c * (-1) ** s for s, c in enumerate(_chi_series(l))], dtype=object)
+    out = np.empty(len(js), dtype=complex)
+    with mp.workdps(50):
+        y = mp.mpf(u.imag)
+        for i, j in enumerate(js):
+            delta = j * (j + 1) - l * (l + 1)
+            products = np.convolve(conj, np.array(_chi_series(j), dtype=object))
+            coeffs = [1, *(delta * a // (n + 1) for n, a in enumerate(products))]
+            # u**m = (i y)**m is real for even m, imaginary for odd m, of sign (-1)**(m // 2)
+            signed = [mp.mpf((-1) ** (m // 2) * c) for m, c in enumerate(coeffs)]
+            re = mp.polyval(signed[0::2][::-1], y * y)
+            im = y * mp.polyval(signed[1::2][::-1], y * y)
+            out[i] = complex(mp.mpc(re, im))
+    return out
 
 
 @pytest.fixture

@@ -32,6 +32,7 @@ from nearfield.special import (
     angles_from_unit,
     gauss_legendre_sphere,
     mode_degrees,
+    sph_harm,
     unit_from_angles,
     ylm_table,
 )
@@ -233,7 +234,8 @@ def test_scan_stacks_pair_factors_once_per_nonzero_channel(monkeypatch):
     cs = channel_set(3)
     f = PartialWaveAmplitude({("c0", 3, 1): 0.4 - 0.2j, ("c2", 5, -2): 0.3j})
     flux_profile(f, cs, np.geomspace(0.5, 300.0, 40))
-    assert stacked == [(5, 40), (5, 40)]
+    # one call for the 40 distances of each of the two nonzero channels
+    assert stacked == [(5, 80)]
 
 
 def test_canonical_scan_tables_only_the_polar_nodes(monkeypatch):
@@ -562,10 +564,28 @@ def test_underresolved_canonical_grid_takes_gram_route(monkeypatch):
 
 
 def test_pointwise_flux_raises_typed_error_outside_float_range():
+    # a lone degree pairs only with itself, and HW_ll = 1 at every distance:
+    # past l_max = 75 the flux at kR = 5 is the far-field value
     cs = ChannelSet(channels=(Channel("a", 1.0),), entrance="a")
-    f = PartialWaveAmplitude({("a", 80, 0): 1.0})
-    with pytest.raises(FluxDomainError, match="l_max=80"):
-        differential_flux_exact(f, cs, 5.0, unit_from_angles(0.4, 1.0))
+    f = PartialWaveAmplitude({("a", 80, 0): 0.7 - 0.2j})
+    nhat = unit_from_angles(0.4, 1.0)
+    far = cs.weight("a") * abs((0.7 - 0.2j) * sph_harm(80, 0, nhat)) ** 2
+    assert differential_flux_exact(f, cs, 5.0, nhat) == pytest.approx(far, rel=1e-14)
+    with pytest.raises(FluxDomainError, match="l_max=80, kR=0.001 "):
+        differential_flux_exact(f, cs, 1e-3, nhat)
+
+
+def test_flux_profile_builds_no_integers(monkeypatch):
+    # the pair factors of a scan come from the quadrature, not from the
+    # exact Laurent integers behind half_wronskian_exact
+    def forbidden(*args):
+        raise AssertionError("integer pair coefficients on the flux path")
+
+    monkeypatch.setattr(wronskian, "_poly_mul", forbidden)
+    monkeypatch.setattr(wronskian, "_laurent_float", forbidden)
+    f, cs, _ = unitary_amplitude(2, 20, seed=12)
+    profile = flux_profile(f, cs, np.geomspace(2.0, 40.0, 3))
+    assert np.all(np.isfinite(profile.samples))
 
 
 def test_pointwise_flux_domain_error_names_kr_without_warnings():

@@ -563,6 +563,25 @@ def test_cli_flux_domain_error_exit_code(tmp_path, capsys):
     assert "domain error" in err and "l_max=40" in err
 
 
+def test_cli_flux_past_degree_75(tmp_path, capsys):
+    # l_max = 100 has pair factors whose exact Laurent coefficients leave
+    # float64; the flux rows do not need them
+    cfg = _write_config(
+        tmp_path,
+        {
+            "amplitude": {"model": "hard_sphere", "k": 1.0, "radius": 60.0, "l_max": 100},
+            "r_values": [70.0],
+            "format": "json",
+        },
+    )
+    assert cli.main(["flux", "--config", str(cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["amplitude"].endswith("l_max=100)")
+    (row,) = doc["rows"]
+    assert row["total_flux"] == doc["cross_section_total"]
+    assert 0 < row["differential_min"] <= row["differential_max"]
+
+
 def test_cli_coeffs_reference_values(capsys):
     assert cli.main(["coeffs", "--l", "3", "--j", "0"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -721,6 +740,20 @@ def test_cli_check_failure_sets_exit_code(tmp_path, capsys):
     assert cli.main(["check", "greens", "--config", str(cfg)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_cli_check_optical_at_the_configured_incident_direction(tmp_path, capsys):
+    # the forward amplitude is taken along kappa, the direction the
+    # amplitude was built for, not along +z
+    spec = {
+        "model": "random_unitary", "n_channels": 2, "l_max": 4, "seed": 3, "kappa": [0.6, 0, 0.8]
+    }
+    assert resolve_amplitude(RunConfig(amplitude=spec)).kappa_hat == (0.6, 0.0, 0.8)
+    hard_sphere = resolve_amplitude(RunConfig(amplitude={"model": "hard_sphere"}))
+    assert hard_sphere.kappa_hat == (0.0, 0.0, 1.0)
+    cfg = _write_config(tmp_path, {"amplitude": spec})
+    assert cli.main(["check", "optical", "--config", str(cfg)]) == 0
+    assert "check optical: " in capsys.readouterr().out
 
 
 def test_cli_check_out_file(tmp_path):

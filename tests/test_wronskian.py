@@ -14,7 +14,6 @@ from nearfield.special import FluxDomainError
 from nearfield.wronskian import (
     _STACK_ENTRIES,
     _combination_laurent,
-    _pair_coefficient_tensor,
     _pair_stack,
     _series_laurent,
     _series_product_coefficients,
@@ -24,6 +23,8 @@ from nearfield.wronskian import (
     pair_matrix,
     wronskian_series,
 )
+
+from conftest import pair_factor_oracle
 
 
 def _series_as_laurent(j: int, l: int) -> tuple[Fraction, ...]:
@@ -161,23 +162,53 @@ def test_pair_matrix_layout_and_hermiticity():
 
 
 def test_pair_matrix_matches_half_wronskian_entrywise():
-    # on the imaginary axis, where the flux evaluates it, the vectorized
-    # Horner sum is bitwise the per-pair one; elsewhere the two agree to
-    # rounding of the absolute-value sum
+    # on the imaginary axis, where the flux evaluates it, the quadrature and
+    # the per-pair Horner sum agree to rounding of the absolute-value sum;
+    # off the axis pair_matrix refuses
     for l_max in (0, 1, 5, 12, 20):
         for kr in (0.05, 0.5, 3.0, 40.0, 1000.0):
-            for z in (-1j * kr, complex(0.4 * kr, -kr)):
-                mat = pair_matrix(l_max, z)
-                u = abs(1.0 / (2.0 * z))
-                for row in range(l_max + 1):
-                    for col in range(l_max + 1):
-                        ref = half_wronskian_exact(col, row, z)
-                        if z.real == 0:
-                            assert mat[row, col] == ref
-                        else:
-                            coeffs = laurent_coefficients(col, row)
-                            scale = sum(abs(float(c)) * u**n for n, c in enumerate(coeffs))
-                            assert abs(mat[row, col] - ref) <= 1e-14 * scale
+            z = -1j * kr
+            mat = pair_matrix(l_max, z)
+            u = abs(1.0 / (2.0 * z))
+            for row in range(l_max + 1):
+                for col in range(l_max + 1):
+                    ref = half_wronskian_exact(col, row, z)
+                    coeffs = laurent_coefficients(col, row)
+                    scale = sum(abs(float(c)) * u**n for n, c in enumerate(coeffs))
+                    assert abs(mat[row, col] - ref) <= 1e-14 * scale
+            with pytest.raises(ValueError, match="imaginary axis"):
+                pair_matrix(l_max, complex(0.4 * kr, -kr))
+
+
+@pytest.mark.parametrize("l_max", [0, 5, 20, 40, 75, 100])
+def test_pair_matrix_matches_50_digit_oracle(l_max):
+    # every entry of the sampled rows within 1e-13 of its exact value, and at
+    # l_max <= 20 within the rounding bound of the Laurent sum; where the
+    # factors leave float64 (the exact corner entry is past 1e300) it raises
+    krs = sorted({0.05, 0.5, 3.0, 40.0, float(max(l_max, 1)), 1000.0})
+    cols = range(l_max + 1)
+    for i, kr in enumerate(krs):
+        z = -1j * kr
+        if l_max >= 40:
+            rows = {(37 * i) % (l_max + 1)}
+        else:
+            rows = {0, l_max // 2, l_max, (7 * i) % (l_max + 1)}
+        try:
+            mat = pair_matrix(l_max, z)
+        except FluxDomainError:
+            corner = pair_factor_oracle(l_max - 1, [l_max], z)[0]
+            assert abs(corner) > 1e300, kr
+            continue
+        u = 0.5 / kr
+        for row in sorted(rows):
+            exact = pair_factor_oracle(row, cols, z)
+            assert np.all(np.abs(mat[row] - exact) <= 1e-13 * np.abs(exact)), (kr, row)
+            if l_max <= 20:
+                scale = [
+                    sum(abs(float(c)) * u**n for n, c in enumerate(laurent_coefficients(col, row)))
+                    for col in cols
+                ]
+                assert np.all(np.abs(mat[row] - exact) <= 1e-14 * np.array(scale)), (kr, row)
 
 
 def test_series_route_integers_equal_combination_route():
@@ -191,37 +222,14 @@ def test_series_route_integers_equal_combination_route():
             assert _series_laurent(l, j) == _combination_laurent(l, j)
 
 
-def test_pair_tensor_equals_exact_rationals_bitwise():
-    # reference: every ordered pair from the Fraction route, rounded once
-    top = 30
-    size = 2 * top + 2
-    ref = np.zeros((size, top + 1, top + 1))
-    for row in range(top + 1):
-        for col in range(top + 1):
-            for n, c in enumerate(laurent_coefficients(col, row)):
-                ref[size - 1 - n, row, col] = float(c)
-    for l_max in range(top + 1):
-        tensor = _pair_coefficient_tensor(l_max)
-        expect = ref[2 * (top - l_max) :, : l_max + 1, : l_max + 1]
-        assert tensor.shape == expect.shape
-        assert np.array_equal(tensor.view(np.uint64), expect.view(np.uint64)), l_max
-
-
-def test_pair_tensor_takes_one_integer_product_per_unordered_pair(monkeypatch):
-    calls = []
-    real_mul = wronskian._poly_mul
-
-    def counting_mul(p, q):
-        calls.append(1)
-        return real_mul(p, q)
-
-    monkeypatch.setattr(wronskian, "_poly_mul", counting_mul)
-    for l_max in (0, 1, 6, 13):
-        for cached in (_pair_coefficient_tensor, wronskian._laurent_float, _series_product_coefficients):
-            cached.cache_clear()
-        calls.clear()
-        _pair_coefficient_tensor(l_max)
-        assert len(calls) == l_max * (l_max + 1) // 2
+def test_laurent_floats_equal_exact_rationals_bitwise():
+    # every ordered pair's float coefficients are the Fraction route's,
+    # each rounded once; half_wronskian_exact sums them by Horner's rule
+    for row in range(31):
+        for col in range(31):
+            expect = np.array([float(c) for c in laurent_coefficients(col, row)])
+            got = wronskian._laurent_float(row, col)
+            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), (row, col)
 
 
 def test_pair_stack_equals_pointwise_pair_matrix_bitwise():
@@ -301,5 +309,9 @@ def test_laurent_coefficients_beyond_float_range_raise_typed_error():
     assert np.isfinite(half_wronskian_exact(75, 74, -3j))
     with pytest.raises(FluxDomainError, match="l_max=75"):
         half_wronskian_exact(76, 75, -3j)
-    with pytest.raises(FluxDomainError, match="l_max=80"):
-        pair_matrix(80, -50j)
+    # the pair matrices take no Laurent coefficients, so they go past it
+    mat = pair_matrix(80, -50j)
+    assert np.array_equal(np.diag(mat), np.ones(81))
+    assert np.array_equal(mat, mat.conj().T)
+    exact = pair_factor_oracle(80, range(81), -50j)
+    assert np.all(np.abs(mat[80] - exact) <= 1e-13 * np.abs(exact))
