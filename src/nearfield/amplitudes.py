@@ -15,7 +15,7 @@ satisfy it exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -350,51 +350,56 @@ def scattered_wave_series(
 
 @dataclass(frozen=True)
 class SMatrixModel:
-    """Per-degree unitary channel matrices, degrees ``0 .. l_max``."""
+    """Per-degree unitary channel matrices, degrees ``0 .. l_max``.
+
+    ``matrices`` takes any sequence of ``n x n`` matrices and keeps read-only
+    views of ``stack``, the same matrices as one ``(l_max + 1, n, n)`` array.
+    """
 
     matrices: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.matrices:
+        if len(self.matrices) == 0:
             raise ValueError("need at least the degree-0 matrix")
-        n = self.matrices[0].shape[0]
-        frozen = []
+        n = np.shape(self.matrices[0])[0]
         for l, mat in enumerate(self.matrices):
-            mat = np.array(mat, dtype=complex)
-            if mat.shape != (n, n):
+            if np.shape(mat) != (n, n):
                 raise ValueError(f"degree {l}: expected shape {(n, n)}")
-            mat.flags.writeable = False
-            frozen.append(mat)
-        object.__setattr__(self, "matrices", tuple(frozen))
+        stack = np.array(self.matrices, dtype=complex)
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "matrices", tuple(stack))
 
     @property
     def n_channels(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.stack.shape[1]
 
     @property
     def l_max(self) -> int:
-        return len(self.matrices) - 1
+        return len(self.stack) - 1
 
     def unitarity_defect(self) -> float:
-        eye = np.eye(self.n_channels)
+        """Largest entry of ``|S^H S - 1|`` over all degrees, from one stacked product."""
+        products = self.stack.conj().transpose(0, 2, 1) @ self.stack
         # np.max, not max(): a nan defect must propagate, not lose to a number
-        return float(np.max([np.abs(mat.conj().T @ mat - eye) for mat in self.matrices]))
+        return float(np.max(np.abs(products - np.eye(self.n_channels))))
 
 
 def random_unitary_smatrix(n_channels: int, l_max: int, seed: int = 0) -> SMatrixModel:
-    """Haar-ish random unitary matrix per degree, reproducible by seed."""
+    """Haar-ish random unitary matrix per degree, reproducible by seed.
+
+    All normals come from one draw, the real and imaginary parts of degree
+    ``l`` in that order, and one stacked QR factorization; the phases of
+    ``R``'s diagonal are moved into ``Q``.
+    """
     if n_channels < 1 or l_max < 0:
         raise ValueError("need n_channels >= 1 and l_max >= 0")
     rng = np.random.default_rng(seed)
-    mats = []
-    for _ in range(l_max + 1):
-        g = rng.standard_normal((n_channels, n_channels)) + 1j * rng.standard_normal(
-            (n_channels, n_channels)
-        )
-        q, r = np.linalg.qr(g)
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        mats.append(q)
-    return SMatrixModel(matrices=tuple(mats))
+    normals = rng.standard_normal((l_max + 1, 2, n_channels, n_channels))
+    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
+    diagonal = np.diagonal(r, axis1=1, axis2=2)
+    return SMatrixModel(matrices=q * (diagonal / np.abs(diagonal))[:, None, :])
 
 
 def hard_sphere_model(k: float, a: float, l_max: int) -> SMatrixModel:
@@ -418,7 +423,7 @@ def hard_sphere_model(k: float, a: float, l_max: int) -> SMatrixModel:
     finite = np.isfinite(yl)
     y, j = yl[finite], jl[finite]
     s[finite] = (y + 1j * j) / (y - 1j * j)
-    return SMatrixModel(matrices=tuple(np.array([[v]]) for v in s))
+    return SMatrixModel(matrices=s[:, None, None])
 
 
 def amplitudes_from_smatrix(
@@ -457,7 +462,7 @@ def _smatrix_amplitude(model: SMatrixModel, channels: ChannelSet, kappa_hat):
     idx_in = channels.labels.index(channels.entrance)
     k_in = channels.entrance_channel.k
     # (S_l - 1)[beta, entrance] on every mode of degree l
-    t = np.array(model.matrices)[:, :, idx_in].T[:, mode_degrees(model.l_max)]
+    t = model.stack[:, :, idx_in].T[:, mode_degrees(model.l_max)]
     t[idx_in] -= 1.0
     root = np.array([_root_product(k_in, c.k) for c in channels.channels])
     # dividing by 2i alone is exact and keeps 2 sqrt(k k') from overflowing

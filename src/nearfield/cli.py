@@ -36,9 +36,10 @@ from . import io as nf_io
 from .amplitudes import PartialWaveAmplitude
 from .flux import (
     _check_scale,
+    _degree_sums,
+    _expansion_rows,
+    _flux_rows,
     default_grid,
-    differential_flux_asymptotic,
-    differential_flux_exact,
     flux_profile,
     optical_theorem_defect,
     total_flux,
@@ -205,10 +206,10 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 # check
 # ----------------------------------------------------------------------
 
-def _greens_battery(seed: int) -> list[GreensQuery]:
-    """The 48 queries of ``check greens``: 24 geometries of seven draws each, in
-    one array (``k``, ``k |R|``, ``|x| / |R|``, ``cos theta`` and ``phi`` of both
-    points), queried with both signs."""
+def _greens_battery(seed: int) -> GreensQuery:
+    """The record of 48 queries of ``check greens``: 24 geometries of seven draws
+    each, in one array (``k``, ``k |R|``, ``|x| / |R|``, ``cos theta`` and ``phi``
+    of both points), queried with both signs."""
     rng = np.random.default_rng(seed + 17)
     low = (0.3, 2.0, 0.02, -1.0, 0.0, -1.0, 0.0)
     high = (4.0, 100.0, 0.5, 1.0, 2 * np.pi, 1.0, 2 * np.pi)
@@ -216,11 +217,12 @@ def _greens_battery(seed: int) -> list[GreensQuery]:
     big = big / k
     r_vecs = big[:, None] * unit_from_angles(np.arccos(cos_r), phi_r)
     x_vecs = (big * ratio)[:, None] * unit_from_angles(np.arccos(cos_x), phi_x)
-    return [
-        GreensQuery(k=k_i, R_vec=r_vec, x_vec=x_vec, sign=sign)
-        for k_i, r_vec, x_vec in zip(k.tolist(), r_vecs, x_vecs)
-        for sign in (1, -1)
-    ]
+    return GreensQuery(
+        k=np.repeat(k, 2),
+        R_vec=np.repeat(r_vecs, 2, axis=0),
+        x_vec=np.repeat(x_vecs, 2, axis=0),
+        sign=np.tile([1, -1], 24),
+    )
 
 
 def _check_greens(config: RunConfig) -> float:
@@ -283,9 +285,13 @@ def _check_two_path(config: RunConfig, source: AmplitudeSource) -> float:
         np.array([0.0, 1.1, 2.0, 2.9]), np.array([0.0, 0.7, 3.9, 5.2])
     )
     r_values = np.array([0.7, 2.0, 9.0, 120.0]) / k_min
-    exact = differential_flux_exact(f, channels, r_values, directions)
-    order = 2 * f.l_max
-    series = [differential_flux_asymptotic(f, channels, r, directions, order) for r in r_values]
+    # one set of degree sums for both paths: the rows of
+    # differential_flux_exact and differential_flux_asymptotic, bit for bit
+    sums = _degree_sums(f, channels, directions)
+    exact = _flux_rows(sums, channels, f.l_max, r_values, len(directions))
+    series = _expansion_rows(
+        sums, channels, f.l_max, r_values, len(directions), 2 * f.l_max, single=False
+    )
     return float(np.max(np.abs(exact - series) / np.maximum(np.abs(exact), 1e-300)))
 
 

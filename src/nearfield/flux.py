@@ -21,6 +21,9 @@ by the same contraction kernel as the exact path.  The series ends at order
 ``2 l_max``, where the two paths must agree to rounding.  Both paths are
 kept because their agreement (and controlled disagreement below the
 complete order) is the main scientific claim this package exists to check.
+They share one set of degree sums: each takes a scalar or a 1-d array of
+distances, and a check of their agreement builds the sums once and hands
+them to both (``_flux_rows`` and ``_expansion_rows``).
 
 Totals need care: at small ``kR`` the pointwise integrand can exceed its own
 integral by many orders of magnitude, so totals are not taken from it where
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -276,6 +278,27 @@ def _flux_rows(
 # differential flux
 # ----------------------------------------------------------------------
 
+def _distances(R) -> np.ndarray:
+    """``R`` as a float array, scalar or 1-d, checked positive."""
+    r = np.asarray(R, dtype=float)
+    if r.ndim > 1:
+        raise ValueError("R must be a scalar or a 1-d array of distances")
+    if not (r > 0).all():
+        raise ValueError("distance R must be positive")
+    return r
+
+
+def _shaped(
+    total: np.ndarray, r: np.ndarray, lead_shape: tuple[int, ...], scalar: bool
+) -> float | np.ndarray:
+    """Rows ``(n_R, n_points)`` in the shape of the call's distances and directions."""
+    if r.ndim == 0:
+        if scalar:
+            return float(total[0, 0])
+        return total[0].reshape(lead_shape)
+    return total.reshape(r.shape + lead_shape)
+
+
 def differential_flux_exact(
     f: PartialWaveAmplitude, channels: ChannelSet, R: float | np.ndarray, nhat
 ) -> float | np.ndarray:
@@ -291,41 +314,33 @@ def differential_flux_exact(
     a leading axis, shape ``(n_R, *direction_shape)``, and shares one angular
     table between all of them.
     """
-    r = np.asarray(R, dtype=float)
-    if r.ndim > 1:
-        raise ValueError("R must be a scalar or a 1-d array of distances")
-    if not (r > 0).all():
-        raise ValueError("distance R must be positive")
+    r = _distances(R)
     pts, lead_shape, scalar = _flat_directions(nhat)
     sums = _degree_sums(f, channels, pts)
     total = _flux_rows(sums, channels, f.l_max, np.atleast_1d(r), pts.shape[0])
-    if r.ndim == 0:
-        if scalar:
-            return float(total[0, 0])
-        return total[0].reshape(lead_shape)
-    return total.reshape(r.shape + lead_shape)
+    return _shaped(total, r, lead_shape, scalar)
 
 
-def _expansion(
-    f: PartialWaveAmplitude,
+def _expansion_rows(
+    sums: list[tuple[str, np.ndarray]],
     channels: ChannelSet,
-    R: float,
-    nhat,
+    l_max: int,
+    distances: np.ndarray,
+    n_points: int,
     order: int,
     single: bool,
-) -> float | np.ndarray:
-    """Distance expansion through ``order``, or its order-``order`` term alone.
+) -> np.ndarray:
+    """Distance expansion, shape ``(n_distances, n_points)``, from degree sums.
 
-    Per channel, with ``u = 1/(2z)`` at ``z = -i k R``, the images
-    ``G_s = u**s sum_l c_s(l) S_l`` of the degree sums are contracted with
-    ``W[s, t] = [s+t <= N] + 2 t u [s+t <= N-1]``, ``N = order`` (``==`` in
-    place of ``<=`` for the single term), and the real part is the flux.
-    ``c_s(l) = 0`` for ``s > l`` ends the images at ``s = l_max``.
+    Through ``order``, or its order-``order`` term alone.  Per channel and
+    distance, with ``u = 1/(2z)`` at ``z = -i k R``, the images ``G_s = u**s
+    sum_l c_s(l) S_l`` of the degree sums are contracted with ``W[s, t] =
+    [s+t <= N] + 2 t u [s+t <= N-1]``, ``N = order`` (``==`` in place of
+    ``<=`` for the single term), and the real part is the flux.  ``c_s(l) =
+    0`` for ``s > l`` ends the images at ``s = l_max``.  Each distance runs
+    on its own: stacking the distances into one product made a lone call
+    slower.
     """
-    if not (R > 0):
-        raise ValueError("distance R must be positive")
-    pts, lead_shape, scalar = _flat_directions(nhat)
-    l_max = f.l_max
     s_max = min(order, l_max)
     s = np.arange(s_max + 1)
     # conj(G_s) G_t is of order s + t; the part 2 t u conj(G_s) G_t, from
@@ -335,29 +350,46 @@ def _expansion(
         direct, derived = degree == order, degree == order - 1
     else:
         direct, derived = degree <= order, degree <= order - 1
-    total = np.zeros(pts.shape[0])
-    for label, sums in _degree_sums(f, channels, pts):
-        kR = channels.k(label) * R
-        u = 0.5j / kR
-        with np.errstate(over="ignore", invalid="ignore"):
-            images = chi_terms(l_max, s_max, u) @ sums
-            values = _kernels.quadratic_form(images, direct + 2 * u * s * derived).real
-        if not (np.isfinite(images).all() and np.isfinite(values).all()):
-            raise FluxDomainError(
-                f"distance expansion at l_max={l_max}, kR={kR:.6g}, order={order} "
-                f"is not finite: its series terms exceed the float64 limit "
-                f"{np.finfo(float).max:.4g}; lower the order or raise kR"
-            )
-        total += channels.weight(label) * values
-    if scalar:
-        return float(total[0])
-    return total.reshape(lead_shape)
+    total = np.zeros((distances.size, n_points))
+    for row, R in zip(total, distances.tolist()):
+        for label, collapsed in sums:
+            kR = channels.k(label) * R
+            u = 0.5j / kR
+            with np.errstate(over="ignore", invalid="ignore"):
+                images = chi_terms(l_max, s_max, u) @ collapsed
+                values = _kernels.quadratic_form(images, direct + 2 * u * s * derived).real
+            if not (np.isfinite(images).all() and np.isfinite(values).all()):
+                raise FluxDomainError(
+                    f"distance expansion at l_max={l_max}, kR={kR:.6g}, order={order} "
+                    f"is not finite: its series terms exceed the float64 limit "
+                    f"{np.finfo(float).max:.4g}; lower the order or raise kR"
+                )
+            row += channels.weight(label) * values
+    return total
+
+
+def _expansion(
+    f: PartialWaveAmplitude,
+    channels: ChannelSet,
+    R: float | np.ndarray,
+    nhat,
+    order: int,
+    single: bool,
+) -> float | np.ndarray:
+    """``_expansion_rows`` at the directions ``nhat``, shaped as ``differential_flux_exact``."""
+    r = _distances(R)
+    pts, lead_shape, scalar = _flat_directions(nhat)
+    sums = _degree_sums(f, channels, pts)
+    total = _expansion_rows(
+        sums, channels, f.l_max, np.atleast_1d(r), pts.shape[0], order, single
+    )
+    return _shaped(total, r, lead_shape, scalar)
 
 
 def differential_flux_asymptotic(
     f: PartialWaveAmplitude,
     channels: ChannelSet,
-    R: float,
+    R: float | np.ndarray,
     nhat,
     order: int = 4,
 ) -> float | np.ndarray:
@@ -372,6 +404,11 @@ def differential_flux_asymptotic(
     terminates: from ``order = 2 * l_max`` on it is complete and matches
     ``differential_flux_exact`` to rounding.  Raises ``FluxDomainError``
     where its terms leave the float64 range (high orders at small ``kR``).
+
+    ``R`` and ``nhat`` are shaped as in ``differential_flux_exact``: a 1-d
+    array of distances gives shape ``(n_R, *direction_shape)``, one degree
+    sum per channel for all of them, and each row is the scalar call's
+    value bit for bit.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -381,7 +418,7 @@ def differential_flux_asymptotic(
 def flux_correction_term(
     f: PartialWaveAmplitude,
     channels: ChannelSet,
-    R: float,
+    R: float | np.ndarray,
     nhat,
     order: int,
 ) -> float | np.ndarray:
@@ -390,7 +427,8 @@ def flux_correction_term(
     The terms of ``differential_flux_asymptotic`` whose total order is
     exactly ``order``; past ``2 * l_max`` they vanish.  Each one vanishes
     upon solid-angle integration, which is how the expansion stays
-    consistent with flux conservation order by order.
+    consistent with flux conservation order by order.  ``R`` may be a 1-d
+    array, as in ``differential_flux_asymptotic``.
     """
     if order < 1:
         raise ValueError("order must be positive")
@@ -604,8 +642,9 @@ def unitarity_defect(
 
     ``f`` may be a family callable ``(entrance_label, direction) ->
     PartialWaveAmplitude``; it is called once per entrance and distinct
-    direction, and every sampled amplitude value comes from one harmonic
-    table at those directions.  A single amplitude only supplies the
+    direction; every sampled amplitude value comes from one harmonic
+    table at those directions, and every bilinear from one product of the
+    stacked coefficient rows.  A single amplitude only supplies the
     diagonal sample ``gamma = alpha`` at its own incident direction;
     requesting more directions with a bare amplitude raises, since the
     reciprocal amplitude data is missing.
@@ -633,23 +672,26 @@ def unitarity_defect(
     l_max = max(amp.l_max for amp in amplitudes.values())
     table = ylm_directions(l_max, np.array(directions))
     k = np.array([[channels.k(label)] for label in channels.labels])
-    rows = {key: amp.rows(channels.labels, l_max) for key, amp in amplitudes.items()}
-    weighted = {key: k * coeffs for key, coeffs in rows.items()}
-    values = {key: coeffs @ table for key, coeffs in rows.items()}
+    # the amplitude of entrance e at direction d is row e * n_dir + d
+    n_dir, n_amp = len(directions), len(amplitudes)
+    rows = np.array([amp.rows(channels.labels, l_max) for amp in amplitudes.values()])
+    bilinears = rows.reshape(n_amp, -1).conj() @ (k * rows).reshape(n_amp, -1).T
+    values = rows @ table
 
+    # gamma, alpha, s_hat, kappa_hat along four axes: every sampled pair
+    entrance = np.arange(len(entrances))
+    label = np.array([channels.labels.index(e) for e in entrances])
+    s_at = np.array([directions.index(d) for d in s_hats])
+    kappa_at = np.array([directions.index(d) for d in kappa_hats])
+    g = entrance[:, None, None, None] * n_dir + s_at[:, None]
+    a = entrance[:, None, None] * n_dir + kappa_at
+    bilinear = bilinears[g, a]
+    forward = values[a, label[:, None, None, None], s_at[:, None]]
+    backward = values[g, label[:, None, None], kappa_at]
+    rhs = -(4.0 * np.pi / 2j) * (forward - np.conj(backward))
     # np.max, not max(): a nan defect must propagate, not lose to 0.0
-    defects: list[float] = []
-    scales: list[float] = []
-    for gamma, alpha, s_hat, kappa_hat in product(entrances, entrances, s_hats, kappa_hats):
-        g, a = (gamma, s_hat), (alpha, kappa_hat)
-        bilinear = np.vdot(rows[g], weighted[a])
-        forward = values[a][channels.labels.index(gamma), directions.index(s_hat)]
-        backward = values[g][channels.labels.index(alpha), directions.index(kappa_hat)]
-        rhs = -(4.0 * np.pi / 2j) * (forward - np.conj(backward))
-        defects.append(abs(bilinear + rhs))
-        scales.append(abs(bilinear))
-    worst = float(np.max(defects))
-    scale = float(np.max(scales))
+    worst = float(np.max(np.abs(bilinear + rhs)))
+    scale = float(np.max(np.abs(bilinear)))
     if scale == 0.0:
         return 0.0
     return worst / scale

@@ -3,13 +3,15 @@
 ``greens_point`` evaluates the closed form ``exp(+-ik|R - x|)/(4 pi |R - x|)``
 directly and serves as the oracle.  ``greens_multipole`` rebuilds it from the
 mode sum over products of the regular solution at the inner radius and the
-decaying solution at the outer radius, valid for ``|x| < |R|``.  All three
-routes take one query or a sequence of them; a sequence runs as one array
-pass (over the degrees, for the mode sums) and returns an array.  A lone
-query takes the same array pass, and there is no scalar path: a lone mode
-sum costs about 0.5 ms at k|x| = 1 and 5 (CPython 3.11, NumPy 2.4, 2-core
-x86-64), some four times a per-degree float loop, but nothing sums lone
-queries in a loop; many queries go in as one sequence.
+decaying solution at the outer radius, valid for ``|x| < |R|``.  A
+``GreensQuery`` holds one query or a record of many, validated as one
+array; all three routes take a query, a record or a sequence of them,
+convert them to arrays once, run one array pass (over the degrees, for the
+mode sums) and return an array, or a complex number for a lone query.  A
+lone query takes the same array pass, and there is no scalar path: a lone
+mode sum costs about 0.5 ms at k|x| = 1 and 5 (CPython 3.11, NumPy 2.4,
+2-core x86-64), some four times a per-degree float loop, but nothing sums
+lone queries in a loop; many queries go in as one record.
 ``greens_asymptotic`` replaces each mode's decaying solution by its distance
 expansion truncated at a chosen order, which is the per-mode image of the
 operator expansion of the kernel; with the truncation order at or above the
@@ -17,7 +19,8 @@ retained degrees it coincides with the multipole sum identically, and its
 error against the closed form falls off one power of ``kR`` faster for each
 retained order.
 
-Both mode sums run per degree only: the addition theorem
+Both mode sums are one pass over one set of degree terms, and run per
+degree only: the addition theorem
 ``sum_m Y_l^m(R_hat) conj(Y_l^m(x_hat)) = (2l+1)/(4 pi) P_l(cos gamma)``
 (DLMF 14.30.9) collapses the orders into one Legendre polynomial of the angle
 between the two points.  The inner factors ``x j_l(x)`` are the minimal
@@ -50,82 +53,131 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GreensQuery:
-    """One kernel evaluation: wavenumber, outer point, inner point, sign.
+    """Kernel evaluations: wavenumber, outer point, inner point, sign.
 
-    ``sign`` is +1 for the outgoing kernel, -1 for the incoming one.  The
-    mode sum converges only inside the sphere through the outer point, so
-    ``|x_vec| < |R_vec|`` is enforced at construction.
+    One query has fields of shapes ``()`` and ``(3,)``; a record of ``n``
+    queries has a 1-d ``k`` and fields of shapes ``(n,)`` and ``(n, 3)``,
+    where a scalar ``sign`` applies to all of them.  ``sign`` is +1 for the
+    outgoing kernel, -1 for the incoming one.  The mode sum converges only
+    inside the sphere through the outer point, so ``|x_vec| < |R_vec|`` is
+    enforced at construction, for every query at once.
     """
 
-    k: float
+    k: float | np.ndarray
     R_vec: np.ndarray
     x_vec: np.ndarray
-    sign: int = +1
+    sign: int | np.ndarray = +1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and self.k > 0):
+        k = np.asarray(self.k, dtype=float)
+        sign = np.asarray(self.sign)
+        if k.ndim > 1:
+            raise ValueError("k must be one wavenumber or a 1-d array of them")
+        if not (np.isfinite(k) & (k > 0)).all():
             raise ValueError("wavenumber must be positive")
-        if self.sign not in (+1, -1):
+        if sign.dtype.kind not in "biuf" or not (np.abs(sign) == 1).all():
             raise ValueError("sign must be +1 (outgoing) or -1 (incoming)")
+        if k.ndim:
+            sign = np.broadcast_to(sign.astype(int), k.shape).copy()
+            for name, value in (("k", k), ("sign", sign)):
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
         for name in ("R_vec", "x_vec"):
-            vec = np.asarray(getattr(self, name), dtype=float).reshape(3)
+            vec = np.asarray(getattr(self, name), dtype=float).reshape(*k.shape, 3)
             vec.flags.writeable = False
             object.__setattr__(self, name, vec)
-        if not self.small_r < self.big_r:
+        if not (_norms(self.x_vec) < _norms(self.R_vec)).all():
             raise ValueError("require |x_vec| < |R_vec| for the mode expansion")
 
     @property
-    def big_r(self) -> float:
-        return float(np.linalg.norm(self.R_vec))
+    def big_r(self) -> float | np.ndarray:
+        return _norms(self.R_vec)[()]
 
     @property
-    def small_r(self) -> float:
-        return float(np.linalg.norm(self.x_vec))
+    def small_r(self) -> float | np.ndarray:
+        return _norms(self.x_vec)[()]
 
 
-def _queries(query: GreensQuery | Sequence[GreensQuery]) -> tuple[GreensQuery, ...]:
-    queries = (query,) if isinstance(query, GreensQuery) else tuple(query)
-    if not all(isinstance(q, GreensQuery) for q in queries):
+def _norms(vecs: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, each ``np.linalg.norm`` of its vector bit for bit.
+
+    A ``(1, 3) @ (3, 1)`` product per vector is the dot product that
+    ``np.linalg.norm`` takes of one vector; the sum over an axis may round
+    differently.
+    """
+    return np.sqrt(np.matmul(vecs[..., None, :], vecs[..., :, None])[..., 0, 0])
+
+
+def _batch(
+    query: GreensQuery | Sequence[GreensQuery],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+    """``k``, ``R_vec``, ``x_vec`` and ``sign`` of all queries, shapes ``(n,)``
+    and ``(n, 3)``, and whether ``query`` is a lone query."""
+    records = (query,) if isinstance(query, GreensQuery) else tuple(query)
+    if not all(isinstance(q, GreensQuery) for q in records):
         raise TypeError("expected a GreensQuery or a sequence of them")
-    return queries
+    if not records:
+        return np.empty(0), np.empty((0, 3)), np.empty((0, 3)), np.empty(0, dtype=int), False
+    lone = isinstance(query, GreensQuery) and np.ndim(query.k) == 0
+    k = np.concatenate([np.reshape(q.k, -1) for q in records]).astype(float)
+    sign = np.concatenate([np.reshape(q.sign, -1) for q in records])
+    R_vec = np.concatenate([q.R_vec.reshape(-1, 3) for q in records])
+    x_vec = np.concatenate([q.x_vec.reshape(-1, 3) for q in records])
+    return k, R_vec, x_vec, sign.astype(int), lone
 
 
 def greens_point(query: GreensQuery | Sequence[GreensQuery]) -> complex | np.ndarray:
     """Closed-form kernel ``exp(+-ik d)/(4 pi d)``, ``d = |R_vec - x_vec|``, per query."""
-    queries = _queries(query)
-    gap = np.array([q.R_vec - q.x_vec for q in queries]).reshape(-1, 3)
-    # a (1, 3) @ (3, 1) product per query is the dot product that
-    # np.linalg.norm takes of one vector, so each d is that norm bit for bit
-    d = np.sqrt(np.matmul(gap[:, None, :], gap[:, :, None]).reshape(-1))
+    k, R_vec, x_vec, sign, lone = _batch(query)
+    d = _norms(R_vec - x_vec)
     if (d == 0.0).any():
         raise ValueError("coincident source and observation points")
-    phase = np.array([1j * q.sign * q.k for q in queries], dtype=complex)
-    values = np.exp(phase * d) / (4.0 * np.pi * d)
-    return complex(values[0]) if isinstance(query, GreensQuery) else values
+    values = np.exp(1j * sign * k * d) / (4.0 * np.pi * d)
+    return complex(values[0]) if lone else values
 
 
-def auto_l_max(k: float, r: float) -> int:
-    """Default angular cutoff for the mode sums.
+# past this, ceil(e k r) + 30 leaves int64: the doubles below 2**63 end at 2**63 - 1024
+_CUTOFF_LIMIT = 2.0**63
+
+
+def auto_l_max(k: float | np.ndarray, r: float | np.ndarray) -> int | np.ndarray:
+    """Default angular cutoff for the mode sums, per query.
 
     The inner radial factor decays super-exponentially once the degree
     exceeds ``k r``, but at small ``k r`` the tail falls off only like
     ``(r/R)**l``; ``ceil(e * k * r) + 30`` keeps it below 1e-9 relative for
-    inner/outer ratios up to one half.
+    inner/outer ratios up to one half.  Scalars give an ``int``, arrays an
+    ``int64`` array.  Where ``e k r`` is not finite or the cutoff leaves
+    int64 it raises ``FluxDomainError``.
     """
-    if k <= 0 or r < 0:
+    k_arr = np.asarray(k, dtype=float)
+    r_arr = np.asarray(r, dtype=float)
+    if not ((k_arr > 0) & (r_arr >= 0)).all():
         raise ValueError("need k > 0 and r >= 0")
-    return int(math.ceil(math.e * k * r)) + 30
+    with np.errstate(over="ignore"):
+        x = math.e * k_arr * r_arr
+        outside = ~(x < _CUTOFF_LIMIT)
+        if outside.any():
+            kr = (k_arr * r_arr).reshape(-1)[np.argmax(outside)]
+            raise FluxDomainError(
+                f"angular cutoff ceil(e*k*|x|) + 30 at k*|x| = {kr:.6g} is not an "
+                f"int64: the mode sum cannot run to that degree"
+            )
+    cutoffs = np.ceil(x).astype(np.int64) + 30
+    return int(cutoffs) if cutoffs.ndim == 0 else cutoffs
 
 
-def _assemble(queries: tuple[GreensQuery, ...], cutoffs: np.ndarray, s_max: float) -> np.ndarray:
+def _assemble(
+    k: np.ndarray,
+    R_vec: np.ndarray,
+    x_vec: np.ndarray,
+    sign: np.ndarray,
+    cutoffs: np.ndarray,
+    s_max: float,
+) -> np.ndarray:
     """Mode sums of all queries in one pass over the degrees, shape ``(n,)``."""
-    n = len(queries)
-    if n == 0:
+    if k.size == 0:
         return np.empty(0, dtype=complex)
-    k = np.array([q.k for q in queries])
-    sign = np.array([q.sign for q in queries])
-    R_vec = np.array([q.R_vec for q in queries])
-    x_vec = np.array([q.x_vec for q in queries])
     big = np.linalg.norm(R_vec, axis=1)
     small = np.linalg.norm(x_vec, axis=1)
     source = small > 0
@@ -161,7 +213,7 @@ def _assemble(queries: tuple[GreensQuery, ...], cutoffs: np.ndarray, s_max: floa
         raise FluxDomainError(
             f"multipole sum at l_max={cutoffs[i]}, kR={outer_x[i]:.6g} is not finite: "
             f"the outer factors exceed the float64 limit {np.finfo(float).max:.4g}; "
-            f"lower l_max (auto_l_max gives {auto_l_max(k[i], queries[i].small_r)})"
+            f"lower l_max (auto_l_max gives {auto_l_max(k[i], _norms(x_vec[i]))})"
         )
     return values
 
@@ -169,15 +221,15 @@ def _assemble(queries: tuple[GreensQuery, ...], cutoffs: np.ndarray, s_max: floa
 def _evaluate(
     query: GreensQuery | Sequence[GreensQuery], l_max: int | None, s_max: float
 ) -> complex | np.ndarray:
-    queries = _queries(query)
+    k, R_vec, x_vec, sign, lone = _batch(query)
     if l_max is None:
-        cutoffs = np.array([auto_l_max(q.k, q.small_r) for q in queries], dtype=int)
+        cutoffs = auto_l_max(k, _norms(x_vec))
     elif l_max < 0:
         raise ValueError("l_max must be non-negative")
     else:
-        cutoffs = np.full(len(queries), l_max)
-    values = _assemble(queries, cutoffs, s_max)
-    return complex(values[0]) if isinstance(query, GreensQuery) else values
+        cutoffs = np.full(k.size, l_max)
+    values = _assemble(k, R_vec, x_vec, sign, cutoffs, s_max)
+    return complex(values[0]) if lone else values
 
 
 def greens_multipole(

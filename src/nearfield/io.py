@@ -25,7 +25,6 @@ from .amplitudes import (
     PartialWaveAmplitude,
     SMatrixModel,
     WEIGHT_MODES,
-    amplitudes_from_smatrix,
     hard_sphere_model,
     random_unitary_smatrix,
     smatrix_amplitude_family,
@@ -410,11 +409,12 @@ def _resolve_hard_sphere(config: RunConfig, spec: dict) -> AmplitudeSource:
         raise ConfigError(f"{what} does not define velocities")
     model = hard_sphere_model(k, radius, l_max)
     channels = ChannelSet(channels=(Channel(label, k),), entrance=label)
-    f = amplitudes_from_smatrix(model, channels)
+    # the family runs the unitarity gate of amplitudes_from_smatrix once
+    family = smatrix_amplitude_family(model, channels)
     return AmplitudeSource(
-        f=f,
+        f=family(label, (0.0, 0.0, 1.0)),
         channels=channels,
-        family=smatrix_amplitude_family(model, channels),
+        family=family,
         description=f"hard_sphere(k={k:g}, radius={radius:g}, l_max={l_max})",
     )
 
@@ -463,11 +463,11 @@ def _resolve_random_unitary(config: RunConfig, spec: dict) -> AmplitudeSource:
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
     model = random_unitary_smatrix(n_channels, l_max, seed=seed)
-    f = amplitudes_from_smatrix(model, channels, kappa_hat=tuple(kappa))
+    family = smatrix_amplitude_family(model, channels)
     return AmplitudeSource(
-        f=f,
+        f=family(alpha, tuple(kappa)),
         channels=channels,
-        family=smatrix_amplitude_family(model, channels),
+        family=family,
         description=f"random_unitary(n={n_channels}, l_max={l_max}, seed={seed})",
         kappa_hat=tuple(kappa),
     )

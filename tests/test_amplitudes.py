@@ -348,6 +348,37 @@ def test_random_unitary_model_properties():
     )
 
 
+@pytest.mark.parametrize("n_channels", [1, 2, 3])
+@pytest.mark.parametrize("l_max", [0, 5, 12])
+def test_random_unitary_smatrix_is_the_per_degree_loop(n_channels, l_max):
+    # one draw and one QR per degree, as the stacked draw replaced it
+    for seed in (0, 5, 11):
+        rng = np.random.default_rng(seed)
+        expect = []
+        for _ in range(l_max + 1):
+            g = rng.standard_normal((n_channels, n_channels)) + 1j * rng.standard_normal(
+                (n_channels, n_channels)
+            )
+            q, r = np.linalg.qr(g)
+            expect.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+        model = random_unitary_smatrix(n_channels, l_max, seed=seed)
+        assert len(model.matrices) == l_max + 1
+        for got, ref in zip(model.matrices, expect):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(model.stack, np.array(expect))
+        assert not model.stack.flags.writeable
+        assert not model.matrices[0].flags.writeable
+
+
+def test_smatrix_model_validates_shapes():
+    with pytest.raises(ValueError, match="degree-0"):
+        type(random_unitary_smatrix(1, 0))(matrices=())
+    with pytest.raises(ValueError, match="degree 1"):
+        type(random_unitary_smatrix(1, 0))(matrices=(np.eye(2), np.eye(3)))
+    model = type(random_unitary_smatrix(1, 0))(matrices=[np.eye(2), np.eye(2)])
+    assert model.stack.shape == (2, 2, 2) and model.unitarity_defect() == 0.0
+
+
 def test_hard_sphere_phases():
     k, a = 1.0, 0.5
     model = hard_sphere_model(k, a, 6)

@@ -138,6 +138,31 @@ def test_array_distances_match_stacked_scalar_calls():
         differential_flux_exact(f, cs, np.array([1.0, 0.0]), pts)
 
 
+@pytest.mark.parametrize("order", [0, 1, 3, 8])
+def test_expansion_at_array_distances_matches_stacked_scalar_calls(order):
+    f, cs, _ = unitary_amplitude(3, 4, seed=12)
+    r_values = np.array([0.9, 1.7, 25.0, 900.0])
+    pts = gauss_legendre_sphere(5).points
+    routes = [differential_flux_asymptotic]
+    if order:
+        routes.append(flux_correction_term)
+    for route in routes:
+        batch = route(f, cs, r_values, pts, order)
+        assert batch.shape == (4, pts.shape[0])
+        stacked = np.stack([route(f, cs, R, pts, order) for R in r_values])
+        np.testing.assert_array_equal(batch, stacked)
+        cube = pts[:12].reshape(3, 4, 3)
+        assert route(f, cs, r_values, cube, order).shape == (4, 3, 4)
+        single = route(f, cs, r_values, pts[5], order)
+        assert single.shape == (4,)
+        np.testing.assert_array_equal(single, [route(f, cs, R, pts[5], order) for R in r_values])
+        assert isinstance(route(f, cs, 2.5, pts[5], order), float)
+        with pytest.raises(ValueError):
+            route(f, cs, np.ones((2, 2)), pts, order)
+        with pytest.raises(ValueError):
+            route(f, cs, np.array([1.0, 0.0]), pts, order)
+
+
 def _degree_level_reference(f, cs, pts):
     """Degree sums from the full table, with their absolute-value sums."""
     theta, phi = angles_from_unit(pts)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,100 @@ def test_sequence_of_queries_matches_single_calls():
     assert greens_multipole([]).shape == (0,)
     with pytest.raises(TypeError):
         greens_multipole([queries[0], 1.0])
+
+
+def _record_of(queries):
+    return GreensQuery(
+        k=np.array([q.k for q in queries]),
+        R_vec=np.array([q.R_vec for q in queries]),
+        x_vec=np.array([q.x_vec for q in queries]),
+        sign=np.array([q.sign for q in queries]),
+    )
+
+
+def test_record_of_queries_is_the_sequence_of_single_queries():
+    rng = np.random.default_rng(21)
+    queries = [_random_query(rng, sign, k_hi=6.0) for _ in range(10) for sign in (1, -1)]
+    queries.insert(5, GreensQuery(k=1.7, R_vec=np.array([2.0, -1.0, 2.0]), x_vec=np.zeros(3)))
+    record = _record_of(queries)
+    assert record.k.shape == record.sign.shape == (21,)
+    assert record.R_vec.shape == record.x_vec.shape == (21, 3)
+    assert not record.k.flags.writeable and not record.R_vec.flags.writeable
+    assert np.array_equal(record.small_r, [q.small_r for q in queries])
+    assert np.array_equal(record.big_r, [q.big_r for q in queries])
+    for route in (
+        greens_point,
+        greens_multipole,
+        lambda q: greens_multipole(q, l_max=40),
+        lambda q: greens_asymptotic(q, s_max=3),
+    ):
+        expect = route(queries)
+        assert np.array_equal(route(record), expect)
+        # a sequence of records is their concatenation
+        assert np.array_equal(route([_record_of(queries[:4]), record, queries[7]]),
+                              np.concatenate([expect[:4], expect, expect[7:8]]))
+    # a record of one query still gives an array
+    assert greens_point(_record_of(queries[:1])).shape == (1,)
+    # a scalar sign applies to every query of a record
+    both = GreensQuery(k=record.k, R_vec=record.R_vec, x_vec=record.x_vec, sign=-1)
+    assert np.array_equal(both.sign, np.full(21, -1))
+
+
+def test_record_validation_names_the_first_failure():
+    rng = np.random.default_rng(4)
+    queries = [_random_query(rng, 1) for _ in range(5)]
+    fields = {
+        "k": np.array([q.k for q in queries]),
+        "R_vec": np.array([q.R_vec for q in queries]),
+        "x_vec": np.array([q.x_vec for q in queries]),
+        "sign": np.ones(5, dtype=int),
+    }
+    GreensQuery(**fields)
+    for name, index, value, message in (
+        ("k", 2, 0.0, "wavenumber must be positive"),
+        ("k", 4, np.nan, "wavenumber must be positive"),
+        ("sign", 1, 2, "sign must be"),
+        ("x_vec", 3, fields["R_vec"][3], "require |x_vec| < |R_vec|"),
+    ):
+        bad = {key: value.copy() for key, value in fields.items()}
+        bad[name][index] = value
+        with pytest.raises(ValueError, match=message):
+            GreensQuery(**bad)
+    with pytest.raises(ValueError):
+        GreensQuery(k=fields["k"][:, None], R_vec=fields["R_vec"], x_vec=fields["x_vec"])
+    with pytest.raises(ValueError):
+        GreensQuery(**(fields | {"sign": np.ones(4, dtype=int)}))
+
+
+def test_auto_l_max_takes_arrays():
+    k = np.array([0.3, 1.0, 2.5, 4.0])
+    r = np.array([0.0, 1.0, 7.3, 50.0])
+    cutoffs = auto_l_max(k, r)
+    assert cutoffs.dtype == np.int64
+    assert cutoffs.tolist() == [auto_l_max(float(a), float(b)) for a, b in zip(k, r)]
+    assert type(auto_l_max(1.0, 2.0)) is int
+    assert auto_l_max(1.0, 1e18) == math.ceil(math.e * 1e18) + 30
+    with pytest.raises(ValueError):
+        auto_l_max(k, -r)
+    with pytest.raises(ValueError):
+        auto_l_max(np.nan, 1.0)
+
+
+def test_oversized_cutoff_raises_typed_error():
+    # e k |x| overflows, or the cutoff leaves int64: both used to end in a
+    # bare OverflowError
+    for k, r in ((1e200, 1e199), (1.0, 4e18), (1.0, np.inf)):
+        with pytest.raises(FluxDomainError, match=r"k\*\|x\|"):
+            auto_l_max(k, r)
+    with pytest.raises(FluxDomainError, match=r"k\*\|x\| = 1e\+299"):
+        auto_l_max(np.array([1.0, 1e200]), np.array([2.0, 1e99]))
+    query = GreensQuery(
+        k=1e200, R_vec=np.array([0.0, 0.0, 2e99]), x_vec=np.array([1e99, 0.0, 0.0])
+    )
+    with pytest.raises(FluxDomainError, match=r"k\*\|x\| = 1e\+299"):
+        greens_multipole(query)
+    with pytest.raises(FluxDomainError):
+        greens_asymptotic([query], s_max=2)
 
 
 def test_auto_l_max_monotone():

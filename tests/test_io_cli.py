@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import nearfield
-from nearfield import cli
-from nearfield.amplitudes import Channel, ChannelSet, PartialWaveAmplitude
+from nearfield import cli, greens
+from nearfield.amplitudes import Channel, ChannelSet, PartialWaveAmplitude, SMatrixModel
+from nearfield.flux import differential_flux_asymptotic, differential_flux_exact
 from nearfield.special import unit_from_angles
 from nearfield.io import (
     AmplitudeDataError,
@@ -654,13 +655,103 @@ def test_greens_battery_is_the_scalar_loop_draw(seed):
             np.arccos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * np.pi)
         )
         expect += [(k, r_vec, x_vec, sign) for sign in (1, -1)]
-    queries = cli._greens_battery(seed)
-    assert len(queries) == 48
-    for query, (k, r_vec, x_vec, sign) in zip(queries, expect):
-        assert type(query.k) is float and query.k == k
-        assert np.array_equal(query.R_vec, r_vec)
-        assert np.array_equal(query.x_vec, x_vec)
-        assert query.sign == sign
+    record = cli._greens_battery(seed)
+    assert record.k.shape == record.sign.shape == (48,)
+    assert record.R_vec.shape == record.x_vec.shape == (48, 3)
+    for i, (k, r_vec, x_vec, sign) in enumerate(expect):
+        assert record.k[i] == k
+        assert np.array_equal(record.R_vec[i], r_vec)
+        assert np.array_equal(record.x_vec[i], x_vec)
+        assert record.sign[i] == sign
+
+
+def test_cli_check_greens_builds_one_query_record(monkeypatch):
+    built = []
+    post_init = greens.GreensQuery.__post_init__
+    monkeypatch.setattr(
+        greens.GreensQuery, "__post_init__", lambda q: built.append(1) or post_init(q)
+    )
+    assemble = greens._assemble
+    cutoffs = []
+
+    def spy(k, R_vec, x_vec, sign, cuts, s_max):
+        cutoffs.append(cuts)
+        return assemble(k, R_vec, x_vec, sign, cuts, s_max)
+
+    monkeypatch.setattr(greens, "_assemble", spy)
+    for seed in range(1, 6):
+        built.clear()
+        cutoffs.clear()
+        config = RunConfig(seed=seed)
+        cli._check_greens(config)
+        assert len(built) <= 1
+        record = cli._greens_battery(seed)
+        expect = [
+            greens.auto_l_max(float(k), float(np.linalg.norm(x)))
+            for k, x in zip(record.k, record.x_vec)
+        ]
+        assert len(cutoffs) == 1 and cutoffs[0].tolist() == expect
+
+
+# the five configs of the benchmark's `check all` workload, at fixed numbers
+_CHECK_CONFIGS = (
+    {"seed": 1},
+    {"amplitude": {"model": "hard_sphere", "l_max": 8}, "seed": 2},
+    {
+        "amplitude": {
+            "model": "random_unitary",
+            "n_channels": 3,
+            "l_max": 6,
+            "seed": 86784151,
+            "k": [0.71, 1.93, 1.2],
+        },
+        "seed": 3,
+    },
+    {"amplitude": {"file": "amp.json"}, "seed": 4},
+    {"amplitude": {"model": "random_unitary", "n_channels": 3, "l_max": 12, "seed": 5}, "seed": 5},
+)
+
+
+def test_check_two_path_is_the_four_call_form(tmp_path):
+    source = resolve_amplitude(
+        RunConfig(
+            amplitude={
+                "model": "random_unitary",
+                "n_channels": 2,
+                "l_max": 4,
+                "seed": 7,
+                "k": [0.6, 1.7],
+            }
+        )
+    )
+    save_amplitude(tmp_path / "amp.json", source.f, source.channels)
+    for doc in _CHECK_CONFIGS:
+        config = load_config(_write_config(tmp_path, doc))
+        source = cli._source_for_check(config)
+        f, cs = source.f, source.channels
+        directions = unit_from_angles(np.array([0.0, 1.1, 2.0, 2.9]), np.array([0.0, 0.7, 3.9, 5.2]))
+        r_values = np.array([0.7, 2.0, 9.0, 120.0]) / min(cs.k(label) for label in cs.labels)
+        exact = differential_flux_exact(f, cs, r_values, directions)
+        series = [
+            differential_flux_asymptotic(f, cs, r, directions, 2 * f.l_max) for r in r_values
+        ]
+        expect = float(np.max(np.abs(exact - series) / np.maximum(np.abs(exact), 1e-300)))
+        assert cli._check_two_path(config, source) == expect
+
+
+def test_resolve_amplitude_runs_the_unitarity_gate_once(monkeypatch):
+    calls = []
+    gate = SMatrixModel.unitarity_defect
+    monkeypatch.setattr(SMatrixModel, "unitarity_defect", lambda m: calls.append(1) or gate(m))
+    for spec in (
+        {"model": "hard_sphere", "l_max": 8},
+        {"model": "random_unitary", "n_channels": 3, "l_max": 6, "seed": 2, "kappa": [0.6, 0, 0.8]},
+    ):
+        calls.clear()
+        source = resolve_amplitude(RunConfig(amplitude=spec))
+        assert len(calls) == 1
+        # the amplitude is the family's at the configured incident direction
+        assert source.f == source.family(source.channels.entrance, source.kappa_hat)
 
 
 def test_cli_check_all_passes(tmp_path, capsys):
