@@ -11,7 +11,9 @@ Clenshaw-Curtis evaluation on the imaginary axis (``wronskian._pair_stack``),
 exact in structure and without a degree limit.  On the
 canonical product grid the harmonics separate, ``Y_lm(theta_i, phi_j) =
 y_lm(theta_i) exp(i m phi_j)``, so the sums come from a table on the polar
-nodes alone and one product with the azimuthal Fourier matrix.  Because the
+nodes alone and one product with the azimuthal Fourier matrix.  An
+amplitude with no ``m != 0`` coefficient is axially symmetric, so its
+flux is contracted once per polar ring there.  Because the
 pair factors terminate, the "exact" path here is exact in structure; the
 "asymptotic" path sums the same degree sums reorganized as a distance
 expansion in ``u = 1/(2z)``: the images ``G_s = u**s sum_l c_s(l) S_l``
@@ -52,6 +54,7 @@ from .amplitudes import ChannelSet, PartialWaveAmplitude, evaluate
 from .special import (
     AngularGrid,
     FluxDomainError,
+    _sphere_grid_arrays,
     chi_terms,
     gauss_legendre_sphere,
     mode_degrees,
@@ -165,40 +168,57 @@ def _check_scale(f: PartialWaveAmplitude, channels: ChannelSet) -> float:
 
 
 def _is_canonical_grid(grid: AngularGrid) -> bool:
-    if grid.n_nodes != (grid.order + 1) * (2 * grid.order + 1):
+    """Whether ``grid`` holds the nodes and weights of ``gauss_legendre_sphere(grid.order)``.
+
+    A grid built by ``gauss_legendre_sphere`` holds the cached arrays
+    themselves, which an identity test recognizes without comparing them.
+    """
+    if grid.order < 1 or grid.n_nodes != (grid.order + 1) * (2 * grid.order + 1):
         return False
-    ref = gauss_legendre_sphere(grid.order)
-    return (
-        np.array_equal(grid.theta, ref.theta)
-        and np.array_equal(grid.phi, ref.phi)
-        and np.array_equal(grid.weights, ref.weights)
-    )
+    arrays = (grid.theta, grid.phi, grid.weights)
+    reference = _sphere_grid_arrays(grid.order)
+    if all(a is b for a, b in zip(arrays, reference)):
+        return True
+    return all(np.array_equal(a, b) for a, b in zip(arrays, reference))
 
 
 def _degree_sums(
-    f: PartialWaveAmplitude, channels: ChannelSet, directions: AngularGrid | np.ndarray
+    f: PartialWaveAmplitude,
+    channels: ChannelSet,
+    directions: AngularGrid | np.ndarray,
+    canonical: bool | None = None,
 ) -> list[tuple[str, np.ndarray]]:
     """Degree sums ``S_l(p) = sum_m B_lm Y_lm(p)`` of each nonzero channel.
 
     ``directions`` is a grid or an ``(n_points, 3)`` array; each sum array
-    has shape ``(l_max + 1, n_points)``.  On the canonical product grid one
-    table on the ``order + 1`` polar nodes (at ``phi = 0``) is spread into an
-    ``(l, m)`` layout and multiplied by the ``(2 l_max + 1) x n_phi`` Fourier
-    matrix ``exp(i m phi_j)``; node order is polar-major, as in the grid.
-    Other grids take the full table at their angles, and direction arrays
-    the one at their unit vectors; each degree's rows are then summed.
+    has shape ``(l_max + 1, n_points)``.  On the canonical product grid
+    (``canonical`` passes a test already made) one table on the ``order +
+    1`` polar nodes, at ``phi = 0``, serves every azimuth.  With no ``m !=
+    0`` coefficient the sums do not depend on ``phi``: they are ``B_l0``
+    times the ``m = 0`` rows of that table, one column per polar ring
+    (``n_points = order + 1``).  Otherwise the table is spread into an
+    ``(l, m)`` layout and multiplied by the ``(2 l_max + 1) x n_phi``
+    Fourier matrix ``exp(i m phi_j)``; node order is polar-major, as in the
+    grid.  Other grids take the full table at their angles, and direction
+    arrays the one at their unit vectors; each degree's rows are then summed.
     """
     l_max = f.l_max
+    channel_rows = _channel_rows(f, channels)
     fourier = None
-    if isinstance(directions, AngularGrid) and _is_canonical_grid(directions):
+    if isinstance(directions, AngularGrid) and (
+        _is_canonical_grid(directions) if canonical is None else canonical
+    ):
         n_phi = 2 * directions.order + 1
         theta = directions.theta[::n_phi]
         table = ylm_table(l_max, theta, np.zeros_like(theta))
-        ms = np.arange(-l_max, l_max + 1)
-        fourier = np.exp(1j * np.outer(ms, directions.phi[:n_phi]))
         # mode (l, m) sits at flat index l*l + l + m, slot (l, m + l_max)
         ls = mode_degrees(l_max)
         ms_of_mode = np.arange(ls.size) - ls * ls - ls
+        zonal = ms_of_mode == 0
+        if not any(row[~zonal].any() for _, row in channel_rows):
+            return [(label, row[zonal, None] * table[zonal]) for label, row in channel_rows]
+        ms = np.arange(-l_max, l_max + 1)
+        fourier = np.exp(1j * np.outer(ms, directions.phi[:n_phi]))
         slots = ls * (2 * l_max + 1) + ms_of_mode + l_max
     else:
         if isinstance(directions, AngularGrid):
@@ -207,7 +227,7 @@ def _degree_sums(
             table = ylm_directions(l_max, directions)
         degree_starts = np.arange(l_max + 1) ** 2
     sums = []
-    for label, row in _channel_rows(f, channels):
+    for label, row in channel_rows:
         terms = row[:, None] * table
         if fourier is None:
             sums.append((label, np.add.reduceat(terms, degree_starts, axis=0)))
@@ -274,17 +294,45 @@ def _flux_rows(
     return total
 
 
+def _grid_rows(
+    f: PartialWaveAmplitude,
+    channels: ChannelSet,
+    grid: AngularGrid,
+    distances: np.ndarray,
+    canonical: bool,
+) -> np.ndarray:
+    """Differential flux on ``grid``, shape ``(n_distances, n_nodes)``.
+
+    Ring sums of ``_degree_sums`` are contracted once per polar ring, and
+    each ring's value is repeated over its azimuths.
+    """
+    sums = _degree_sums(f, channels, grid, canonical)
+    n_points = sums[0][1].shape[1] if sums else grid.n_nodes
+    rows = _flux_rows(sums, channels, f.l_max, distances, n_points)
+    if n_points == grid.n_nodes:
+        return rows
+    return np.repeat(rows, 2 * grid.order + 1, axis=1)
+
+
 # ----------------------------------------------------------------------
 # differential flux
 # ----------------------------------------------------------------------
 
+def _check_distances(r: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first distance in ``r`` that is not
+    finite and positive; nan fails both tests."""
+    bad = ~(np.isfinite(r) & (r > 0))
+    if bad.any():
+        value = float(r.flat[np.argmax(bad)])
+        raise ValueError(f"distance R must be finite and positive, got {value!r}")
+
+
 def _distances(R) -> np.ndarray:
-    """``R`` as a float array, scalar or 1-d, checked positive."""
+    """``R`` as a float array, scalar or 1-d, checked finite and positive."""
     r = np.asarray(R, dtype=float)
     if r.ndim > 1:
         raise ValueError("R must be a scalar or a 1-d array of distances")
-    if not (r > 0).all():
-        raise ValueError("distance R must be positive")
+    _check_distances(r)
     return r
 
 
@@ -506,10 +554,10 @@ def total_flux(
     ``kR``.  On a canonical grid of lower order the pair factors are
     contracted against the double-double sphere Gram matrix, whose rounding
     the pair factors amplify at small ``kR``.  ``"auto"`` picks ``"gram"``
-    when the grid is canonical.
+    when the grid is canonical.  ``R`` must be finite and positive, or
+    ``ValueError`` is raised.
     """
-    if not (R > 0):
-        raise ValueError("distance R must be positive")
+    _check_distances(np.asarray(R, dtype=float))
     if grid is None:
         grid = default_grid(f)
     if method not in ("auto", "gram", "pointwise"):
@@ -524,8 +572,7 @@ def total_flux(
     if method == "auto":
         method = "gram" if canonical else "pointwise"
     if method == "pointwise":
-        sums = _degree_sums(f, channels, grid)
-        values = _flux_rows(sums, channels, f.l_max, np.array([R]), grid.n_nodes)[0]
+        values = _grid_rows(f, channels, grid, np.array([R], dtype=float), canonical)[0]
         return float(grid.integrate(values))
     if not canonical:
         raise ValueError(
@@ -580,19 +627,21 @@ def flux_profile(
     r_values,
     grid: AngularGrid | None = None,
 ) -> FluxProfile:
-    """Evaluate the flux scan used by the command-line front end."""
+    """Evaluate the flux scan used by the command-line front end.
+
+    ``r_values`` must be finite and positive, or ``ValueError`` is raised.
+    """
     r_values = np.asarray(r_values, dtype=float)
     if r_values.ndim != 1 or r_values.size == 0:
         raise ValueError("r_values must be a non-empty 1-d array")
-    if np.any(r_values <= 0):
-        raise ValueError("distances must be positive")
+    _check_distances(r_values)
     if grid is None:
         grid = default_grid(f)
     k_min = min(channels.k(label) for label in channels.labels)
-    sums = _degree_sums(f, channels, grid)
-    samples = _flux_rows(sums, channels, f.l_max, r_values, grid.n_nodes)
+    canonical = _is_canonical_grid(grid)
+    samples = _grid_rows(f, channels, grid, r_values, canonical)
     far = _summed_cross_section(f, channels)
-    if _is_canonical_grid(grid) and grid.order >= f.l_max:
+    if canonical and grid.order >= f.l_max:
         # the total_flux value at every distance, without one call per distance
         totals = np.full(r_values.size, far)
     else:

@@ -29,6 +29,7 @@ from nearfield.flux import (
 )
 from nearfield.io import DEFAULT_TOLERANCES
 from nearfield.special import (
+    AngularGrid,
     angles_from_unit,
     gauss_legendre_sphere,
     mode_degrees,
@@ -187,10 +188,13 @@ def test_separable_degree_sums_match_full_table():
         reference = _degree_level_reference(f, cs, grid.points)
         separable = _degree_sums(f, cs, grid)
         assert [label for label, _ in separable] == list(cs.labels)
+        # at l_max 0 the amplitude is zonal: one column per polar ring
+        n_points = grid.order + 1 if l_max == 0 else grid.n_nodes
         for label, sums in separable:
             ref, scale = reference[label]
-            assert sums.shape == (l_max + 1, grid.n_nodes)
-            assert np.all(np.abs(sums - ref) <= 1e-13 * scale), (l_max, label)
+            assert sums.shape == (l_max + 1, n_points)
+            spread = np.repeat(sums, grid.n_nodes // n_points, axis=1)
+            assert np.all(np.abs(spread - ref) <= 1e-13 * scale), (l_max, label)
 
 
 def test_flux_profile_rows_match_pointwise_evaluation():
@@ -216,7 +220,9 @@ def test_flux_profile_rows_match_pointwise_evaluation():
 
 def _per_distance_rows(f, cs, r_values, directions):
     """Flux rows one distance at a time: ``pair_matrix``, the contraction and
-    the Hermiticity check per distance, the reference for the stacked pass."""
+    the Hermiticity check per distance, the reference for the stacked pass.
+    Ring sums on a grid give one value per polar ring, repeated over the
+    ring's azimuths."""
     channel_sums = _degree_sums(f, cs, directions)
     rows = np.zeros((r_values.size, channel_sums[0][1].shape[1]))
     for label, sums in channel_sums:
@@ -225,6 +231,8 @@ def _per_distance_rows(f, cs, r_values, directions):
             values = _kernels.quadratic_form(sums, w)
             scale = _kernels.quadratic_form(np.abs(sums), np.abs(w))
             rows[i] += cs.weight(label) * _real_with_hermitian_check(values, scale)
+    if isinstance(directions, AngularGrid):
+        rows = np.repeat(rows, directions.n_nodes // rows.shape[1], axis=1)
     return rows
 
 
@@ -240,6 +248,104 @@ def test_stacked_pair_factors_match_per_distance_loop_bitwise(l_max):
     np.testing.assert_array_equal(
         differential_flux_exact(f, cs, r_values, pts), _per_distance_rows(f, cs, r_values, pts)
     )
+
+
+def _is_zonal(f):
+    ms = np.arange((f.l_max + 1) ** 2) - mode_degrees(f.l_max) ** 2 - mode_degrees(f.l_max)
+    return not f.table[:, ms != 0].any()
+
+
+def test_zonal_amplitude_contracts_once_per_polar_ring(monkeypatch):
+    contracted = []
+    real_rows = flux_module._flux_rows
+
+    def spy_rows(sums, channels, l_max, distances, n_points):
+        contracted.append(n_points)
+        return real_rows(sums, channels, l_max, distances, n_points)
+
+    monkeypatch.setattr(flux_module, "_flux_rows", spy_rows)
+    f, cs, _ = unitary_amplitude(3, 6, seed=40)
+    assert _is_zonal(f)
+    grid = gauss_legendre_sphere(16)
+    flux_profile(f, cs, np.geomspace(0.5, 50.0, 4), grid=grid)
+    total_flux(f, cs, 2.0, grid=grid, method="pointwise")
+    assert contracted == [grid.order + 1] * 2
+    # one m != 0 coefficient in one channel keeps the full grid
+    tilted = f + PartialWaveAmplitude({("c1", 4, -3): 1e-3j})
+    contracted.clear()
+    flux_profile(tilted, cs, np.geomspace(0.5, 50.0, 4), grid=grid)
+    total_flux(tilted, cs, 2.0, grid=grid, method="pointwise")
+    assert contracted == [grid.n_nodes] * 2
+    # a grid that is not canonical keeps every node
+    contracted.clear()
+    copy = AngularGrid(grid.order, grid.theta + 0.0, grid.phi + 1e-3, grid.weights.copy())
+    flux_profile(f, cs, np.array([3.0]), grid=copy)
+    # the samples, then the pointwise total of the one distance
+    assert contracted == [grid.n_nodes] * 2
+
+
+@pytest.mark.parametrize("l_max", range(13))
+def test_ring_rows_match_pointwise_evaluation(l_max):
+    f, cs, _ = unitary_amplitude(3, l_max, seed=120 + l_max)
+    assert _is_zonal(f)
+    k_min = min(cs.k(label) for label in cs.labels)
+    r_values = np.geomspace(0.5, 400.0, 6) / k_min
+    profile = flux_profile(f, cs, r_values)
+    grid = profile.grid
+    pts = grid.points
+    # the route the ring path replaces: harmonics at the angles of every node
+    per_node = flux_module._flux_rows(
+        _degree_sums(f, cs, grid, canonical=False), cs, l_max, r_values, grid.n_nodes
+    )
+    direct = differential_flux_exact(f, cs, r_values, pts)
+    reference = _degree_level_reference(f, cs, pts)
+    for i, R in enumerate(r_values):
+        scale = np.zeros(pts.shape[0])
+        for label in cs.labels:
+            w = np.abs(pair_matrix(f.l_max, -1j * cs.k(label) * R))
+            s_abs = np.abs(reference[label][0])
+            scale += cs.weight(label) * np.einsum("ap,ab,bp->p", s_abs, w, s_abs)
+        assert np.all(np.abs(profile.samples[i] - per_node[i]) <= 1e-13 * scale), (l_max, R)
+        # direction vectors reach the harmonics as z / |n|, not cos(theta): at
+        # l_max 12 a node at theta = 2.95, next to a root of P_12, moves by
+        # 1.6e-13 of the scale at kR 0.5 (as before the ring path)
+        assert np.all(np.abs(profile.samples[i] - direct[i]) <= 1e-12 * scale), (l_max, R)
+    # each polar ring holds one value
+    rings = profile.samples.reshape(r_values.size, grid.order + 1, -1)
+    assert np.array_equal(rings, np.broadcast_to(rings[:, :, :1], rings.shape))
+
+
+def test_canonical_grid_test_recognizes_the_cached_arrays(monkeypatch):
+    grid = gauss_legendre_sphere(12)
+    copy = AngularGrid(grid.order, grid.theta.copy(), grid.phi.copy(), grid.weights.copy())
+    shifted = AngularGrid(grid.order, grid.theta, grid.phi + 1e-12, grid.weights)
+    compared = []
+    real_equal = np.array_equal
+
+    def counting_equal(a, b, *args, **kwargs):
+        compared.append(a.size)
+        return real_equal(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(flux_module.np, "array_equal", counting_equal)
+    assert flux_module._is_canonical_grid(grid) and not compared
+    assert flux_module._is_canonical_grid(copy) and len(compared) == 3
+    assert not flux_module._is_canonical_grid(shifted)
+    small = AngularGrid(0, np.zeros(1), np.zeros(1), np.full(1, 4 * np.pi))
+    assert not flux_module._is_canonical_grid(small)
+
+
+def test_flux_profile_tests_the_grid_once(monkeypatch):
+    calls = []
+    real_test = flux_module._is_canonical_grid
+
+    def counting_test(grid):
+        calls.append(grid.order)
+        return real_test(grid)
+
+    monkeypatch.setattr(flux_module, "_is_canonical_grid", counting_test)
+    f, cs, _ = unitary_amplitude(2, 4, seed=41)
+    flux_profile(f, cs, np.geomspace(0.5, 50.0, 3))
+    assert calls == [default_grid(f).order]
 
 
 def test_scan_stacks_pair_factors_once_per_nonzero_channel(monkeypatch):
@@ -674,6 +780,48 @@ def test_flux_profile_contents():
         flux_profile(f, cs, [])
     with pytest.raises(ValueError):
         flux_profile(f, cs, [1.0, -2.0])
+
+
+_BAD_DISTANCES = (0.0, -2.0, np.nan, np.inf, -np.inf)
+
+
+def _names(value):
+    return f"finite and positive, got {float(value)!r}"
+
+
+@pytest.mark.parametrize("bad", _BAD_DISTANCES)
+def test_flux_profile_rejects_non_finite_distances(bad):
+    f, cs, _ = unitary_amplitude(2, 3, seed=42)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=_names(bad)):
+            flux_profile(f, cs, [1.0, bad, 2.0])
+
+
+@pytest.mark.parametrize("bad", _BAD_DISTANCES)
+@pytest.mark.parametrize("method", ["auto", "gram", "pointwise"])
+def test_total_flux_rejects_non_finite_distances(bad, method):
+    f, cs, _ = unitary_amplitude(2, 3, seed=42)
+    with pytest.raises(ValueError, match=_names(bad)):
+        total_flux(f, cs, bad, method=method)
+
+
+@pytest.mark.parametrize("bad", _BAD_DISTANCES)
+@pytest.mark.parametrize(
+    "evaluate_at",
+    [
+        lambda f, cs, R, n: differential_flux_exact(f, cs, R, n),
+        lambda f, cs, R, n: differential_flux_asymptotic(f, cs, R, n, order=3),
+        lambda f, cs, R, n: flux_correction_term(f, cs, R, n, order=2),
+    ],
+    ids=["exact", "asymptotic", "correction"],
+)
+def test_differential_flux_rejects_non_finite_distances(bad, evaluate_at):
+    f, cs, _ = unitary_amplitude(2, 3, seed=42)
+    nhat = unit_from_angles(1.0, 0.5)
+    for R in (bad, np.array([1.0, bad])):
+        with pytest.raises(ValueError, match=_names(bad)):
+            evaluate_at(f, cs, R, nhat)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import nearfield
 from nearfield import cli, greens
 from nearfield.amplitudes import Channel, ChannelSet, PartialWaveAmplitude, SMatrixModel
 from nearfield.flux import differential_flux_asymptotic, differential_flux_exact
-from nearfield.special import unit_from_angles
+from nearfield.special import gauss_legendre_sphere, unit_from_angles
 from nearfield.io import (
     AmplitudeDataError,
     ConfigError,
@@ -470,6 +470,37 @@ def test_cli_flux_per_angle_block(tmp_path, capsys):
     samples = lines[lines.index("R,theta,phi,flux") + 1 :]
     assert len(samples) == n_nodes
     assert all(s.split(",")[0] == "2" for s in samples)
+    # the amplitude is zonal, contracted once per polar ring; every node is listed
+    grid = gauss_legendre_sphere(12)
+    angles = np.array([[float(v) for v in s.split(",")[1:3]] for s in samples])
+    np.testing.assert_allclose(angles, np.column_stack([grid.theta, grid.phi]), rtol=1e-15)
+
+
+def test_cli_flux_per_angle_json_lists_every_node(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        {
+            "amplitude": {"model": "hard_sphere", "l_max": 4},
+            "r_values": [2.0, 7.0],
+            "per_angle": True,
+            "grid_degree": 10,
+            "format": "json",
+        },
+    )
+    assert cli.main(["flux", "--config", str(cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    grid = gauss_legendre_sphere(10)
+    assert [block["R"] for block in doc["angles"]] == [2.0, 7.0]
+    for block, row in zip(doc["angles"], doc["rows"]):
+        samples = block["samples"]
+        assert [(s["theta"], s["phi"]) for s in samples] == list(
+            zip(grid.theta.tolist(), grid.phi.tolist())
+        )
+        flux = np.array([s["flux"] for s in samples])
+        assert flux.min() == row["differential_min"] and flux.max() == row["differential_max"]
+        # one value per polar ring, repeated over its azimuths
+        rings = flux.reshape(grid.order + 1, -1)
+        assert np.array_equal(rings, np.repeat(rings[:, :1], rings.shape[1], axis=1))
 
 
 def test_cli_flux_error_exit_codes(tmp_path, capsys):
