@@ -3,7 +3,8 @@
 ``quadratic_form`` is the per-direction contraction of the distance
 expansion, run on degree-collapsed tables (``L+1`` rows, not
 ``(L+1)**2``); the pointwise flux (``flux._flux_rows``) runs the same
-product per distance into buffers it reuses;
+product batched over blocks of distances, each row equal to this
+function's bit for bit;
 ``weighted_pair_sum`` is the Gram-weighted contraction of the total flux
 on canonical grids of order below ``l_max``.  Both hand the work to
 BLAS-backed matrix products.

@@ -456,17 +456,33 @@ def _require_unitary(model: SMatrixModel, channels: ChannelSet, tolerance: float
         raise ValueError(f"model is not unitary: defect {defect:.3e}")
 
 
+def _smatrix_tables(
+    model: SMatrixModel, channels: ChannelSet, entrances, directions
+) -> np.ndarray:
+    """Coefficient tables past the gate, shape ``(entrances, directions, labels, modes)``.
+
+    One harmonic table at all ``directions`` and one array expression for
+    every entrance label and incident direction.  Each ``(entrance,
+    direction)`` table takes the operations of a call with that pair alone;
+    only a harmonic table built for many directions can differ from a
+    one-direction table in the last bits.
+    """
+    table = ylm_directions(model.l_max, directions)
+    labels = channels.labels
+    idx_in = np.array([labels.index(e) for e in entrances])
+    # (S_l - 1)[beta, entrance] on every mode of degree l
+    t = model.stack[:, :, idx_in].transpose(2, 1, 0)[:, :, mode_degrees(model.l_max)]
+    t[np.arange(idx_in.size), idx_in] -= 1.0
+    ks = [c.k for c in channels.channels]
+    root = np.array([[_root_product(channels.k(e), k) for k in ks] for e in entrances])
+    # dividing by 2i alone is exact and keeps 2 sqrt(k k') from overflowing
+    conj_rows = np.ascontiguousarray(np.conj(table).T)
+    return 4.0 * np.pi * t[:, None] * conj_rows[:, None] / 2j / root[:, None, :, None]
+
+
 def _smatrix_amplitude(model: SMatrixModel, channels: ChannelSet, kappa_hat):
     """``amplitudes_from_smatrix`` past its gate: the table from one array expression."""
-    table = ylm_directions(model.l_max, kappa_hat)[:, 0]
-    idx_in = channels.labels.index(channels.entrance)
-    k_in = channels.entrance_channel.k
-    # (S_l - 1)[beta, entrance] on every mode of degree l
-    t = model.stack[:, :, idx_in].T[:, mode_degrees(model.l_max)]
-    t[idx_in] -= 1.0
-    root = np.array([_root_product(k_in, c.k) for c in channels.channels])
-    # dividing by 2i alone is exact and keeps 2 sqrt(k k') from overflowing
-    values = 4.0 * np.pi * t * np.conj(table) / 2j / root[:, None]
+    values = _smatrix_tables(model, channels, [channels.entrance], kappa_hat)[0, 0]
     return PartialWaveAmplitude._from_table(channels.labels, values)
 
 
@@ -491,4 +507,18 @@ def smatrix_amplitude_family(
     def family(entrance: str, kappa_hat) -> PartialWaveAmplitude:
         return _smatrix_amplitude(model, channels.with_entrance(entrance), kappa_hat)
 
+    def rows(labels, entrances, directions) -> np.ndarray:
+        """``family(e, d).rows(labels, l_max)`` for every ``e`` and ``d``, shape
+        ``(entrances * directions, labels, modes)``, entrance-major, with
+        ``l_max`` the largest of those amplitudes; from one harmonic table."""
+        tables = _smatrix_tables(model, channels, entrances, directions)
+        tables[tables == 0] = 0  # +0, as PartialWaveAmplitude stores it
+        used = np.flatnonzero(tables.any(axis=(0, 1, 2)))
+        n_modes = (math.isqrt(int(used[-1])) + 1) ** 2 if used.size else 1
+        padded = np.zeros((*tables.shape[:2], tables.shape[2] + 1, n_modes), dtype=complex)
+        padded[:, :, :-1] = tables[..., :n_modes]  # row -1 stays zero, for absent labels
+        index = [channels.labels.index(b) if b in channels.labels else -1 for b in labels]
+        return np.ascontiguousarray(padded[:, :, index].reshape(-1, len(labels), n_modes))
+
+    family._rows = rows
     return family

@@ -8,7 +8,10 @@ each degree's harmonics, ``S_l(p) = sum_m B_lm Y_lm(p)``, and then contracts
 at degree level, with one set of sums for all distances of a scan; the
 pair factors of all channels and distances come from one stacked
 Clenshaw-Curtis evaluation on the imaginary axis (``wronskian._pair_stack``),
-exact in structure and without a degree limit.  On the
+exact in structure and without a degree limit.  Each channel's distances
+are contracted in blocks small enough to stay off fresh pages, one batched
+product per block, and each row is the one-distance contraction bit for
+bit.  On the
 canonical product grid the harmonics separate, ``Y_lm(theta_i, phi_j) =
 y_lm(theta_i) exp(i m phi_j)``, so the sums come from a table on the polar
 nodes alone and one product with the azimuthal Fourier matrix.  An
@@ -43,6 +46,7 @@ is multiplied by pair factors that grow like ``(kR)**-(2 l_max + 1)``.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -239,6 +243,14 @@ def _degree_sums(
     return sums
 
 
+# Distances are contracted in blocks whose product ``(block, l_max + 1,
+# n_points)`` has at most this many entries (128 KiB of complex128), or one
+# distance where that alone has more: at scan sizes the block buffers stay
+# under glibc's default 128 KiB mmap threshold and come from heap pages
+# already mapped (blocks of 2**14 and 2**15 entries measured no faster).
+_BLOCK_ENTRIES = 2**13
+
+
 def _flux_rows(
     sums: list[tuple[str, np.ndarray]],
     channels: ChannelSet,
@@ -250,12 +262,15 @@ def _flux_rows(
 
     ``weight_beta * sum_{l,j} conj(S_l) HW_lj S_j`` with the exact pair
     factors at ``z = -i k_beta R``, evaluated for all channels and distances
-    in one stacked call of ``wronskian._pair_stack``.  The result is real up
-    to rounding, which is asserted against the absolute-value contraction
-    before the imaginary residue is discarded.  Per distance this is
-    ``_kernels.quadratic_form`` of the sums and of their moduli, bit for
-    bit, with ``conj(S)`` formed once per channel and the products written
-    into reused buffers.
+    in one stacked call of ``wronskian._pair_stack``.  Each channel's
+    distances run in blocks of at most ``_BLOCK_ENTRIES`` product entries,
+    written into buffers that all channels and blocks share: one batched
+    product of the block's pair matrices with the sums gives the values,
+    one of their moduli gives the absolute-value contraction, and the
+    block's values are asserted real against it before the imaginary
+    residue is discarded.  Every row is ``_kernels.quadratic_form``
+    of the sums and of their moduli at its distance, bit for bit, whatever
+    the block.
     """
     total = np.zeros((distances.size, n_points))
     if not sums:
@@ -272,25 +287,37 @@ def _flux_rows(
                 f"limit {np.finfo(float).max:.4g}: they grow like "
                 f"(2 kR)**-(2*l_max+1); raise kR or lower l_max"
             )
-    # buffers shared by all distances and channels: at scan sizes a fresh
-    # product per distance exceeds glibc's default 128 KiB mmap threshold,
-    # and each one cost its own page faults
+    n = distances.size
+    size = min(n, max(1, _BLOCK_ENTRIES // ((l_max + 1) * max(n_points, 1))))
+    # a block of one distance is a 2-d product, cheaper per call than a
+    # stack of one: library calls at one distance, and thousands of points
+    if size <= 1:
+        blocks = range(n)
+        shape = (l_max + 1, n_points)
+    else:
+        blocks = [slice(start, start + size) for start in range(0, n, size)]
+        shape = (size, l_max + 1, n_points)
+    # buffers shared by all channels and blocks: where the sums of one
+    # channel pass the mmap threshold (a full grid at l_max 20 has 4005
+    # points), fresh arrays per channel or block fault in their pages anew
     conj_sums = np.empty((l_max + 1, n_points), dtype=complex)
-    products = np.empty_like(conj_sums)
-    abs_sums = np.empty((l_max + 1, n_points))
-    abs_products = np.empty_like(abs_sums)
+    abs_sums = np.empty(conj_sums.shape)
+    block_products = np.empty(shape, dtype=complex)
+    block_abs_products = np.empty(shape)
     for (label, collapsed), stack in zip(sums, stacks):
         np.conjugate(collapsed, out=conj_sums)
         np.abs(collapsed, out=abs_sums)
         weight = channels.weight(label)
-        for i, w_pairs in enumerate(stack):
-            np.matmul(w_pairs, collapsed, out=products)
+        for rows in blocks:
+            block = stack[rows]
+            # the whole buffer, or the leading part of it for a last, short block
+            products, abs_products = block_products[: len(block)], block_abs_products[: len(block)]
+            np.matmul(block, collapsed, out=products)
             products *= conj_sums
-            np.matmul(np.abs(w_pairs), abs_sums, out=abs_products)
+            np.matmul(np.abs(block), abs_sums, out=abs_products)
             abs_products *= abs_sums
-            values = products.sum(0)
-            scale = abs_products.sum(0)
-            total[i] += weight * _real_with_hermitian_check(values, scale)
+            values, scale = products.sum(-2), abs_products.sum(-2)
+            total[rows] += weight * _real_with_hermitian_check(values, scale)
     return total
 
 
@@ -533,6 +560,15 @@ def cross_sections(
     return CrossSections(labels, _cross_sections_per_channel(f, channels), quad, diff, grid)
 
 
+def _warn_if_underresolved(grid: AngularGrid, l_max: int) -> None:
+    if grid.order < 2 * l_max:
+        log.warning(
+            "grid order %d below 2*l_max = %d: mode bilinears are not integrated exactly",
+            grid.order,
+            2 * l_max,
+        )
+
+
 def total_flux(
     f: PartialWaveAmplitude,
     channels: ChannelSet,
@@ -562,12 +598,7 @@ def total_flux(
         grid = default_grid(f)
     if method not in ("auto", "gram", "pointwise"):
         raise ValueError("method must be auto, gram, or pointwise")
-    if grid.order < 2 * f.l_max:
-        log.warning(
-            "grid order %d below 2*l_max = %d: mode bilinears are not integrated exactly",
-            grid.order,
-            2 * f.l_max,
-        )
+    _warn_if_underresolved(grid, f.l_max)
     canonical = _is_canonical_grid(grid)
     if method == "auto":
         method = "gram" if canonical else "pointwise"
@@ -641,11 +672,15 @@ def flux_profile(
     canonical = _is_canonical_grid(grid)
     samples = _grid_rows(f, channels, grid, r_values, canonical)
     far = _summed_cross_section(f, channels)
+    # the total_flux value at every distance, without contracting twice
     if canonical and grid.order >= f.l_max:
-        # the total_flux value at every distance, without one call per distance
         totals = np.full(r_values.size, far)
-    else:
+    elif canonical:
         totals = np.array([total_flux(f, channels, r, grid) for r in r_values])
+    else:
+        # each sample row is the pointwise route's row of its distance, bit for bit
+        _warn_if_underresolved(grid, f.l_max)
+        totals = np.array([float(grid.integrate(row)) for row in samples])
     return FluxProfile(
         r_values=r_values,
         total=totals,
@@ -691,9 +726,11 @@ def unitarity_defect(
 
     ``f`` may be a family callable ``(entrance_label, direction) ->
     PartialWaveAmplitude``; it is called once per entrance and distinct
-    direction; every sampled amplitude value comes from one harmonic
-    table at those directions, and every bilinear from one product of the
-    stacked coefficient rows.  A single amplitude only supplies the
+    direction, except that a family from ``smatrix_amplitude_family``
+    supplies all those coefficient rows from one harmonic table.  Every
+    sampled amplitude value comes from one harmonic table at those
+    directions, and every bilinear from one product of the stacked
+    coefficient rows.  A single amplitude only supplies the
     diagonal sample ``gamma = alpha`` at its own incident direction;
     requesting more directions with a bare amplitude raises, since the
     reciprocal amplitude data is missing.
@@ -713,17 +750,24 @@ def unitarity_defect(
                 "supports the diagonal sample; pass an amplitude family"
             )
         entrances = [channels.entrance]
-        amplitudes = {(channels.entrance, directions[0]): f}
+        amplitudes = [f]
     else:
         entrances = list(channels.labels)
-        amplitudes = {(e, d): f(e, d) for e in entrances for d in directions}
+        amplitudes = None
+        if not hasattr(f, "_rows"):
+            amplitudes = [f(e, d) for e in entrances for d in directions]
 
-    l_max = max(amp.l_max for amp in amplitudes.values())
+    # the amplitude of entrance e at direction d is row e * n_dir + d
+    if amplitudes is None:
+        # an S-matrix family: every row from one harmonic table
+        rows = f._rows(channels.labels, entrances, directions)
+        l_max = math.isqrt(rows.shape[2]) - 1
+    else:
+        l_max = max(amp.l_max for amp in amplitudes)
+        rows = np.array([amp.rows(channels.labels, l_max) for amp in amplitudes])
     table = ylm_directions(l_max, np.array(directions))
     k = np.array([[channels.k(label)] for label in channels.labels])
-    # the amplitude of entrance e at direction d is row e * n_dir + d
-    n_dir, n_amp = len(directions), len(amplitudes)
-    rows = np.array([amp.rows(channels.labels, l_max) for amp in amplitudes.values()])
+    n_dir, n_amp = len(directions), rows.shape[0]
     bilinears = rows.reshape(n_amp, -1).conj() @ (k * rows).reshape(n_amp, -1).T
     values = rows @ table
 

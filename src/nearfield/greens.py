@@ -178,8 +178,8 @@ def _assemble(
     """Mode sums of all queries in one pass over the degrees, shape ``(n,)``."""
     if k.size == 0:
         return np.empty(0, dtype=complex)
-    big = np.linalg.norm(R_vec, axis=1)
-    small = np.linalg.norm(x_vec, axis=1)
+    big = _norms(R_vec)
+    small = _norms(x_vec)
     source = small > 0
     # a source at the origin keeps only the degree-0 mode, whose inner
     # factor psi_0(k r) / (k r) tends to 1

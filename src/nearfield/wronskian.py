@@ -287,9 +287,15 @@ def _pair_rule(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # Pair matrices are built in blocks of distances whose polynomial table has
-# at most this many entries (512 KiB of complex128), so the temporaries stay
-# bounded however many distances a scan has.
-_STACK_ENTRIES = 2**15
+# at most this many entries (64 KiB of complex128), so that the table and
+# its temporaries stay under glibc's default 128 KiB mmap threshold and a
+# block reuses heap pages instead of faulting in fresh ones.  A block keeps
+# at least _STACK_DISTANCES distances, though: from l_max 16 on the entry
+# bound would allow fewer, and such small blocks pay the 2 l_max calls of
+# the recurrence more often than they save page faults (measured in forked
+# processes at l_max 10 to 75).
+_STACK_ENTRIES = 2**12
+_STACK_DISTANCES = 8
 
 
 def _pair_stack(l_max: int, zs) -> np.ndarray:
@@ -303,8 +309,9 @@ def _pair_stack(l_max: int, zs) -> np.ndarray:
     recurrence ``P_{l+1} = P_{l-1} + 2 (2l+1) u x_k P_l``, ``P_{-1} = P_0 =
     1``, and on the axis ``P_l(-v) = conj(P_l(v))``, so ``G = P^H diag(w)
     P``, symmetrized to be Hermitian bit for bit.  Distances run in blocks of
-    at most ``_STACK_ENTRIES`` table entries, with the same operations per
-    distance as a single-point evaluation.  Entries past the float64 range
+    at most ``_STACK_ENTRIES`` table entries (but at least
+    ``_STACK_DISTANCES`` distances), with the same operations per distance
+    as a single-point evaluation.  Entries past the float64 range
     come back non-finite, without a warning, and callers name the offending
     point in their terms.
     """
@@ -313,7 +320,7 @@ def _pair_stack(l_max: int, zs) -> np.ndarray:
         return np.ones((u.size, 1, 1), dtype=complex)
     steps, weights, half_delta = _pair_rule(l_max)
     out = np.empty((u.size, l_max + 1, l_max + 1), dtype=complex)
-    step = max(1, _STACK_ENTRIES // ((l_max + 1) * weights.size))
+    step = max(_STACK_DISTANCES, _STACK_ENTRIES // ((l_max + 1) * weights.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, u.size, step):
             u_block = u[start : start + step]

@@ -279,9 +279,12 @@ def test_zonal_amplitude_contracts_once_per_polar_ring(monkeypatch):
     # a grid that is not canonical keeps every node
     contracted.clear()
     copy = AngularGrid(grid.order, grid.theta + 0.0, grid.phi + 1e-3, grid.weights.copy())
-    flux_profile(f, cs, np.array([3.0]), grid=copy)
-    # the samples, then the pointwise total of the one distance
-    assert contracted == [grid.n_nodes] * 2
+    r_values = np.array([3.0, 0.7, 40.0])
+    profile = flux_profile(f, cs, r_values, grid=copy)
+    # the samples only: their integrals are the pointwise totals, bit for bit
+    assert contracted == [grid.n_nodes]
+    expected = [total_flux(f, cs, r, grid=copy, method="pointwise") for r in r_values]
+    np.testing.assert_array_equal(profile.total, expected)
 
 
 @pytest.mark.parametrize("l_max", range(13))
@@ -762,6 +765,14 @@ def test_total_flux_warns_on_underresolved_grid(caplog):
     with caplog.at_level(logging.WARNING, logger="nearfield.flux"):
         total_flux(f, cs, 3.0, grid=gauss_legendre_sphere(5))
     assert any("grid order" in rec.message for rec in caplog.records)
+    # a scan on a grid that is not canonical integrates its samples, and
+    # warns once
+    grid = gauss_legendre_sphere(5)
+    shifted = AngularGrid(grid.order, grid.theta, grid.phi + 1e-3, grid.weights)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="nearfield.flux"):
+        flux_profile(f, cs, [1.0, 3.0, 9.0], grid=shifted)
+    assert sum("grid order" in rec.message for rec in caplog.records) == 1
 
 
 def test_flux_profile_contents():
@@ -926,6 +937,31 @@ def test_unitarity_defect_takes_each_amplitude_and_table_once(monkeypatch):
     assert tables == [(4, 3)]
 
 
+def test_smatrix_family_supplies_its_rows_from_one_table(monkeypatch):
+    from nearfield import amplitudes as amplitudes_module
+
+    _, cs, family = unitary_amplitude(3, 4, seed=12)
+    directions = list(dict.fromkeys(_S_HATS + _KAPPA_HATS))
+    amps = [family(e, d) for e in cs.labels for d in directions]
+    l_max = max(amp.l_max for amp in amps)
+    labels = ("c2", "absent", "c0")
+    expected = np.array([amp.rows(labels, l_max) for amp in amps])
+    real_table = amplitudes_module.ylm_directions
+    tables = []
+
+    def counted(l_max, nhat):
+        tables.append(np.shape(nhat))
+        return real_table(l_max, nhat)
+
+    monkeypatch.setattr(amplitudes_module, "ylm_directions", counted)
+    np.testing.assert_array_equal(family._rows(labels, list(cs.labels), directions), expected)
+    assert tables == [(4, 3)]
+    # unitarity_defect takes them so: one table for the rows, one for the values
+    tables.clear()
+    unitarity_defect(family, cs, kappa_hats=_KAPPA_HATS, s_hats=_S_HATS)
+    assert tables == [(4, 3)]
+
+
 def test_unitarity_defect_bare_amplitude_diagonal_only():
     f, cs, _ = unitary_amplitude(2, 2, seed=19)
     nhat = [(0.0, 0.0, 1.0)]
@@ -961,7 +997,7 @@ def test_optical_theorem_hard_sphere():
 
 
 # ----------------------------------------------------------------------
-# contraction buffers
+# contraction blocks
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("l_max", [0, 3, 10])
@@ -995,10 +1031,10 @@ def _contraction_peak(sums, cs, l_max, distances, n_points) -> tuple[int, int]:
 
 
 def test_flux_peak_memory_does_not_grow_with_distances():
-    # the per-distance products live in two buffers reused across distances
-    # and channels, so 38 more distances add less than one output row to
-    # the contraction's peak (measured past the degree sums, whose table
-    # would otherwise set the peak)
+    # at 8000 points a block holds one distance, and every block and channel
+    # writes its products into the same buffers, so 38 more distances add
+    # less than one output row to the contraction's peak (measured past the
+    # degree sums, whose table would otherwise set the peak)
     f, cs, _ = unitary_amplitude(3, 3, seed=71)
     pts = np.random.default_rng(71).normal(size=(8000, 3))
     sums = _degree_sums(f, cs, pts)
@@ -1006,3 +1042,64 @@ def test_flux_peak_memory_does_not_grow_with_distances():
     few, row = _contraction_peak(sums, cs, 3, np.array([1.0, 7.0]), pts.shape[0])
     many, _ = _contraction_peak(sums, cs, 3, np.geomspace(1.0, 300.0, 40), pts.shape[0])
     assert many <= few + row
+
+
+@pytest.mark.parametrize(
+    "l_max, n_dirs",
+    [(10, None), (10, 50), (0, 500), (10, 1000)],
+    ids=["l10-rings", "l10-dirs", "l0-dirs", "l10-one-distance-blocks"],
+)
+def test_blocked_flux_rows_equal_per_distance_quadratic_forms_bitwise(l_max, n_dirs):
+    f, cs, _ = unitary_amplitude(3, l_max, seed=80 + l_max)
+    if n_dirs is None:
+        directions = default_grid(f)  # a zonal amplitude: one point per polar ring
+    else:
+        directions = np.random.default_rng(l_max).normal(size=(n_dirs, 3))
+    sums = _degree_sums(f, cs, directions)
+    n_points = sums[0][1].shape[1]
+    k_min = min(cs.k(label) for label in cs.labels)
+    distances = np.geomspace(0.5, 300.0, 40) / k_min
+    # more than one block; 1000 points take one distance a block
+    step = max(1, flux_module._BLOCK_ENTRIES // ((l_max + 1) * n_points))
+    assert len(sums) == 3 and distances.size > step
+    rows = flux_module._flux_rows(sums, cs, l_max, distances, n_points)
+    expected = np.zeros_like(rows)
+    for label, collapsed in sums:
+        for i, R in enumerate(distances):
+            w_pairs = wronskian._pair_stack(l_max, -1j * cs.k(label) * R)[0]
+            values = _kernels.quadratic_form(collapsed, w_pairs)
+            scale = _kernels.quadratic_form(np.abs(collapsed), np.abs(w_pairs))
+            expected[i] += cs.weight(label) * _real_with_hermitian_check(values, scale)
+    np.testing.assert_array_equal(rows, expected)
+
+
+@pytest.mark.parametrize(
+    "evaluate_at", [differential_flux_exact, differential_flux_asymptotic]
+)
+def test_empty_inputs_keep_their_shapes(evaluate_at):
+    f, cs, _ = unitary_amplitude(3, 4, seed=81)
+    none, pts = np.empty((0, 3)), np.random.default_rng(81).normal(size=(5, 3))
+    assert evaluate_at(f, cs, 2.0, none).shape == (0,)
+    assert evaluate_at(f, cs, [1.0, 2.0], none).shape == (2, 0)
+    assert evaluate_at(f, cs, np.array([]), pts).shape == (0, 5)
+    zero = evaluate_at(PartialWaveAmplitude({}), cs, [1.0, 2.0], pts)
+    np.testing.assert_array_equal(zero, np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("l_max", [10, 40])
+def test_flux_rows_peak_is_bounded_by_one_block(l_max):
+    # past the output and the pair matrices, a scan keeps only one block's
+    # products; what grows with the distances is the points handed to the
+    # pair stack and their reciprocals (16 bytes each per channel and
+    # distance) and the finiteness test of the pair matrices (one byte per
+    # entry, a sixteenth of the stack)
+    f, cs, _ = unitary_amplitude(3, l_max, seed=82)
+    sums = _degree_sums(f, cs, default_grid(f))
+    n_points = sums[0][1].shape[1]
+    flux_module._flux_rows(sums, cs, l_max, np.array([1.0]), n_points)  # warm the rule tables
+    excess = []
+    for n in (40, 160):
+        distances = np.geomspace(1.0, 300.0, n)
+        peak, _ = _contraction_peak(sums, cs, l_max, distances, n_points)
+        excess.append(peak - len(sums) * n * (l_max + 1) ** 2 * 16)
+    assert excess[1] - excess[0] <= (32 + (l_max + 1) ** 2) * len(sums) * 120
