@@ -21,7 +21,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .special import (
-    _chi_integers, _chi_table, _radial_table, mode_degrees, mode_list, ylm_directions
+    FluxDomainError, _check_positive, _chi_integers, _chi_table, _radial_table, mode_degrees,
+    mode_list, ylm_directions,
 )
 
 __all__ = [
@@ -329,14 +330,20 @@ def scattered_wave_series(
     degree's decaying solution at ``-i k r`` with its series cut at
     ``s_max`` (default ``l_max``), spread over the modes and contracted with
     one harmonic table.  With ``s_max >= l_max`` every series is complete,
-    and this is ``scattered_wave`` bit for bit.
+    and this is ``scattered_wave`` bit for bit.  ``r`` must be finite and
+    positive (``ValueError``), and the radial factors finite (``FluxDomainError``).
     """
-    if r <= 0:
-        raise ValueError("distance must be positive")
+    _check_positive(np.asarray(r, dtype=float), "distance r")
     if s_max is not None and s_max < 0:
         raise ValueError("s_max must be non-negative")
     l_max = f.l_max
-    radial = _chi_table(l_max, -1j * channels.k(beta) * r, s_max)
+    kr = channels.k(beta) * r
+    radial = _chi_table(l_max, -1j * kr, s_max)
+    if not np.isfinite(radial).all():
+        raise FluxDomainError(
+            f"radial factors at l_max={l_max}, kr={kr:.6g} exceed the float64 limit "
+            f"{np.finfo(float).max:.4g}; raise kr or lower l_max"
+        )
     nhat = np.asarray(nhat, dtype=float)
     values = (f.dense(beta) * radial[mode_degrees(l_max)]) @ ylm_directions(l_max, nhat) / r
     if nhat.ndim == 1:

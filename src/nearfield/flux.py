@@ -58,6 +58,7 @@ from .amplitudes import ChannelSet, PartialWaveAmplitude, evaluate
 from .special import (
     AngularGrid,
     FluxDomainError,
+    _check_positive,
     _sphere_grid_arrays,
     chi_terms,
     gauss_legendre_sphere,
@@ -65,7 +66,7 @@ from .special import (
     ylm_directions,
     ylm_table,
 )
-from .wronskian import _pair_stack, pair_matrix
+from .wronskian import _pair_overflow, _pair_stack, pair_matrix
 
 __all__ = [
     "CrossSections",
@@ -264,13 +265,13 @@ def _flux_rows(
     factors at ``z = -i k_beta R``, evaluated for all channels and distances
     in one stacked call of ``wronskian._pair_stack``.  Each channel's
     distances run in blocks of at most ``_BLOCK_ENTRIES`` product entries,
-    written into buffers that all channels and blocks share: one batched
-    product of the block's pair matrices with the sums gives the values,
-    one of their moduli gives the absolute-value contraction, and the
-    block's values are asserted real against it before the imaginary
-    residue is discarded.  Every row is ``_kernels.quadratic_form``
-    of the sums and of their moduli at its distance, bit for bit, whatever
-    the block.
+    written into buffers that all channels and blocks share: each block's
+    pair matrices are tested finite, one batched product of them with the
+    sums gives the values, one of their moduli gives the absolute-value
+    contraction, and the block's values are asserted real against it
+    before the imaginary residue is discarded.  Every row is
+    ``_kernels.quadratic_form`` of the sums and of their moduli at its
+    distance, bit for bit, whatever the block.
     """
     total = np.zeros((distances.size, n_points))
     if not sums:
@@ -278,15 +279,6 @@ def _flux_rows(
     ks = [channels.k(label) for label, _ in sums]
     stacks = _pair_stack(l_max, np.concatenate([-1j * k * distances for k in ks]))
     stacks = stacks.reshape(len(sums), distances.size, l_max + 1, l_max + 1)
-    finite = np.isfinite(stacks).all(axis=(2, 3))
-    for k, row in zip(ks, finite):
-        if not row.all():
-            kr = k * float(distances[~row].min())
-            raise FluxDomainError(
-                f"pair factors at l_max={l_max}, kR={kr:.6g} exceed the float64 "
-                f"limit {np.finfo(float).max:.4g}: they grow like "
-                f"(2 kR)**-(2*l_max+1); raise kR or lower l_max"
-            )
     n = distances.size
     size = min(n, max(1, _BLOCK_ENTRIES // ((l_max + 1) * max(n_points, 1))))
     # a block of one distance is a 2-d product, cheaper per call than a
@@ -304,12 +296,16 @@ def _flux_rows(
     abs_sums = np.empty(conj_sums.shape)
     block_products = np.empty(shape, dtype=complex)
     block_abs_products = np.empty(shape)
-    for (label, collapsed), stack in zip(sums, stacks):
+    for (label, collapsed), stack, k in zip(sums, stacks, ks):
         np.conjugate(collapsed, out=conj_sums)
         np.abs(collapsed, out=abs_sums)
         weight = channels.weight(label)
         for rows in blocks:
             block = stack[rows]
+            if not np.isfinite(block).all():
+                # the whole channel once more, for its smallest offending kR
+                finite = np.isfinite(stack).all(axis=(1, 2))
+                raise _pair_overflow(l_max, k * float(distances[~finite].min()))
             # the whole buffer, or the leading part of it for a last, short block
             products, abs_products = block_products[: len(block)], block_abs_products[: len(block)]
             np.matmul(block, collapsed, out=products)
@@ -345,21 +341,12 @@ def _grid_rows(
 # differential flux
 # ----------------------------------------------------------------------
 
-def _check_distances(r: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first distance in ``r`` that is not
-    finite and positive; nan fails both tests."""
-    bad = ~(np.isfinite(r) & (r > 0))
-    if bad.any():
-        value = float(r.flat[np.argmax(bad)])
-        raise ValueError(f"distance R must be finite and positive, got {value!r}")
-
-
 def _distances(R) -> np.ndarray:
     """``R`` as a float array, scalar or 1-d, checked finite and positive."""
     r = np.asarray(R, dtype=float)
     if r.ndim > 1:
         raise ValueError("R must be a scalar or a 1-d array of distances")
-    _check_distances(r)
+    _check_positive(r, "distance R")
     return r
 
 
@@ -593,7 +580,7 @@ def total_flux(
     when the grid is canonical.  ``R`` must be finite and positive, or
     ``ValueError`` is raised.
     """
-    _check_distances(np.asarray(R, dtype=float))
+    _check_positive(np.asarray(R, dtype=float), "distance R")
     if grid is None:
         grid = default_grid(f)
     if method not in ("auto", "gram", "pointwise"):
@@ -665,7 +652,7 @@ def flux_profile(
     r_values = np.asarray(r_values, dtype=float)
     if r_values.ndim != 1 or r_values.size == 0:
         raise ValueError("r_values must be a non-empty 1-d array")
-    _check_distances(r_values)
+    _check_positive(r_values, "distance R")
     if grid is None:
         grid = default_grid(f)
     k_min = min(channels.k(label) for label in channels.labels)

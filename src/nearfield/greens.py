@@ -25,11 +25,11 @@ degree only: the addition theorem
 (DLMF 14.30.9) collapses the orders into one Legendre polynomial of the angle
 between the two points.  The inner factors ``x j_l(x)`` are the minimal
 solution of the radial recurrence and come from Miller's downward
-algorithm.  The complete outer factor is ``chi_l(-i X) = i^(l+1) X h_l(X)``
-at ``X = k R``, the dominant solution, which runs upward (DLMF 10.51.1), so
-no degree past ``X`` loses digits to the cancelling terms of the series
-``sum_s c_s / (2z)^s``; the asymptotic route takes that series, cut at its
-order, only for the degrees above the order.
+algorithm.  The outer factors of both routes are one ``special._chi_table``
+of ``chi_l(-i sign X)`` at ``X = k R``: a complete degree is the dominant
+solution of the upward recurrence (DLMF 10.51.1), so no degree past ``X``
+loses digits to the cancelling terms of the series ``sum_s c_s / (2z)^s``;
+the asymptotic route's degrees above its order take that series, cut there.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import FluxDomainError, _chi_table, _hankel_table, _legendre_table, _regular_table
+from .special import _INV_I_POWERS, FluxDomainError, _chi_table, _legendre_table, _regular_table
 
 __all__ = [
     "GreensQuery",
@@ -189,18 +189,12 @@ def _assemble(
     ls = np.arange(l_max + 1)[:, None]
     inner = np.where(source, _regular_table(l_max, k * small) / (k * small), ls == 0)
     outer_x = k * big
-    hankel = _hankel_table(l_max, outer_x)
-    # chi_l(-i X) i^(-l) = i X h_l(X), and its conjugate for sign = -1
-    outer = -hankel.imag + 1j * sign * hankel.real
     cos_gamma = np.clip(np.einsum("ij,ij->i", R_vec, x_vec) / (big * small), -1.0, 1.0)
     msums = (2 * ls + 1) / (4.0 * np.pi) * _legendre_table(l_max, cos_gamma)
     with np.errstate(over="ignore", invalid="ignore"):
-        if s_max < l_max:
-            # the truncated series, only where it is incomplete, times
-            # i^(-sign l)
-            phases = np.array([1, -1j, -1, 1j])[(sign * ls) % 4]
-            series = _chi_table(l_max, -1j * sign * outer_x, s_max) * phases
-            outer = np.where(ls > s_max, series, outer)
+        # chi_l(-i sign X) i^(-sign l): i X h_l(X) for sign = +1, its conjugate for -1
+        outer = _chi_table(l_max, -1j * sign * outer_x, s_max)
+        outer *= _INV_I_POWERS[(sign * ls) % 4]
         # summed in degree order, so the zeros past a query's own cutoff
         # leave its value as it is in a call of its own
         terms = np.where(ls <= cutoff, outer * inner * msums, 0.0)

@@ -9,7 +9,8 @@ equation for angular momentum ``l``:
   It terminates: ``chi(l, z) = exp(-z) * sum_{S=0}^{l} c_S / (2 z)**S`` with
   exact integer coefficients ``c_S = (l+S)! / (S! (l-S)!)``.  Evaluated on the
   imaginary axis ``z = -i k R`` it carries the outgoing spherical wave, so it
-  is the workhorse of every finite-distance formula in this package.
+  is the workhorse of every finite-distance formula in this package.  It
+  comes from the upward recurrence, and the series only where it is cut.
 
 Angular building blocks are complex spherical harmonics in the physics
 convention (Condon-Shortley phase included) and a product Gauss-Legendre x
@@ -17,12 +18,12 @@ uniform-azimuth sphere grid whose quadrature is exact for harmonic pair
 products up to a requested degree.
 
 Every special function comes from a short recurrence in NumPy or ``math``:
-the neighbour ratios of the series integers for ``chi`` (``chi_terms``),
-Miller's downward recurrence for ``x j_l`` (Gautschi, SIAM Review 9, 1967;
-upward where ``x`` exceeds every degree),
-the upward one for ``y_l`` and ``x h_l`` (DLMF 10.51.1), Bonnet's for ``P_l`` (DLMF
-14.10.3) and the normalized associated-Legendre recurrence for the harmonics
-(DLMF 14.10.3 with the ``m``-dependent normalization folded in).
+the upward one for ``chi`` and ``y_l`` (DLMF 10.51.1), the neighbour ratios
+of the series integers for a cut series (``chi_terms``), Miller's downward
+recurrence for ``x j_l`` (Gautschi, SIAM Review 9, 1967; upward where ``x``
+exceeds every degree), Bonnet's for ``P_l`` (DLMF 14.10.3) and the
+normalized associated-Legendre recurrence for the harmonics (DLMF 14.10.3
+with the ``m``-dependent normalization folded in).
 """
 
 from __future__ import annotations
@@ -56,6 +57,14 @@ __all__ = [
 # ----------------------------------------------------------------------
 # decaying radial solution
 # ----------------------------------------------------------------------
+
+def _check_positive(values: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` and the first entry not finite and positive."""
+    bad = ~(np.isfinite(values) & (values > 0))
+    if bad.any():
+        value = float(values.flat[np.argmax(bad)])
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
 
 class FluxDomainError(ValueError):
     """Raised where a float64 evaluation would leave the finite range.
@@ -116,47 +125,68 @@ def _chi_ratios(l_max: int, s_max: int) -> np.ndarray:
     return ratios
 
 
+# i**(-k) at k mod 4
+_INV_I_POWERS = np.array([1, -1j, -1, 1j])
+
+
 def _chi_table(l_max: int, z: complex | np.ndarray, s_max: int | None = None) -> np.ndarray:
     """Decaying solutions ``exp(-z) sum_{s<=s_max} c_s(l)/(2z)^s`` for ``l <= l_max``.
 
-    Shape ``(l_max + 1, *np.shape(z))``; ``s_max`` defaults to ``l_max``,
-    where every series is complete.  The terms come from ``chi_terms`` with
-    ``s`` along axis 0, so the sum adds each degree's terms in order: past
-    ``l ~ |z|`` the terms cancel heavily, and NumPy's pairwise sum along a
-    row lost about three times as many digits there.
+    Shape ``(l_max + 1, *np.shape(z))``.  Degrees up to ``s_max`` (all by
+    default) are complete and come from ``chi_{l+1} = chi_{l-1} + (2l+1)/z
+    chi_l``, ``chi_{-1} = chi_0 = exp(-z)``: ``_upward`` on ``i^l chi_l`` at
+    ``x = -iz``, real on the imaginary axis, where ``chi_l`` is dominant
+    (DLMF 10.51.1) and keeps its digits past ``l ~ |z|``, where the series
+    terms cancel.  Only degrees above ``s_max`` sum their cut series,
+    ``chi_terms`` down axis 0.  ``z`` must be finite and nonzero
+    (``ValueError``); past float64 the entries are not finite, silently.
     """
-    if np.any(np.asarray(z) == 0):
-        raise ValueError("the decaying solution is singular at z = 0")
+    flat = np.reshape(z, -1)
+    bad = ~(np.isfinite(flat) & (flat != 0))
+    if bad.any():
+        raise ValueError(
+            f"the decaying solution needs a finite, nonzero z, got z={flat[np.argmax(bad)]}"
+        )
     s_max = l_max if s_max is None else min(s_max, l_max)
-    return np.exp(-z) * chi_terms(l_max, s_max, 0.5 / z).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # i^l chi_l from chi_0 = exp(-z) and i^-1 chi_{-1}, real steps on the axis
+        start, x = np.exp(-flat), -1j * flat
+        table = _upward(s_max, x.real if (flat.real == 0).all() else x, start, -1j * start)
+        table *= _INV_I_POWERS[np.arange(s_max + 1) % 4, None]
+        if s_max < l_max:
+            # from z itself: a Python complex divides as Python does
+            series = np.exp(-z) * chi_terms(l_max, s_max, 0.5 / z)[:, s_max + 1 :].sum(axis=0)
+            table = np.concatenate([table, series.reshape(l_max - s_max, -1)])
+    return table.reshape(l_max + 1, *np.shape(z))
 
 
 def chi(l: int, z: complex | np.ndarray) -> complex | np.ndarray:
     """Decaying free radial solution ``exp(-z) * sum_S c_S / (2z)**S``.
 
-    Toward small ``|z|`` high orders leave the float64 range, which raises
-    ``FluxDomainError``.
+    From the upward recurrence of ``_chi_table``; real for real ``z``, which
+    must be finite and nonzero (``ValueError``).  For ``Re z < 0`` the
+    relative error grows like ``exp(2 |Re z|)``.  Toward small ``|z|`` high
+    orders leave the float64 range, which raises ``FluxDomainError``.
     """
     if l < 0:
         raise ValueError("order must be non-negative")
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = _chi_table(l, z)[l]
+    value = _chi_table(l, z)[l]
     finite = np.isfinite(value)
     if not np.all(finite):
         bad = np.asarray(z)[~finite][0]
         raise FluxDomainError(
-            f"chi at l={l}, z={bad} is not finite: the series terms exceed the "
+            f"chi at l={l}, z={bad} is not finite: the upward recurrence exceeds the "
             f"float64 limit {np.finfo(float).max:.4g}; lower l or raise |z|"
         )
-    return value
+    return value.real if np.isrealobj(z) else value
 
 
 def _upward(l_max: int, x: np.ndarray, f_0: np.ndarray, f_minus: np.ndarray) -> np.ndarray:
     """Rows ``l <= l_max`` of ``f_{l+1} = (2l+1)/x f_l - f_{l-1}``.
 
     Started from ``f_0`` and ``f_{-1} = f_minus``, one step per degree for
-    all arguments of the 1-d ``x`` at once; an overflow leaves non-finite
-    entries, without a warning.
+    all arguments of the 1-d ``x``, real or complex, at once; an overflow
+    leaves non-finite entries, without a warning.
     """
     out = np.empty((l_max + 1, x.size), dtype=np.result_type(f_0, f_minus))
     out[0] = f_0
@@ -230,20 +260,6 @@ def _regular_table(l_max: int, x: float | np.ndarray) -> np.ndarray:
     return regular.reshape(l_max + 1, *x.shape)
 
 
-def _hankel_table(l_max: int, x: np.ndarray) -> np.ndarray:
-    """``x h_l(x) = x j_l(x) + i x y_l(x)`` for ``l <= l_max`` at a 1-d array of ``x > 0``.
-
-    The dominant solution of the radial recurrence, so it runs upward from
-    ``x h_0 = -i e^{ix}`` and ``x h_{-1} = e^{ix}`` (DLMF 10.51.1): a
-    degree's value does not depend on ``l_max``.  Past the turning point
-    the real part is the minimal ``x j_l`` and keeps only an absolute
-    accuracy of a few ulp of ``|x h_l|``, which is all a product with the
-    inner factor needs.  Past the float64 range the entries are not finite.
-    """
-    cos, sin = np.cos(x), np.sin(x)
-    return _upward(l_max, x, sin - 1j * cos, cos + 1j * sin)
-
-
 def _legendre_table(l_max: int, c: float | np.ndarray) -> np.ndarray:
     """Legendre polynomials ``P_l(c)`` for ``l <= l_max`` by Bonnet's recurrence.
 
@@ -269,15 +285,14 @@ def _legendre_table(l_max: int, c: float | np.ndarray) -> np.ndarray:
 
 
 def regular_psi(l: int, x: float | np.ndarray) -> float | np.ndarray:
-    """Regular free radial solution ``x * j_l(x)``, for ``x > 0`` only.
+    """Regular free radial solution ``x * j_l(x)``, for finite ``x > 0`` only.
 
     Vanishes like ``x**(l+1)`` toward the origin; real for real argument.
     """
     if l < 0:
         raise ValueError("order must be non-negative")
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("argument must be positive")
+    _check_positive(x, "argument x")
     out = _regular_table(l, x)[l]
     return out if out.ndim else out[()]
 
@@ -572,9 +587,9 @@ class AngularGrid:
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes, ascending, and weights of the ``n``-point Gauss-Legendre rule.
 
-    Newton's method on ``P_n``, with ``P_n`` and ``P_{n-1}`` from Bonnet's
-    recurrence, from Tricomi's guess ``(1 - (1 - 1/n) / (8 n^2)) cos(pi (4i
-    - 1) / (4n + 2))``, written as the sine of the complementary angle so
+    Newton's method on ``P_n``, with ``P_n`` and ``P_{n-1}`` from
+    ``_legendre_table``, from Tricomi's guess ``(1 - (1 - 1/n) / (8 n^2))
+    cos(pi (4i - 1) / (4n + 2))``, written as the sine of the complementary angle so
     that an odd rule's middle node is exactly 0.  Only the nonnegative nodes
     are computed; the others are their mirror images, so the rule is
     exactly symmetric.  The iteration stops once every step is below 1e-12,
@@ -589,9 +604,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x = (1.0 - (1.0 - 1.0 / n) / (8.0 * n * n)) * np.sin(np.pi * (n + 1 - 2 * i) / (2 * n + 1))
     # three or four steps from Tricomi's guess; the bound only rules out a hang
     for _ in range(20):
-        lower, p = np.ones_like(x), x
-        for l in range(1, n):
-            lower, p = p, ((2 * l + 1) * x * p - l * lower) / (l + 1)
+        lower, p = _legendre_table(n, x)[-2:]
         one_minus = (1.0 - x) * (1.0 + x)
         slope = n * (lower - x * p) / one_minus
         step = p / slope

@@ -145,14 +145,33 @@ _FLOAT_PAIR_DEGREE = 75
 def _laurent_float(conj_deg: int, dir_deg: int) -> np.ndarray:
     try:
         arr = np.array([float(c) for c in _series_laurent(conj_deg, dir_deg)])
-    except OverflowError:
-        raise FluxDomainError(
-            f"exact Laurent coefficients of HW(j={dir_deg}, l={conj_deg}) exceed the "
-            f"float64 limit {_FLOAT_MAX:.4g}; pair factors are representable up to "
-            f"l_max={_FLOAT_PAIR_DEGREE}"
-        ) from None
+    except OverflowError:  # past l_max 75: a nan, which _laurent_sum reports
+        arr = np.array([np.nan])
     arr.flags.writeable = False
     return arr
+
+
+def _laurent_sum(j: int, l: int, z, n_terms: int | None = None) -> np.ndarray:
+    """``HW(j, l; z)`` through ``n_terms`` corrections (all by default), by
+    Horner's rule in ``u = 1/(2z)`` over ``_laurent_float``."""
+    _check_orders(j, l)
+    if n_terms is not None and n_terms < 0:
+        raise ValueError("n_terms must be non-negative")
+    z = np.asarray(z)
+    if np.any(z == 0):
+        raise ValueError("evaluation point z = 0 is singular")
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = 1.0 / (2.0 * z)
+        acc = np.zeros_like(u)
+        for c in _laurent_float(l, j)[: None if n_terms is None else n_terms + 1][::-1]:
+            acc = acc * u + c
+    bad = ~np.isfinite(acc)
+    if bad.any():
+        raise FluxDomainError(
+            f"HW(j={j}, l={l}) at |z|={abs(z.flat[np.argmax(bad)]):.6g} exceeds the float64 "
+            f"limit {_FLOAT_MAX:.4g}, or its coefficients do (past l_max={_FLOAT_PAIR_DEGREE})"
+        )
+    return acc
 
 
 def _check_orders(j: int, l: int) -> None:
@@ -180,17 +199,10 @@ def half_wronskian_exact(j: int, l: int, z: complex | np.ndarray) -> complex | n
     ``j`` is the degree of the direct factor ``chi_j(z)``, ``l`` of the
     conjugated factor ``chi_l(-z)``; the outgoing flux pairing uses
     ``z = -i k r``.  On the imaginary axis the pair matrix is Hermitian:
-    ``HW(j, l; z) == conj(HW(l, j; z))``.
+    ``HW(j, l; z) == conj(HW(l, j; z))``.  Past float64 (coefficients past
+    ``l_max = 75``, or the value) ``FluxDomainError`` names ``j``, ``l``, ``|z|``.
     """
-    _check_orders(j, l)
-    z = np.asarray(z)
-    if np.any(z == 0):
-        raise ValueError("evaluation point z = 0 is singular")
-    u = 1.0 / (2.0 * z)
-    coeffs = _laurent_float(l, j)
-    acc = np.zeros_like(u)
-    for c in coeffs[::-1]:
-        acc = acc * u + c
+    acc = _laurent_sum(j, l, z)
     return acc if acc.ndim else acc[()]
 
 
@@ -201,9 +213,9 @@ class WronskianSeries:
     ``correction`` holds ``(n, A_n)`` pairs with exact rational ``A_n`` for
     ``n = 0 .. j + l``; it is empty on the diagonal, where the factor is
     identically ``constant_term == 1``.  ``evaluate(z, n_terms)`` sums
-    ``1 + prefactor * sum A_n u**(n+1) / (n+1)`` with ``u = 1/(2z)``; because
-    the series terminates, summing all terms reproduces
-    ``half_wronskian_exact`` identically.
+    ``1 + prefactor * sum_{n < n_terms} A_n u**(n+1) / (n+1)``, ``u =
+    1/(2z)``, by the Horner loop of ``half_wronskian_exact``; the series
+    terminates, so all terms reproduce that bit for bit.
     """
 
     j: int
@@ -216,33 +228,16 @@ class WronskianSeries:
     def n_terms(self) -> int:
         return len(self.correction)
 
-    def a_coefficient(self, n: int) -> Fraction:
-        """Exact ``A_n``; zero beyond the terminating order."""
-        if n < 0:
-            raise ValueError("coefficient index must be non-negative")
-        if n >= len(self.correction):
-            return Fraction(0)
-        return self.correction[n][1]
-
     def evaluate(self, z: complex, n_terms: int | None = None) -> complex:
-        if z == 0:
-            raise ValueError("evaluation point z = 0 is singular")
-        if n_terms is None:
-            n_terms = self.n_terms
-        u = 1.0 / (2.0 * complex(z))
-        total = 0.0 + 0.0j
-        for n in range(min(n_terms, self.n_terms) - 1, -1, -1):
-            total = total * u + float(self.correction[n][1]) / (n + 1)
-        return float(self.constant_term) + self.prefactor * total * u
+        return complex(_laurent_sum(self.j, self.l, z, n_terms))
 
 
 def wronskian_series(j: int, l: int) -> WronskianSeries:
     """Series form of the pair factor, built through the product route.
 
-    The ``A_n`` come from the plain product of the two terminating series
-    (no derivatives), which is an independent construction from the current
-    combination used by ``half_wronskian_exact``; their agreement is an
-    exact identity and is enforced in the test suite.
+    The ``A_n`` come from the plain product of the two terminating series,
+    the route whose integers ``half_wronskian_exact`` rounds; the current
+    combination of ``laurent_coefficients`` is the independent one.
     """
     _check_orders(j, l)
     if j == l:
@@ -368,12 +363,15 @@ def pair_matrix(l_max: int, z: complex) -> np.ndarray:
         )
     out = _pair_stack(l_max, z)[0]
     if not np.all(np.isfinite(out)):
-        raise FluxDomainError(
-            f"pair factors at l_max={l_max}, kR={abs(z):.6g} exceed the float64 "
-            f"limit {_FLOAT_MAX:.4g}: they grow like (2 kR)**-(2*l_max+1); raise kR "
-            f"or lower l_max"
-        )
+        raise _pair_overflow(l_max, abs(z))
     return out
+
+
+def _pair_overflow(l_max: int, kr: float) -> FluxDomainError:
+    return FluxDomainError(
+        f"pair factors at l_max={l_max}, kR={kr:.6g} exceed the float64 limit {_FLOAT_MAX:.4g}: "
+        f"they grow like (2 kR)**-(2*l_max+1); raise kR or lower l_max"
+    )
 
 
 @dataclass(frozen=True)

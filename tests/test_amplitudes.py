@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from nearfield.amplitudes import (
     scattered_wave_series,
     smatrix_amplitude_family,
 )
-from nearfield.special import chi, mode_index, sph_harm, unit_from_angles, ylm_directions
+from nearfield.special import (
+    FluxDomainError, chi, mode_index, sph_harm, unit_from_angles, ylm_directions
+)
 
-from conftest import channel_set, raw_amplitude, unitary_amplitude
+from conftest import channel_set, macdonald_chi, raw_amplitude, unitary_amplitude
 
 
 # ----------------------------------------------------------------------
@@ -307,6 +310,42 @@ def test_scattered_wave_single_mode_chi_form():
     k = 1.3
     expect = chi(2, -1j * k * r) / r * sph_harm(2, 0, nhat)
     assert scattered_wave(f, cs, "a", r, nhat) == pytest.approx(expect, rel=1e-14)
+
+
+def test_scattered_wave_past_the_turning_point_matches_forty_digits():
+    # past kr the series terms of a degree cancel: summed, they give r times
+    # the wave at kr = 100, theta 0.3 as 34234-6759j, where it is -79.7-220.8j
+    f, cs, _ = unitary_amplitude(1, 100, seed=7)
+    k = cs.k("c0")
+    nhat = unit_from_angles(np.array([0.3, 1.7, 2.9]), np.array([0.0, 2.0, 5.1]))
+    harmonics = ylm_directions(100, nhat)
+    degrees = np.repeat(np.arange(101), 2 * np.arange(101) + 1)
+    for kr in (50.0, 100.0):
+        radial = np.array([macdonald_chi(l, -1j * kr) for l in range(101)])
+        r = kr / k
+        expect = (f.dense("c0") * radial[degrees]) @ harmonics / r
+        got = scattered_wave(f, cs, "c0", r, nhat)
+        assert np.all(np.abs(got - expect) <= 1e-13 * np.abs(expect)), kr
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -2.0])
+def test_scattered_wave_rejects_distances_that_are_not_finite_and_positive(bad):
+    f, cs, _ = unitary_amplitude(2, 3, seed=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"distance r must be finite and positive, got {bad!r}"):
+            scattered_wave(f, cs, "c0", bad, unit_from_angles(0.4, 1.0))
+
+
+def test_scattered_wave_past_the_float_range_raises_typed_error():
+    # a degree-150 mode at kr = 1e-3: a typed error, not a warning and nan+nanj
+    cs = ChannelSet(channels=(Channel("a", 2.0),), entrance="a")
+    f = PartialWaveAmplitude({("a", 150, 3): 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s_max in (None, 149):
+            with pytest.raises(FluxDomainError, match=r"l_max=150, kr=0\.001 "):
+                scattered_wave_series(f, cs, "a", 5e-4, unit_from_angles(0.4, 1.0), s_max)
 
 
 def _series_by_h_coefficients(f, cs, beta, r, nhat, s_max):

@@ -1086,20 +1086,24 @@ def test_empty_inputs_keep_their_shapes(evaluate_at):
     np.testing.assert_array_equal(zero, np.zeros((2, 5)))
 
 
-@pytest.mark.parametrize("l_max", [10, 40])
+@pytest.mark.parametrize("l_max", [10, 20, 40])
 def test_flux_rows_peak_is_bounded_by_one_block(l_max):
     # past the output and the pair matrices, a scan keeps only one block's
-    # products; what grows with the distances is the points handed to the
-    # pair stack and their reciprocals (16 bytes each per channel and
-    # distance) and the finiteness test of the pair matrices (one byte per
-    # entry, a sixteenth of the stack)
+    # products and one block's finiteness test; what grows with the
+    # distances is the points handed to the pair stack and their
+    # reciprocals (16 bytes each per channel and distance), and a loop
+    # counter past 256 is one more int object.  A finiteness test of the
+    # whole stack (one byte per entry) passes the pair stack's own block
+    # temporaries at 1000 distances at l_max 20.
     f, cs, _ = unitary_amplitude(3, l_max, seed=82)
     sums = _degree_sums(f, cs, default_grid(f))
     n_points = sums[0][1].shape[1]
     flux_module._flux_rows(sums, cs, l_max, np.array([1.0]), n_points)  # warm the rule tables
+    counts = {10: (40, 160), 20: (40, 1000), 40: (40, 160, 400)}[l_max]
     excess = []
-    for n in (40, 160):
+    for n in counts:
         distances = np.geomspace(1.0, 300.0, n)
         peak, _ = _contraction_peak(sums, cs, l_max, distances, n_points)
         excess.append(peak - len(sums) * n * (l_max + 1) ** 2 * 16)
-    assert excess[1] - excess[0] <= (32 + (l_max + 1) ** 2) * len(sums) * 120
+    for n, more in zip(counts[1:], excess[1:]):
+        assert more - excess[0] <= 32 * len(sums) * (n - counts[0]) + 64, n

@@ -123,9 +123,42 @@ def test_series_evaluate_matches_exact(rng):
         if abs(z) < 0.3:
             z += 1.0
         series = wronskian_series(j, l)
-        assert series.evaluate(z) == pytest.approx(
-            half_wronskian_exact(j, l, z), rel=1e-12
-        )
+        assert series.evaluate(z) == half_wronskian_exact(j, l, z)
+
+
+def test_series_evaluate_truncates_the_same_horner_sum():
+    # n_terms corrections: the constant and the first n_terms coefficients
+    # of u**(n+1), whatever the order past the last one
+    series = wronskian_series(4, 2)
+    z = 0.7 - 1.3j
+    u = 1.0 / (2.0 * z)
+    coeffs = wronskian._laurent_float(2, 4)
+    for n_terms in (0, 1, 3, series.n_terms, series.n_terms + 4):
+        expect = 0j
+        for c in coeffs[: n_terms + 1][::-1]:
+            expect = expect * u + c
+        assert series.evaluate(z, n_terms) == expect
+    assert series.evaluate(z, 0) == 1.0
+    with pytest.raises(ValueError, match="n_terms"):
+        series.evaluate(2.0, n_terms=-5)
+
+
+@pytest.mark.parametrize(
+    "evaluate, match",
+    [
+        # a coefficient past float64, not a bare OverflowError
+        (lambda: wronskian_series(76, 75).evaluate(-50j), r"j=76, l=75\) at \|z\|=50 "),
+        # the value past float64, not a warning and inf or nan
+        (lambda: half_wronskian_exact(40, 39, 1e-3), r"j=40, l=39\) at \|z\|=0.001 "),
+        (lambda: wronskian_series(40, 39).evaluate(1e-3), r"j=40, l=39\) at \|z\|=0.001 "),
+        (lambda: half_wronskian_exact(40, 39, np.array([2.0j, -1e-3j])), r"\|z\|=0.001 "),
+    ],
+)
+def test_pair_factor_overflow_raises_typed_error_without_warnings(evaluate, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FluxDomainError, match=match):
+            evaluate()
 
 
 def test_hermiticity_on_imaginary_axis(rng):
