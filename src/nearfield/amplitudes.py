@@ -21,8 +21,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .special import (
-    FluxDomainError, _check_positive, _chi_integers, _chi_table, _radial_table, mode_degrees,
-    mode_list, ylm_directions,
+    FluxDomainError, _check_positive, _chi_integers, _chi_table, _directions, _radial_table,
+    _ylm, mode_degrees, mode_list,
 )
 
 __all__ = [
@@ -272,12 +272,8 @@ def evaluate(
     """
     if channels is not None:
         channels.channel(beta)
-    nhat = np.asarray(nhat, dtype=float)
-    scalar = nhat.ndim == 1
-    values = f.dense(beta) @ ylm_directions(f.l_max, nhat)
-    if scalar:
-        return complex(values[0])
-    return values.reshape(nhat.shape[:-1])
+    rows, shape = _directions(nhat)
+    return (f.dense(beta) @ _ylm(f.l_max, rows)).reshape(shape)[()]
 
 
 def apply_angular_operator(f: PartialWaveAmplitude, power: int = 1) -> PartialWaveAmplitude:
@@ -336,6 +332,7 @@ def scattered_wave_series(
     _check_positive(np.asarray(r, dtype=float), "distance r")
     if s_max is not None and s_max < 0:
         raise ValueError("s_max must be non-negative")
+    rows, shape = _directions(nhat)
     l_max = f.l_max
     kr = channels.k(beta) * r
     radial = _chi_table(l_max, -1j * kr, s_max)
@@ -344,11 +341,8 @@ def scattered_wave_series(
             f"radial factors at l_max={l_max}, kr={kr:.6g} exceed the float64 limit "
             f"{np.finfo(float).max:.4g}; raise kr or lower l_max"
         )
-    nhat = np.asarray(nhat, dtype=float)
-    values = (f.dense(beta) * radial[mode_degrees(l_max)]) @ ylm_directions(l_max, nhat) / r
-    if nhat.ndim == 1:
-        return complex(values[0])
-    return values.reshape(nhat.shape[:-1])
+    values = (f.dense(beta) * radial[mode_degrees(l_max)]) @ _ylm(l_max, rows) / r
+    return values.reshape(shape)[()]
 
 
 # ----------------------------------------------------------------------
@@ -464,17 +458,15 @@ def _require_unitary(model: SMatrixModel, channels: ChannelSet, tolerance: float
 
 
 def _smatrix_tables(
-    model: SMatrixModel, channels: ChannelSet, entrances, directions
+    model: SMatrixModel, channels: ChannelSet, entrances, directions: np.ndarray
 ) -> np.ndarray:
     """Coefficient tables past the gate, shape ``(entrances, directions, labels, modes)``.
 
-    One harmonic table at all ``directions`` and one array expression for
-    every entrance label and incident direction.  Each ``(entrance,
-    direction)`` table takes the operations of a call with that pair alone;
-    only a harmonic table built for many directions can differ from a
-    one-direction table in the last bits.
+    One harmonic table at the ``(n, 3)`` incident ``directions`` and one array
+    expression for every entrance label and direction: each table has the
+    bits of a call with its pair alone.
     """
-    table = ylm_directions(model.l_max, directions)
+    table = _ylm(model.l_max, directions)
     labels = channels.labels
     idx_in = np.array([labels.index(e) for e in entrances])
     # (S_l - 1)[beta, entrance] on every mode of degree l
@@ -489,7 +481,7 @@ def _smatrix_tables(
 
 def _smatrix_amplitude(model: SMatrixModel, channels: ChannelSet, kappa_hat):
     """``amplitudes_from_smatrix`` past its gate: the table from one array expression."""
-    values = _smatrix_tables(model, channels, [channels.entrance], kappa_hat)[0, 0]
+    values = _smatrix_tables(model, channels, [channels.entrance], _directions(kappa_hat)[0])[0, 0]
     return PartialWaveAmplitude._from_table(channels.labels, values)
 
 
@@ -515,9 +507,10 @@ def smatrix_amplitude_family(
         return _smatrix_amplitude(model, channels.with_entrance(entrance), kappa_hat)
 
     def rows(labels, entrances, directions) -> np.ndarray:
-        """``family(e, d).rows(labels, l_max)`` for every ``e`` and ``d``, shape
-        ``(entrances * directions, labels, modes)``, entrance-major, with
-        ``l_max`` the largest of those amplitudes; from one harmonic table."""
+        """``family(e, d).rows(labels, l_max)`` for every ``e`` and every row
+        ``d`` of the ``(n, 3)`` array ``directions``, shape ``(entrances * n,
+        labels, modes)``, entrance-major, with ``l_max`` the largest of those
+        amplitudes; from one harmonic table."""
         tables = _smatrix_tables(model, channels, entrances, directions)
         tables[tables == 0] = 0  # +0, as PartialWaveAmplitude stores it
         used = np.flatnonzero(tables.any(axis=(0, 1, 2)))

@@ -48,6 +48,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -59,7 +60,9 @@ from .special import (
     AngularGrid,
     FluxDomainError,
     _check_positive,
+    _directions,
     _sphere_grid_arrays,
+    _ylm,
     chi_terms,
     gauss_legendre_sphere,
     mode_degrees,
@@ -107,14 +110,6 @@ def _mode_pair_matrix(l_max: int, z: complex) -> np.ndarray:
     ls = np.asarray(mode_degrees(l_max))
     pm = pair_matrix(l_max, z)
     return np.ascontiguousarray(pm[np.ix_(ls, ls)])
-
-
-def _flat_directions(nhat) -> tuple[np.ndarray, tuple[int, ...], bool]:
-    arr = np.asarray(nhat, dtype=float)
-    if arr.shape[-1] != 3:
-        raise ValueError("directions must have shape (..., 3)")
-    scalar = arr.ndim == 1
-    return arr.reshape(-1, 3), arr.shape[:-1], scalar
 
 
 def _real_with_hermitian_check(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -195,10 +190,11 @@ def _degree_sums(
 ) -> list[tuple[str, np.ndarray]]:
     """Degree sums ``S_l(p) = sum_m B_lm Y_lm(p)`` of each nonzero channel.
 
-    ``directions`` is a grid or an ``(n_points, 3)`` array; each sum array
-    has shape ``(l_max + 1, n_points)``.  On the canonical product grid
-    (``canonical`` passes a test already made) one table on the ``order +
-    1`` polar nodes, at ``phi = 0``, serves every azimuth.  With no ``m !=
+    ``directions`` is a grid or an ``(n_points, 3)`` array of direction
+    vectors for ``special._ylm``; each sum array has shape ``(l_max + 1,
+    n_points)``.  On the canonical product grid (``canonical`` passes a
+    test already made) one table on the ``order + 1`` polar nodes, at ``phi
+    = 0``, serves every azimuth.  With no ``m !=
     0`` coefficient the sums do not depend on ``phi``: they are ``B_l0``
     times the ``m = 0`` rows of that table, one column per polar ring
     (``n_points = order + 1``).  Otherwise the table is spread into an
@@ -225,12 +221,11 @@ def _degree_sums(
         ms = np.arange(-l_max, l_max + 1)
         fourier = np.exp(1j * np.outer(ms, directions.phi[:n_phi]))
         slots = ls * (2 * l_max + 1) + ms_of_mode + l_max
+    elif isinstance(directions, AngularGrid):
+        table = ylm_table(l_max, directions.theta, directions.phi)
     else:
-        if isinstance(directions, AngularGrid):
-            table = ylm_table(l_max, directions.theta, directions.phi)
-        else:
-            table = ylm_directions(l_max, directions)
-        degree_starts = np.arange(l_max + 1) ** 2
+        table = _ylm(l_max, directions)
+    degree_starts = np.arange(l_max + 1) ** 2
     sums = []
     for label, row in channel_rows:
         terms = row[:, None] * table
@@ -341,24 +336,22 @@ def _grid_rows(
 # differential flux
 # ----------------------------------------------------------------------
 
-def _distances(R) -> np.ndarray:
-    """``R`` as a float array, scalar or 1-d, checked finite and positive."""
+def _pointwise(
+    f: PartialWaveAmplitude, channels: ChannelSet, R, nhat, rows: Callable
+) -> float | np.ndarray:
+    """``_flux_rows``, or ``_expansion_rows`` with its order set, at ``R`` and ``nhat``.
+
+    ``R`` is a scalar or a 1-d array, finite and positive; the result has
+    shape ``R.shape + nhat.shape[:-1]``, a scalar for both.
+    """
     r = np.asarray(R, dtype=float)
     if r.ndim > 1:
         raise ValueError("R must be a scalar or a 1-d array of distances")
     _check_positive(r, "distance R")
-    return r
-
-
-def _shaped(
-    total: np.ndarray, r: np.ndarray, lead_shape: tuple[int, ...], scalar: bool
-) -> float | np.ndarray:
-    """Rows ``(n_R, n_points)`` in the shape of the call's distances and directions."""
-    if r.ndim == 0:
-        if scalar:
-            return float(total[0, 0])
-        return total[0].reshape(lead_shape)
-    return total.reshape(r.shape + lead_shape)
+    vectors, shape = _directions(nhat)
+    sums = _degree_sums(f, channels, vectors)
+    total = rows(sums, channels, f.l_max, np.atleast_1d(r), len(vectors))
+    return total.reshape(r.shape + shape)[()]
 
 
 def differential_flux_exact(
@@ -376,11 +369,7 @@ def differential_flux_exact(
     a leading axis, shape ``(n_R, *direction_shape)``, and shares one angular
     table between all of them.
     """
-    r = _distances(R)
-    pts, lead_shape, scalar = _flat_directions(nhat)
-    sums = _degree_sums(f, channels, pts)
-    total = _flux_rows(sums, channels, f.l_max, np.atleast_1d(r), pts.shape[0])
-    return _shaped(total, r, lead_shape, scalar)
+    return _pointwise(f, channels, R, nhat, _flux_rows)
 
 
 def _expansion_rows(
@@ -430,24 +419,6 @@ def _expansion_rows(
     return total
 
 
-def _expansion(
-    f: PartialWaveAmplitude,
-    channels: ChannelSet,
-    R: float | np.ndarray,
-    nhat,
-    order: int,
-    single: bool,
-) -> float | np.ndarray:
-    """``_expansion_rows`` at the directions ``nhat``, shaped as ``differential_flux_exact``."""
-    r = _distances(R)
-    pts, lead_shape, scalar = _flat_directions(nhat)
-    sums = _degree_sums(f, channels, pts)
-    total = _expansion_rows(
-        sums, channels, f.l_max, np.atleast_1d(r), pts.shape[0], order, single
-    )
-    return _shaped(total, r, lead_shape, scalar)
-
-
 def differential_flux_asymptotic(
     f: PartialWaveAmplitude,
     channels: ChannelSet,
@@ -474,7 +445,7 @@ def differential_flux_asymptotic(
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    return _expansion(f, channels, R, nhat, order, single=False)
+    return _pointwise(f, channels, R, nhat, partial(_expansion_rows, order=order, single=False))
 
 
 def flux_correction_term(
@@ -494,7 +465,7 @@ def flux_correction_term(
     """
     if order < 1:
         raise ValueError("order must be positive")
-    return _expansion(f, channels, R, nhat, order, single=True)
+    return _pointwise(f, channels, R, nhat, partial(_expansion_rows, order=order, single=True))
 
 
 def far_field_flux(
@@ -711,24 +682,21 @@ def unitarity_defect(
     violation normalized by the largest bilinear magnitude; an exactly
     unitary amplitude family gives rounding-level values.
 
-    ``f`` may be a family callable ``(entrance_label, direction) ->
-    PartialWaveAmplitude``; it is called once per entrance and distinct
-    direction, except that a family from ``smatrix_amplitude_family``
-    supplies all those coefficient rows from one harmonic table.  Every
-    sampled amplitude value comes from one harmonic table at those
-    directions, and every bilinear from one product of the stacked
-    coefficient rows.  A single amplitude only supplies the
-    diagonal sample ``gamma = alpha`` at its own incident direction;
-    requesting more directions with a bare amplitude raises, since the
-    reciprocal amplitude data is missing.
+    ``f`` may be a family ``(entrance_label, direction) ->
+    PartialWaveAmplitude``, called once per entrance and distinct direction;
+    one from ``smatrix_amplitude_family`` gives all those coefficient rows
+    from one harmonic table.  The sampled values come from one harmonic
+    table and the bilinears from one product of the stacked rows.  A bare
+    amplitude supplies only the diagonal sample ``gamma = alpha`` at its own
+    incident direction, and more directions raise: the reciprocal amplitude
+    data is missing.
     """
     if kappa_hats is None:
         kappa_hats = _DEFAULT_DIRECTIONS
-    if s_hats is None:
-        s_hats = kappa_hats
-    kappa_hats = [tuple(np.asarray(v, dtype=float)) for v in np.atleast_2d(kappa_hats)]
-    s_hats = [tuple(np.asarray(v, dtype=float)) for v in np.atleast_2d(s_hats)]
+    kappa_hats = [tuple(v) for v in _directions(kappa_hats)[0].tolist()]
+    s_hats = kappa_hats if s_hats is None else [tuple(v) for v in _directions(s_hats)[0].tolist()]
     directions = list(dict.fromkeys(s_hats + kappa_hats))
+    vectors = np.array(directions)
 
     if isinstance(f, PartialWaveAmplitude):
         if len(kappa_hats) > 1 or kappa_hats != s_hats:
@@ -747,12 +715,12 @@ def unitarity_defect(
     # the amplitude of entrance e at direction d is row e * n_dir + d
     if amplitudes is None:
         # an S-matrix family: every row from one harmonic table
-        rows = f._rows(channels.labels, entrances, directions)
+        rows = f._rows(channels.labels, entrances, vectors)
         l_max = math.isqrt(rows.shape[2]) - 1
     else:
         l_max = max(amp.l_max for amp in amplitudes)
         rows = np.array([amp.rows(channels.labels, l_max) for amp in amplitudes])
-    table = ylm_directions(l_max, np.array(directions))
+    table = _ylm(l_max, vectors)
     k = np.array([[channels.k(label)] for label in channels.labels])
     n_dir, n_amp = len(directions), rows.shape[0]
     bilinears = rows.reshape(n_amp, -1).conj() @ (k * rows).reshape(n_amp, -1).T
@@ -789,9 +757,9 @@ def optical_theorem_defect(
     weighting departs from it unless velocities are proportional to the
     wavenumbers.
     """
+    forward = evaluate(f, channels.entrance, kappa_hat)
     sigma = _check_scale(f, channels)
     if sigma == 0.0:
         return 0.0
-    forward = evaluate(f, channels.entrance, np.asarray(kappa_hat, dtype=float))
     k_in = channels.entrance_channel.k
     return abs(sigma - 4.0 * np.pi / k_in * np.imag(forward)) / sigma

@@ -58,9 +58,10 @@ class GreensQuery:
     One query has fields of shapes ``()`` and ``(3,)``; a record of ``n``
     queries has a 1-d ``k`` and fields of shapes ``(n,)`` and ``(n, 3)``,
     where a scalar ``sign`` applies to all of them.  ``sign`` is +1 for the
-    outgoing kernel, -1 for the incoming one.  The mode sum converges only
-    inside the sphere through the outer point, so ``|x_vec| < |R_vec|`` is
-    enforced at construction, for every query at once.
+    outgoing kernel, -1 for the incoming one.  Both points must be finite
+    with a finite norm (``ValueError`` names the field and vector).  The mode
+    sum converges only inside the sphere through the outer point, so
+    ``|x_vec| < |R_vec|`` is enforced at construction, for all queries.
     """
 
     k: float | np.ndarray
@@ -82,11 +83,17 @@ class GreensQuery:
             for name, value in (("k", k), ("sign", sign)):
                 value.flags.writeable = False
                 object.__setattr__(self, name, value)
+        norms = []
         for name in ("R_vec", "x_vec"):
             vec = np.asarray(getattr(self, name), dtype=float).reshape(*k.shape, 3)
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms.append(_norms(vec).reshape(-1))
+            if not np.isfinite(norms[-1]).all():
+                bad = vec.reshape(-1, 3)[np.argmax(~np.isfinite(norms[-1]))].tolist()
+                raise ValueError(f"{name} must be finite with a finite norm, got {bad}")
             vec.flags.writeable = False
             object.__setattr__(self, name, vec)
-        if not (_norms(self.x_vec) < _norms(self.R_vec)).all():
+        if not (norms[1] < norms[0]).all():
             raise ValueError("require |x_vec| < |R_vec| for the mode expansion")
 
     @property
@@ -192,9 +199,10 @@ def _assemble(
     cos_gamma = np.clip(np.einsum("ij,ij->i", R_vec, x_vec) / (big * small), -1.0, 1.0)
     msums = (2 * ls + 1) / (4.0 * np.pi) * _legendre_table(l_max, cos_gamma)
     with np.errstate(over="ignore", invalid="ignore"):
-        # chi_l(-i sign X) i^(-sign l): i X h_l(X) for sign = +1, its conjugate for -1
-        outer = _chi_table(l_max, -1j * sign * outer_x, s_max)
-        outer *= _INV_I_POWERS[(sign * ls) % 4]
+        # chi_l(-i X) i^(-l) = i X h_l(X) for sign = +1, its conjugate
+        # chi_l(i X) i^l for -1
+        outer = _chi_table(l_max, -1j * outer_x, s_max) * _INV_I_POWERS[ls % 4]
+        outer = np.where(sign > 0, outer, outer.conj())
         # summed in degree order, so the zeros past a query's own cutoff
         # leave its value as it is in a call of its own
         terms = np.where(ls <= cutoff, outer * inner * msums, 0.0)

@@ -28,7 +28,6 @@ with the ``m``-dependent normalization folded in).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -302,16 +301,11 @@ def regular_psi(l: int, x: float | np.ndarray) -> float | np.ndarray:
 # ----------------------------------------------------------------------
 
 def sph_harm(l: int, m: int, nhat) -> complex | np.ndarray:
-    """Complex spherical harmonic ``Y_l^m`` with Condon-Shortley phase.
-
-    ``nhat`` is a direction vector of shape ``(..., 3)``; it need not be
-    normalized.
-    """
+    """Complex spherical harmonic ``Y_l^m`` (Condon-Shortley phase) at directions ``(..., 3)``."""
     if l < 0 or abs(m) > l:
         raise ValueError("require l >= 0 and |m| <= l")
-    nhat = np.asarray(nhat, dtype=float)
-    values = ylm_directions(l, nhat)[mode_index(l, m)]
-    return values.reshape(nhat.shape[:-1])[()]
+    rows, shape = _directions(nhat)
+    return _ylm(l, rows)[mode_index(l, m)].reshape(shape)[()]
 
 
 def mode_index(l: int, m: int) -> int:
@@ -338,10 +332,10 @@ def mode_degrees(l_max: int) -> np.ndarray:
 
 
 def _few_directions(l_max: int, n_points: int) -> bool:
-    """Whether the scalar path beats the vectorized one on this table.
+    """Whether ``_ylm`` takes its scalar layout: a choice of speed, never of bits.
 
     Measured with CPython 3.11 and NumPy 2.4 on a 2-core x86-64 host: the
-    scalar path costs about ``(l_max+1)**2 + 8`` recurrence steps per
+    scalar loop costs about ``(l_max+1)**2 + 8`` recurrence steps per
     direction, the vectorized one about ``250 + 35 l_max`` steps' worth of
     per-call overhead, whatever the direction count up to a few hundred.
     """
@@ -407,8 +401,8 @@ def _harmonic_plan(l_max: int) -> _HarmonicPlan:
 def _ylm_point(l_max: int, c: float, w: complex) -> list[complex]:
     """All harmonics at one direction in scalar arithmetic, in mode order.
 
-    ``mirror = (-1)**m conj(w**m)`` gives the negative orders with one
-    product each, the same operations as ``_ylm_vectorized``.
+    ``mirror = (-1)**m conj(w**m)`` gives the negative orders, with the
+    operations of ``_ylm_vectorized``.
     """
     out = [0j] * (l_max + 1) ** 2
     power = 1.0 + 0.0j
@@ -431,26 +425,24 @@ def _ylm_point(l_max: int, c: float, w: complex) -> list[complex]:
     return out
 
 
-def _ylm_columns(l_max: int, columns: list[list[complex]]) -> np.ndarray:
-    return np.array(columns, dtype=complex).reshape(len(columns), (l_max + 1) ** 2).T
-
-
 def _ylm_vectorized(l_max: int, c: np.ndarray, w: np.ndarray) -> np.ndarray:
     """All harmonics at many directions, one recurrence step per degree.
 
     Each degree's rows go straight into the output, so the recurrence keeps
-    only three degrees of ``Q`` in rotating buffers.
+    only three degrees of ``Q`` in rotating buffers.  ``w**m`` comes from
+    ``multiply.accumulate``, which rounds each product as Python does.
     """
     plan = _harmonic_plan(l_max)
     n = c.size
-    # powers[l_max + m] = w**m, and (-conj(w))**|m| = (-1)**m conj(w**|m|)
-    # for m < 0
+    # powers[l_max + m] = w**m, and (-1)**m conj(w**|m|) for m < 0, as
+    # ``mirror`` in _ylm_point
     powers = np.empty((2 * l_max + 1, n), dtype=complex)
     powers[l_max] = 1.0
     powers[l_max + 1 :] = w
-    powers[:l_max] = -w.conj()
     np.multiply.accumulate(powers[l_max:], axis=0, out=powers[l_max:])
-    np.multiply.accumulate(powers[l_max::-1], axis=0, out=powers[l_max::-1])
+    np.conjugate(powers[: l_max : -1], out=powers[:l_max])
+    odd = powers[:l_max][::-2]
+    np.negative(odd, out=odd)
     out = np.empty(((l_max + 1) ** 2, n), dtype=complex)
     # rows[l % 3][m] holds Q_lm; orders a degree has not reached stay zero
     rows = np.zeros((3, l_max + 1, n))
@@ -464,57 +456,103 @@ def _ylm_vectorized(l_max: int, c: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ylm(l_max: int, directions: np.ndarray | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """All harmonics up to ``l_max``, shape ``((l_max+1)**2, n)`` in ``mode_list`` order.
+
+    ``directions`` is an ``(n, 3)`` array of direction vectors, normalized
+    and checked by ``_unit``, or the pair ``(c, w) = (cos(theta), sin(theta)
+    e^{i phi})`` of 1-d arrays.  The one size switch: few directions take
+    ``_unit_point`` and ``_ylm_point`` one at a time, many ``_unit`` and
+    ``_ylm_vectorized``, with the same operations in the same order and the
+    same errors, so a column does not depend on its batch.
+    """
+    vectors = isinstance(directions, np.ndarray)
+    n = len(directions) if vectors else directions[0].size
+    if not _few_directions(l_max, n):
+        return _ylm_vectorized(l_max, *(_unit(directions) if vectors else directions))
+    if vectors:
+        pairs = map(_unit_point, *directions.T.tolist())
+    else:
+        pairs = zip(directions[0].tolist(), directions[1].tolist())
+    columns = [_ylm_point(l_max, c, w) for c, w in pairs]
+    return np.array(columns, dtype=complex).reshape(n, (l_max + 1) ** 2).T
+
+
 def ylm_table(l_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """All harmonics up to ``l_max`` at the given angles.
 
-    Returns a complex array of shape ``((l_max+1)**2, n_points)`` whose row
-    order matches ``mode_list(l_max)``.
+    Shape ``((l_max+1)**2, n_points)`` in ``mode_list(l_max)`` order, from
+    NumPy's ``cos(theta)`` and ``sin(theta) exp(i phi)`` at any batch size.
+    Angles must be finite (``ValueError``).
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     if theta.shape != phi.shape:
         raise ValueError("theta and phi must have matching shapes")
     theta, phi = theta.ravel(), phi.ravel()
-    if _few_directions(l_max, theta.size):
-        return _ylm_columns(
-            l_max,
-            [
-                _ylm_point(l_max, math.cos(t), cmath.rect(math.sin(t), p))
-                for t, p in zip(theta.tolist(), phi.tolist())
-            ],
-        )
-    return _ylm_vectorized(l_max, np.cos(theta), np.sin(theta) * np.exp(1j * phi))
+    for name, angles in (("theta", theta), ("phi", phi)):
+        if not np.isfinite(angles).all():
+            raise ValueError(f"angle {name} must be finite, got {angles[~np.isfinite(angles)][0]}")
+    return _ylm(l_max, (np.cos(theta), np.sin(theta) * np.exp(1j * phi)))
 
 
 def ylm_directions(l_max: int, nhat) -> np.ndarray:
     """All harmonics up to ``l_max`` at direction vectors of shape ``(..., 3)``.
 
-    Like ``ylm_table`` on the angles of ``nhat``, without forming them:
-    ``Y_lm = Q_lm(z/r) ((x + i y)/r)**m``.  Vectors need not be normalized;
-    zero vectors are rejected.  Returns shape ``((l_max+1)**2, n_points)``
-    with the directions flattened.
+    Like ``ylm_table`` on their angles, without forming them: ``Y_lm =
+    Q_lm(z/r) ((x + i y)/r)**m`` by the rule of ``_unit``, which raises
+    ``ValueError`` for a vector that is not finite or is zero; shape
+    ``((l_max+1)**2, n_points)``.
     """
-    nhat = np.asarray(nhat, dtype=float)
-    if nhat.shape[-1] != 3:
-        raise ValueError("directions must have shape (..., 3)")
-    pts = nhat.reshape(-1, 3)
-    if _few_directions(l_max, pts.shape[0]):
-        columns = []
-        for x, y, z in pts.tolist():
-            r = math.hypot(x, y, z)
-            if r == 0.0:
-                raise ValueError("zero direction vector")
-            columns.append(_ylm_point(l_max, z / r, complex(x, y) / r))
-        return _ylm_columns(l_max, columns)
-    r = np.linalg.norm(pts, axis=1)
-    if not np.all(r):
-        raise ValueError("zero direction vector")
-    return _ylm_vectorized(l_max, pts[:, 2] / r, (pts[:, 0] + 1j * pts[:, 1]) / r)
+    return _ylm(l_max, _directions(nhat)[0])
 
 
 # ----------------------------------------------------------------------
 # directions
 # ----------------------------------------------------------------------
+
+def _directions(nhat) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The one way in for direction vectors: flat float rows ``(n, 3)`` and the leading shape.
+
+    Results take that shape by ``values.reshape(shape)[()]``, a scalar for
+    one vector; ``_unit`` checks each vector where it normalizes it.
+    """
+    vectors = np.asarray(nhat, dtype=float)
+    if vectors.ndim == 0 or vectors.shape[-1] != 3:
+        raise ValueError("directions must have shape (..., 3)")
+    return vectors.reshape(-1, 3), vectors.shape[:-1]
+
+
+def _unit(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(c, w) = (z/r, (x + i y)/r)`` of vectors ``(n, 3)``; ``_unit_point`` on one, bit for bit.
+
+    A power-of-two scale, exact but for components below 2e-308 of the
+    largest, brings each largest component into ``[1/2, 1)``.  Then ``r =
+    sqrt(x*x + y*y + z*z)`` (the bits of ``np.linalg.norm``) must lie in
+    ``(0, 2)``, or ``ValueError`` names the first vector that is not finite
+    or is zero; ``w`` is formed as ``x (1/r) + i y (1/r)``.
+    """
+    exponents = np.frexp(np.abs(rows).max(axis=1))[1]
+    x, y, z = np.ldexp(rows, -exponents[:, None]).T
+    r = np.sqrt(x * x + y * y + z * z)
+    bad = ~((r > 0.0) & (r < 2.0))
+    if bad.any():
+        _unit_point(*rows[np.argmax(bad)].tolist())  # raises the ValueError naming it
+    s = 1.0 / r
+    w = (x * s).astype(complex)
+    w.imag = y * s
+    return z / r, w
+
+
+def _unit_point(x: float, y: float, z: float) -> tuple[float, complex]:
+    """``_unit`` of one vector in ``math``."""
+    e = -math.frexp(max(abs(x), abs(y), abs(z)))[1]
+    sx, sy, sz = math.ldexp(x, e), math.ldexp(y, e), math.ldexp(z, e)
+    r = math.sqrt(sx * sx + sy * sy + sz * sz)
+    if not 0.0 < r < 2.0:
+        raise ValueError(f"direction vector must be finite and nonzero, got {[x, y, z]}")
+    s = 1.0 / r
+    return sz / r, complex(sx * s, sy * s)
+
 
 def unit_from_angles(theta, phi) -> np.ndarray:
     """Unit vectors from polar/azimuth angles; output shape ``(..., 3)``."""
@@ -527,19 +565,11 @@ def unit_from_angles(theta, phi) -> np.ndarray:
 
 
 def angles_from_unit(nhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polar/azimuth angles of direction vectors of shape ``(..., 3)``.
-
-    Vectors need not be normalized; zero vectors are rejected.
-    """
-    nhat = np.asarray(nhat, dtype=float)
-    if nhat.shape[-1] != 3:
-        raise ValueError("directions must have shape (..., 3)")
-    norm = np.linalg.norm(nhat, axis=-1)
-    if np.any(norm == 0):
-        raise ValueError("zero direction vector")
-    theta = np.arccos(np.clip(nhat[..., 2] / norm, -1.0, 1.0))
-    phi = np.arctan2(nhat[..., 1], nhat[..., 0])
-    return theta, phi
+    """Polar/azimuth angles of direction vectors ``(..., 3)``, checked by ``_unit``."""
+    rows, shape = _directions(nhat)
+    theta = np.arccos(np.clip(_unit(rows)[0], -1.0, 1.0))
+    phi = np.arctan2(rows[:, 1], rows[:, 0])
+    return theta.reshape(shape)[()], phi.reshape(shape)[()]
 
 
 # ----------------------------------------------------------------------

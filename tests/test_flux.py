@@ -851,14 +851,14 @@ def test_unitarity_defect_family_vs_scaled():
 
 def test_unitarity_defect_propagates_nan(monkeypatch):
     _, cs, family = unitary_amplitude(2, 2, seed=31)
-    real_table = flux_module.ylm_directions
+    real_table = flux_module._ylm
 
-    def poisoned(l_max, nhat):
-        table = real_table(l_max, nhat).copy()
+    def poisoned(l_max, directions):
+        table = real_table(l_max, directions).copy()
         table[1, 1] = np.nan
         return table
 
-    monkeypatch.setattr(flux_module, "ylm_directions", poisoned)
+    monkeypatch.setattr(flux_module, "_ylm", poisoned)
     assert np.isnan(unitarity_defect(family, cs))
 
 
@@ -918,17 +918,17 @@ def test_unitarity_defect_takes_each_amplitude_and_table_once(monkeypatch):
         calls.append((entrance, tuple(kappa_hat)))
         return family(entrance, kappa_hat)
 
-    real_table = flux_module.ylm_directions
+    real_table = flux_module._ylm
     tables = []
 
-    def counted(l_max, nhat):
-        tables.append(np.shape(nhat))
-        return real_table(l_max, nhat)
+    def counted(l_max, directions):
+        tables.append(np.shape(directions))
+        return real_table(l_max, directions)
 
     def no_evaluate(*args, **kwargs):
         raise AssertionError("evaluate called")
 
-    monkeypatch.setattr(flux_module, "ylm_directions", counted)
+    monkeypatch.setattr(flux_module, "_ylm", counted)
     monkeypatch.setattr(flux_module, "evaluate", no_evaluate)
     assert unitarity_defect(spy, cs, kappa_hats=_KAPPA_HATS, s_hats=_S_HATS) < 1e-12
     distinct = set(_KAPPA_HATS) | set(_S_HATS)
@@ -946,15 +946,16 @@ def test_smatrix_family_supplies_its_rows_from_one_table(monkeypatch):
     l_max = max(amp.l_max for amp in amps)
     labels = ("c2", "absent", "c0")
     expected = np.array([amp.rows(labels, l_max) for amp in amps])
-    real_table = amplitudes_module.ylm_directions
+    real_table = amplitudes_module._ylm
     tables = []
 
-    def counted(l_max, nhat):
-        tables.append(np.shape(nhat))
-        return real_table(l_max, nhat)
+    def counted(l_max, directions):
+        tables.append(np.shape(directions))
+        return real_table(l_max, directions)
 
-    monkeypatch.setattr(amplitudes_module, "ylm_directions", counted)
-    np.testing.assert_array_equal(family._rows(labels, list(cs.labels), directions), expected)
+    monkeypatch.setattr(amplitudes_module, "_ylm", counted)
+    rows = family._rows(labels, list(cs.labels), np.array(directions))
+    np.testing.assert_array_equal(rows, expected)
     assert tables == [(4, 3)]
     # unitarity_defect takes them so: one table for the rows, one for the values
     tables.clear()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +281,23 @@ def test_record_validation_names_the_first_failure():
         GreensQuery(k=fields["k"][:, None], R_vec=fields["R_vec"], x_vec=fields["x_vec"])
     with pytest.raises(ValueError):
         GreensQuery(**(fields | {"sign": np.ones(4, dtype=int)}))
+
+
+def test_query_rejects_points_that_are_not_finite_or_whose_norm_overflows():
+    good = {"R_vec": np.array([0.0, 3.0, 4.0]), "x_vec": np.array([1.0, 0.0, 0.0])}
+    for name in ("R_vec", "x_vec"):
+        for bad in ([np.inf, 0.0, 0.0], [0.0, np.nan, 1.0], [1e200, 0.0, 0.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=re.escape(f"{name} must be finite")):
+                    GreensQuery(k=1.0, **(good | {name: np.array(bad)}))
+    # in a record, the first offending query is named
+    record = {name: np.stack([vec, vec, vec]) for name, vec in good.items()}
+    record["R_vec"][1] = (0.0, 2e154, 2e154)
+    record["R_vec"][2] = (np.inf, 0.0, 0.0)
+    message = "R_vec must be finite with a finite norm, got [0.0, 2e+154, 2e+154]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GreensQuery(k=np.ones(3), **record)
 
 
 def test_auto_l_max_takes_arrays():

@@ -499,15 +499,15 @@ def test_small_table_path_matches_vectorized_path(l_max):
     c, w = nhat[:, 2] / r, (nhat[:, 0] + 1j * nhat[:, 1]) / r
     vectorized = _ylm_vectorized(l_max, c, w)
     small = np.array([_ylm_point(l_max, ci, wi) for ci, wi in zip(c.tolist(), w.tolist())]).T
-    # the same operations in the same order: equal to a few ulps of the maximum
-    assert np.max(np.abs(small - vectorized)) <= 1e-15 * np.max(np.abs(vectorized))
+    # the same operations in the same order: the same values
+    np.testing.assert_array_equal(small, vectorized)
     assert ylm_directions(l_max, np.zeros((0, 3))).shape == ((l_max + 1) ** 2, 0)
     # the public entry points switch paths by table size, one point at a time
     for p in range(nhat.shape[0]):
         assert _few_directions(l_max, 1)
         one = ylm_directions(l_max, nhat[p])
         assert one.shape == ((l_max + 1) ** 2, 1)
-        assert np.max(np.abs(one[:, 0] - vectorized[:, p])) <= 1e-15 * np.max(np.abs(vectorized))
+        np.testing.assert_array_equal(one[:, 0], vectorized[:, p])
 
 
 def test_unit_angle_round_trip(rng):
