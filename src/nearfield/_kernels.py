@@ -1,13 +1,9 @@
 """Contraction kernels of the flux module, in NumPy.
 
-``quadratic_form`` is the per-direction contraction of the distance
-expansion, run on degree-collapsed tables (``L+1`` rows, not
-``(L+1)**2``); the pointwise flux (``flux._flux_rows``) runs the same
-product batched over blocks of distances, each row equal to this
-function's bit for bit;
-``weighted_pair_sum`` is the Gram-weighted contraction of the total flux
-on canonical grids of order below ``l_max``.  Both hand the work to
-BLAS-backed matrix products.
+``quadratic_form`` contracts degree sums with one pair matrix; no flux path
+calls it, and it is the reference, bit for bit, for each row of
+``flux._flux_rows``.  ``weighted_pair_sum`` is the Gram-weighted total flux
+on canonical grids of order below ``l_max``.  Both run BLAS products.
 """
 
 from __future__ import annotations

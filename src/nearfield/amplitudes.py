@@ -442,7 +442,9 @@ def amplitudes_from_smatrix(
     general direction is the rigid rotation of those multiplets, which is
     exactly what the conjugated harmonic factor implements.  All exit
     channels and modes come from one array expression over one harmonic
-    table at ``kappa_hat``, which is the amplitude's table.
+    table at ``kappa_hat``, which is the amplitude's table.  ``kappa_hat``
+    holds one vector, or ``ValueError`` is raised; so does the family of
+    ``smatrix_amplitude_family``.
     """
     _require_unitary(model, channels, unitarity_tolerance)
     return _smatrix_amplitude(model, channels, kappa_hat)
@@ -481,7 +483,8 @@ def _smatrix_tables(
 
 def _smatrix_amplitude(model: SMatrixModel, channels: ChannelSet, kappa_hat):
     """``amplitudes_from_smatrix`` past its gate: the table from one array expression."""
-    values = _smatrix_tables(model, channels, [channels.entrance], _directions(kappa_hat)[0])[0, 0]
+    direction = _directions(kappa_hat, one="kappa_hat")[0]
+    values = _smatrix_tables(model, channels, [channels.entrance], direction)[0, 0]
     return PartialWaveAmplitude._from_table(channels.labels, values)
 
 

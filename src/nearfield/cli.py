@@ -37,7 +37,6 @@ from .amplitudes import PartialWaveAmplitude
 from .flux import (
     _check_scale,
     _degree_sums,
-    _expansion_rows,
     _flux_rows,
     default_grid,
     flux_profile,
@@ -289,9 +288,7 @@ def _check_two_path(config: RunConfig, source: AmplitudeSource) -> float:
     # differential_flux_exact and differential_flux_asymptotic, bit for bit
     sums = _degree_sums(f, channels, directions)
     exact = _flux_rows(sums, channels, f.l_max, r_values, len(directions))
-    series = _expansion_rows(
-        sums, channels, f.l_max, r_values, len(directions), 2 * f.l_max, single=False
-    )
+    series = _flux_rows(sums, channels, f.l_max, r_values, len(directions), order=2 * f.l_max)
     return float(np.max(np.abs(exact - series) / np.maximum(np.abs(exact), 1e-300)))
 
 

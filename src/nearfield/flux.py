@@ -11,24 +11,19 @@ Clenshaw-Curtis evaluation on the imaginary axis (``wronskian._pair_stack``),
 exact in structure and without a degree limit.  Each channel's distances
 are contracted in blocks small enough to stay off fresh pages, one batched
 product per block, and each row is the one-distance contraction bit for
-bit.  On the
-canonical product grid the harmonics separate, ``Y_lm(theta_i, phi_j) =
-y_lm(theta_i) exp(i m phi_j)``, so the sums come from a table on the polar
-nodes alone and one product with the azimuthal Fourier matrix.  An
+bit.  On the canonical product grid the harmonics separate, ``Y_lm(theta_i,
+phi_j) = y_lm(theta_i) exp(i m phi_j)``, so the sums come from a table on
+the polar nodes alone and one product with the azimuthal Fourier matrix.  An
 amplitude with no ``m != 0`` coefficient is axially symmetric, so its
-flux is contracted once per polar ring there.  Because the
-pair factors terminate, the "exact" path here is exact in structure; the
-"asymptotic" path sums the same degree sums reorganized as a distance
-expansion in ``u = 1/(2z)``: the images ``G_s = u**s sum_l c_s(l) S_l``
-carry the integers ``c_s(l) = (l+s)!/(s!(l-s)!)`` of the decaying solution's
-series, and the flux through any order is one quadratic form in them, run
-by the same contraction kernel as the exact path.  The series ends at order
-``2 l_max``, where the two paths must agree to rounding.  Both paths are
-kept because their agreement (and controlled disagreement below the
-complete order) is the main scientific claim this package exists to check.
-They share one set of degree sums: each takes a scalar or a 1-d array of
-distances, and a check of their agreement builds the sums once and hands
-them to both (``_flux_rows`` and ``_expansion_rows``).
+flux is contracted once per polar ring there.  Because the pair factors
+terminate, the "exact" path here is exact in structure: they are Laurent
+polynomials, ``HW_lj = sum_n L_n(l, j) u**n`` in ``u = 1/(2z)``, and the
+"asymptotic" path, the distance expansion, is that series cut at its order
+(``wronskian._laurent_stack``).  It ends at order ``2 l_max``, where the
+two paths must agree to rounding; their agreement (and controlled
+disagreement below that order) is the main scientific claim this package
+exists to check.  One kernel, ``_flux_rows``, contracts both, at a scalar
+or a 1-d array of distances, from degree sums they can share.
 
 Totals need care: at small ``kR`` the pointwise integrand can exceed its own
 integral by many orders of magnitude, so totals are not taken from it where
@@ -48,7 +43,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -63,13 +57,12 @@ from .special import (
     _directions,
     _sphere_grid_arrays,
     _ylm,
-    chi_terms,
     gauss_legendre_sphere,
     mode_degrees,
     ylm_directions,
     ylm_table,
 )
-from .wronskian import _pair_overflow, _pair_stack, pair_matrix
+from .wronskian import _laurent_stack, _pair_overflow, _pair_stack, pair_matrix
 
 __all__ = [
     "CrossSections",
@@ -248,67 +241,70 @@ _BLOCK_ENTRIES = 2**13
 
 
 def _flux_rows(
-    sums: list[tuple[str, np.ndarray]],
-    channels: ChannelSet,
-    l_max: int,
-    distances: np.ndarray,
-    n_points: int,
+    sums: list[tuple[str, np.ndarray]], channels: ChannelSet, l_max: int,
+    distances: np.ndarray, n_points: int, order: int | None = None, single: bool = False,
 ) -> np.ndarray:
     """Differential flux, shape ``(n_distances, n_points)``, from degree sums.
 
-    ``weight_beta * sum_{l,j} conj(S_l) HW_lj S_j`` with the exact pair
-    factors at ``z = -i k_beta R``, evaluated for all channels and distances
-    in one stacked call of ``wronskian._pair_stack``.  Each channel's
-    distances run in blocks of at most ``_BLOCK_ENTRIES`` product entries,
-    written into buffers that all channels and blocks share: each block's
-    pair matrices are tested finite, one batched product of them with the
-    sums gives the values, one of their moduli gives the absolute-value
-    contraction, and the block's values are asserted real against it
-    before the imaginary residue is discarded.  Every row is
-    ``_kernels.quadratic_form`` of the sums and of their moduli at its
-    distance, bit for bit, whatever the block.
+    ``weight_beta * sum_{l,j} conj(S_l) HW_lj S_j`` at ``z = -i k_beta R``,
+    one matrix per channel and distance from one stacked call: the exact
+    pair factors (``wronskian._pair_stack``), or with an ``order`` their
+    distance expansion cut there, or with ``single`` its term of that order
+    (``wronskian._laurent_stack``).  Each channel's distances run in blocks
+    of at most ``_BLOCK_ENTRIES`` product entries, in buffers that all
+    channels and blocks share: one batched product with the sums gives the
+    values, one of the moduli the absolute-value contraction, which must be
+    finite, and the values are asserted real against it.  Each row is
+    ``_kernels.quadratic_form`` of the sums and moduli, bit for bit.
     """
     total = np.zeros((distances.size, n_points))
     if not sums:
         return total
     ks = [channels.k(label) for label, _ in sums]
-    stacks = _pair_stack(l_max, np.concatenate([-1j * k * distances for k in ks]))
-    stacks = stacks.reshape(len(sums), distances.size, l_max + 1, l_max + 1)
+    zs = np.concatenate([-1j * k * distances for k in ks])
     n = distances.size
-    size = min(n, max(1, _BLOCK_ENTRIES // ((l_max + 1) * max(n_points, 1))))
-    # a block of one distance is a 2-d product, cheaper per call than a
-    # stack of one: library calls at one distance, and thousands of points
-    if size <= 1:
-        blocks = range(n)
-        shape = (l_max + 1, n_points)
-    else:
-        blocks = [slice(start, start + size) for start in range(0, n, size)]
-        shape = (size, l_max + 1, n_points)
-    # buffers shared by all channels and blocks: where the sums of one
-    # channel pass the mmap threshold (a full grid at l_max 20 has 4005
-    # points), fresh arrays per channel or block fault in their pages anew
-    conj_sums = np.empty((l_max + 1, n_points), dtype=complex)
-    abs_sums = np.empty(conj_sums.shape)
-    block_products = np.empty(shape, dtype=complex)
-    block_abs_products = np.empty(shape)
-    for (label, collapsed), stack, k in zip(sums, stacks, ks):
-        np.conjugate(collapsed, out=conj_sums)
-        np.abs(collapsed, out=abs_sums)
-        weight = channels.weight(label)
-        for rows in blocks:
-            block = stack[rows]
-            if not np.isfinite(block).all():
-                # the whole channel once more, for its smallest offending kR
-                finite = np.isfinite(stack).all(axis=(1, 2))
-                raise _pair_overflow(l_max, k * float(distances[~finite].min()))
-            # the whole buffer, or the leading part of it for a last, short block
-            products, abs_products = block_products[: len(block)], block_abs_products[: len(block)]
-            np.matmul(block, collapsed, out=products)
-            products *= conj_sums
-            np.matmul(np.abs(block), abs_sums, out=abs_products)
-            abs_products *= abs_sums
-            values, scale = products.sum(-2), abs_products.sum(-2)
-            total[rows] += weight * _real_with_hermitian_check(values, scale)
+    # matrices past float64 show as a non-finite scale, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if order is None:
+            stacks = _pair_stack(l_max, zs)
+        else:
+            stacks = _laurent_stack(l_max, zs, order, single)
+        stacks = stacks.reshape(len(sums), n, l_max + 1, l_max + 1)
+        size = min(n, max(1, _BLOCK_ENTRIES // ((l_max + 1) * max(n_points, 1))))
+        # a block of one distance is a 2-d product, cheaper per call than a
+        # stack of one: library calls at one distance, and thousands of points
+        if size <= 1:
+            blocks = range(n)
+            shape = (l_max + 1, n_points)
+        else:
+            blocks = [slice(start, start + size) for start in range(0, n, size)]
+            shape = (size, l_max + 1, n_points)
+        # buffers shared by all channels and blocks: where the sums of one
+        # channel pass the mmap threshold (a full grid at l_max 20 has 4005
+        # points), fresh arrays per channel or block fault in their pages anew
+        conj_sums = np.empty((l_max + 1, n_points), dtype=complex)
+        abs_sums = np.empty(conj_sums.shape)
+        block_products = np.empty(shape, dtype=complex)
+        block_abs_products = np.empty(shape)
+        for (label, collapsed), stack, k in zip(sums, stacks, ks):
+            np.conjugate(collapsed, out=conj_sums)
+            np.abs(collapsed, out=abs_sums)
+            weight = channels.weight(label)
+            for rows in blocks:
+                block = stack[rows]
+                # the whole buffer, or the leading part of it for a last, short block
+                products = block_products[: len(block)]
+                abs_products = block_abs_products[: len(block)]
+                np.matmul(block, collapsed, out=products)
+                products *= conj_sums
+                np.matmul(np.abs(block), abs_sums, out=abs_products)
+                abs_products *= abs_sums
+                values, scale = products.sum(-2), abs_products.sum(-2)
+                if not np.isfinite(scale).all():
+                    finite = np.isfinite(scale).reshape(-1, n_points).all(axis=1)
+                    offending = np.atleast_1d(distances[rows])[~finite]
+                    raise _pair_overflow(l_max, k * float(offending.min()), order)
+                total[rows] += weight * _real_with_hermitian_check(values, scale)
     return total
 
 
@@ -337,9 +333,9 @@ def _grid_rows(
 # ----------------------------------------------------------------------
 
 def _pointwise(
-    f: PartialWaveAmplitude, channels: ChannelSet, R, nhat, rows: Callable
+    f: PartialWaveAmplitude, channels: ChannelSet, R, nhat, order=None, single=False
 ) -> float | np.ndarray:
-    """``_flux_rows``, or ``_expansion_rows`` with its order set, at ``R`` and ``nhat``.
+    """``_flux_rows``, with its ``order`` and ``single``, at ``R`` and ``nhat``.
 
     ``R`` is a scalar or a 1-d array, finite and positive; the result has
     shape ``R.shape + nhat.shape[:-1]``, a scalar for both.
@@ -350,7 +346,7 @@ def _pointwise(
     _check_positive(r, "distance R")
     vectors, shape = _directions(nhat)
     sums = _degree_sums(f, channels, vectors)
-    total = rows(sums, channels, f.l_max, np.atleast_1d(r), len(vectors))
+    total = _flux_rows(sums, channels, f.l_max, np.atleast_1d(r), len(vectors), order, single)
     return total.reshape(r.shape + shape)[()]
 
 
@@ -369,103 +365,50 @@ def differential_flux_exact(
     a leading axis, shape ``(n_R, *direction_shape)``, and shares one angular
     table between all of them.
     """
-    return _pointwise(f, channels, R, nhat, _flux_rows)
+    return _pointwise(f, channels, R, nhat)
 
 
-def _expansion_rows(
-    sums: list[tuple[str, np.ndarray]],
-    channels: ChannelSet,
-    l_max: int,
-    distances: np.ndarray,
-    n_points: int,
-    order: int,
-    single: bool,
-) -> np.ndarray:
-    """Distance expansion, shape ``(n_distances, n_points)``, from degree sums.
-
-    Through ``order``, or its order-``order`` term alone.  Per channel and
-    distance, with ``u = 1/(2z)`` at ``z = -i k R``, the images ``G_s = u**s
-    sum_l c_s(l) S_l`` of the degree sums are contracted with ``W[s, t] =
-    [s+t <= N] + 2 t u [s+t <= N-1]``, ``N = order`` (``==`` in place of
-    ``<=`` for the single term), and the real part is the flux.  ``c_s(l) =
-    0`` for ``s > l`` ends the images at ``s = l_max``.  Each distance runs
-    on its own: stacking the distances into one product made a lone call
-    slower.
-    """
-    s_max = min(order, l_max)
-    s = np.arange(s_max + 1)
-    # conj(G_s) G_t is of order s + t; the part 2 t u conj(G_s) G_t, from
-    # differentiating u**t, is of order s + t + 1
-    degree = s[:, None] + s
-    if single:
-        direct, derived = degree == order, degree == order - 1
-    else:
-        direct, derived = degree <= order, degree <= order - 1
-    total = np.zeros((distances.size, n_points))
-    for row, R in zip(total, distances.tolist()):
-        for label, collapsed in sums:
-            kR = channels.k(label) * R
-            u = 0.5j / kR
-            with np.errstate(over="ignore", invalid="ignore"):
-                images = chi_terms(l_max, s_max, u) @ collapsed
-                values = _kernels.quadratic_form(images, direct + 2 * u * s * derived).real
-            if not (np.isfinite(images).all() and np.isfinite(values).all()):
-                raise FluxDomainError(
-                    f"distance expansion at l_max={l_max}, kR={kR:.6g}, order={order} "
-                    f"is not finite: its series terms exceed the float64 limit "
-                    f"{np.finfo(float).max:.4g}; lower the order or raise kR"
-                )
-            row += channels.weight(label) * values
-    return total
+def _expansion_order(order, single: bool = False) -> int:
+    """An integer ``order`` (not a ``bool``), at least 1 for a ``single`` term."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < single:
+        raise ValueError(f"order must be an integer of at least {int(single)}, got {order!r}")
+    return order
 
 
 def differential_flux_asymptotic(
-    f: PartialWaveAmplitude,
-    channels: ChannelSet,
-    R: float | np.ndarray,
-    nhat,
-    order: int = 4,
+    f: PartialWaveAmplitude, channels: ChannelSet, R: float | np.ndarray, nhat, order: int = 4
 ) -> float | np.ndarray:
     """Distance expansion of the differential flux through ``order >= 0``.
 
     Order 0 is the far-field cross-section integrand; each further order
-    adds one power of ``1/(2 k_beta R)``.  With ``u = 1/(2z)``, ``z = -i k
-    R``, the scattered wave is ``exp(-z) sum_s G_s`` with ``G_s = u**s
-    sum_l c_s(l) S_l``, the image of ``h_coefficient(f, s)``, and the flux
-    ``-Re(conj(U) U')`` is ``Re sum_{s,t} conj(G_s) G_t (1 + 2 t u)``; the
-    expansion keeps the terms of total order at most ``order``.  The series
-    terminates: from ``order = 2 * l_max`` on it is complete and matches
-    ``differential_flux_exact`` to rounding.  Raises ``FluxDomainError``
-    where its terms leave the float64 range (high orders at small ``kR``).
+    adds one power of ``u = 1/(2z)``, ``z = -i k_beta R``.  The pair factors
+    are Laurent polynomials, ``HW_lj = sum_n L_n(l, j) u**n``, and the flux
+    through ``order`` is ``differential_flux_exact`` with ``sum_{n <= order}
+    L_n u**n`` in their place.  From ``order = 2 * l_max`` on it is complete
+    and matches ``differential_flux_exact`` to rounding.  Raises
+    ``FluxDomainError`` where its terms leave float64 (high orders at small
+    ``kR``), and ``ValueError`` for an ``order`` that is not an integer.
 
     ``R`` and ``nhat`` are shaped as in ``differential_flux_exact``: a 1-d
     array of distances gives shape ``(n_R, *direction_shape)``, one degree
     sum per channel for all of them, and each row is the scalar call's
     value bit for bit.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    return _pointwise(f, channels, R, nhat, partial(_expansion_rows, order=order, single=False))
+    return _pointwise(f, channels, R, nhat, _expansion_order(order))
 
 
 def flux_correction_term(
-    f: PartialWaveAmplitude,
-    channels: ChannelSet,
-    R: float | np.ndarray,
-    nhat,
-    order: int,
+    f: PartialWaveAmplitude, channels: ChannelSet, R: float | np.ndarray, nhat, order: int
 ) -> float | np.ndarray:
-    """Single expansion term of a given order ``>= 1``, channel-weighted.
+    """Single expansion term of a given integer order ``>= 1``, channel-weighted.
 
-    The terms of ``differential_flux_asymptotic`` whose total order is
-    exactly ``order``; past ``2 * l_max`` they vanish.  Each one vanishes
-    upon solid-angle integration, which is how the expansion stays
-    consistent with flux conservation order by order.  ``R`` may be a 1-d
-    array, as in ``differential_flux_asymptotic``.
+    The term ``L_order u**order`` of ``differential_flux_asymptotic``;
+    past ``2 * l_max`` it is exactly zero.  Each one vanishes upon
+    solid-angle integration, which is how the expansion stays consistent
+    with flux conservation order by order.  ``R`` may be a 1-d array, as in
+    ``differential_flux_asymptotic``.
     """
-    if order < 1:
-        raise ValueError("order must be positive")
-    return _pointwise(f, channels, R, nhat, partial(_expansion_rows, order=order, single=True))
+    return _pointwise(f, channels, R, nhat, _expansion_order(order, True), single=True)
 
 
 def far_field_flux(
@@ -755,9 +698,9 @@ def optical_theorem_defect(
     convention, and a nonzero one whose cross sections underflow to 0 raises
     ``FluxDomainError``.  The sum rule holds for momentum-ratio weighting; velocity
     weighting departs from it unless velocities are proportional to the
-    wavenumbers.
+    wavenumbers.  ``kappa_hat`` holds one vector, or ``ValueError`` is raised.
     """
-    forward = evaluate(f, channels.entrance, kappa_hat)
+    forward = evaluate(f, channels.entrance, _directions(kappa_hat, one="kappa_hat")[0][0])
     sigma = _check_scale(f, channels)
     if sigma == 0.0:
         return 0.0

@@ -510,15 +510,18 @@ def ylm_directions(l_max: int, nhat) -> np.ndarray:
 # directions
 # ----------------------------------------------------------------------
 
-def _directions(nhat) -> tuple[np.ndarray, tuple[int, ...]]:
+def _directions(nhat, one: str = "") -> tuple[np.ndarray, tuple[int, ...]]:
     """The one way in for direction vectors: flat float rows ``(n, 3)`` and the leading shape.
 
     Results take that shape by ``values.reshape(shape)[()]``, a scalar for
-    one vector; ``_unit`` checks each vector where it normalizes it.
+    one vector; ``_unit`` checks each vector where it normalizes it.  An
+    argument named ``one`` must hold exactly one vector.
     """
     vectors = np.asarray(nhat, dtype=float)
     if vectors.ndim == 0 or vectors.shape[-1] != 3:
         raise ValueError("directions must have shape (..., 3)")
+    if one and vectors.size != 3:
+        raise ValueError(f"{one} must hold one direction vector, got shape {vectors.shape}")
     return vectors.reshape(-1, 3), vectors.shape[:-1]
 
 

@@ -24,13 +24,14 @@ whose coefficients ``A_n`` are exactly the product coefficients of the two
 terminating series, ``A_n = [u**n] P_l(-u) P_j(u)``.  These corrections are
 the whole content of pre-asymptotic flux behaviour.
 
-The float coefficients of ``half_wronskian_exact`` come from this series
-route: the integer coefficient of ``u**(n+1)`` is ``delta * A_n / (n+1)``,
-an exact division, so each pair costs one integer product.  The current
-combination itself (three products) stays as the independent exact route
-behind ``laurent_coefficients``; the two agree integer for integer.
+Float coefficients come from one table per ``l_max`` (``_laurent_table``),
+exact integers rounded once; past ``l_max = 75`` they outgrow float64, so it
+holds them times ``2**(-m n)`` for Horner's rule in ``2**m u``, an exact
+rescaling (``m = 0`` up to 75, 3 at 100).  ``half_wronskian_exact`` sums a
+column, the flux expansion the table cut at its order (``_laurent_stack``);
+``laurent_coefficients`` and ``wronskian_series`` are independent routes.
 
-Flux evaluation builds no integers.  The correction is the integral
+The exact flux builds no integers.  The correction is the integral
 
     HW - 1 = delta * int_0^u P_l(-t) P_j(t) dt = delta * u * int_0^1 P_l(-u x) P_j(u x) dx,
 
@@ -39,8 +40,7 @@ whose integrand is a polynomial of degree at most ``2 l_max``, so the
 SIAM Rev. 50, 2008).  On the imaginary axis, where the flux pairs its
 modes (``z = -i k r``), ``P_l(-v) = conj(P_l(v))``, and the pair matrix of
 one distance is one Hermitian product of the table of ``P_l`` at the nodes
-(``_pair_stack``).  That route has no degree limit; the Laurent
-coefficients themselves leave float64 above ``l_max = 75``.
+(``_pair_stack``), without a degree limit.
 """
 
 from __future__ import annotations
@@ -124,16 +124,6 @@ def _series_product_coefficients(conj_deg: int, dir_deg: int) -> tuple[int, ...]
     )
 
 
-def _series_laurent(conj_deg: int, dir_deg: int) -> tuple[int, ...]:
-    """Laurent coefficients of HW via the series route: ``1``, then
-    ``delta * A_n / (n+1)`` for ``u**(n+1)``; every division is exact."""
-    delta = dir_deg * (dir_deg + 1) - conj_deg * (conj_deg + 1)
-    if delta == 0:
-        return (1,)
-    coeffs = _series_product_coefficients(conj_deg, dir_deg)
-    return (1, *(delta * a // (n + 1) for n, a in enumerate(coeffs)))
-
-
 _FLOAT_MAX = float(np.finfo(float).max)
 
 # Largest l_max whose exact Laurent coefficients all fit in float64: the
@@ -141,11 +131,53 @@ _FLOAT_MAX = float(np.finfo(float).max)
 _FLOAT_PAIR_DEGREE = 75
 
 
+@lru_cache(maxsize=32)
+def _laurent_table(l_max: int, rows: int | None = None) -> tuple[np.ndarray, int]:
+    """Laurent coefficients of every pair factor up to ``l_max``, and their scale ``m``.
+
+    ``table[n, l, j] * 2**(m n)`` is the ``u**n`` coefficient of ``HW(j, l)``
+    (``pair_matrix``'s layout), shape ``(2 l_max + 2, l_max + 1, l_max + 1)``,
+    or its first ``rows >= 2`` orders.  In exact integers, ``P_{j+1} = P_{j-1}
+    + 2 (2j+1) u P_j`` carries each ``P_l(-u) P_j(u)`` from one ``j`` to the
+    next; ``delta A_n / (n+1)`` is divided by ``2**(m n)``, least ``m >= 0``
+    keeping all finite, and rounded.
+    """
+    size, n = l_max + 1, np.arange(1, rows or 2 * l_max + 2)
+    # products[l, n] = [u**n] P_l(-u) P_j(u), from j = 0 on, where it is P_l(-u)
+    products = np.zeros((size, n.size), dtype=object)
+    products[0, 0] = 1
+    for l in range(l_max):
+        products[l + 1] = products[l - 1 if l else 0]
+        products[l + 1, 1:] -= 2 * (2 * l + 1) * products[l, :-1]
+    previous, degrees = products.copy(), np.arange(size) * np.arange(1, size + 1)
+    columns, peaks = [], np.zeros(n.size, dtype=object)
+    for j in range(l_max):
+        previous[:, 1:] += 2 * (2 * j + 1) * products[:, :-1]
+        previous, products = products, previous
+        delta = (degrees[j + 1] - degrees[: j + 1]).astype(object)
+        columns.append(delta[:, None] * products[: j + 1] // n)
+        peaks = np.maximum(peaks, np.abs(columns[-1]).max(axis=0))
+    scale = max(0, *(-(-(int(p).bit_length() - 1023) // k) for k, p in zip(n, peaks)))
+    powers = np.array([1 << int(scale * k) for k in n])
+    table = np.zeros((n.size + 1, size, size))
+    for j, column in enumerate(columns, start=1):
+        table[1:, :j, j] = (column / powers).astype(float).T
+    # L_n(j, l) = (-1)**n L_n(l, j) below the diagonal; on it, HW = 1
+    table[1:] += (-1.0) ** n[:, None, None] * table[1:].transpose(0, 2, 1)
+    table[0] = 1.0
+    table.flags.writeable = False
+    return table, scale
+
+
 @lru_cache(maxsize=None)
 def _laurent_float(conj_deg: int, dir_deg: int) -> np.ndarray:
-    try:
-        arr = np.array([float(c) for c in _series_laurent(conj_deg, dir_deg)])
-    except OverflowError:  # past l_max 75: a nan, which _laurent_sum reports
+    """One pair's column of ``_laurent_table`` through its last nonzero entry,
+    unscaled; a nan past float64, which ``_laurent_sum`` reports."""
+    table, scale = _laurent_table(max(conj_deg, dir_deg))
+    top = 1 if conj_deg == dir_deg else conj_deg + dir_deg + 2
+    with np.errstate(over="ignore"):
+        arr = np.ldexp(table[:top, conj_deg, dir_deg], scale * np.arange(top))
+    if not np.isfinite(arr).all():
         arr = np.array([np.nan])
     arr.flags.writeable = False
     return arr
@@ -235,9 +267,10 @@ class WronskianSeries:
 def wronskian_series(j: int, l: int) -> WronskianSeries:
     """Series form of the pair factor, built through the product route.
 
-    The ``A_n`` come from the plain product of the two terminating series,
-    the route whose integers ``half_wronskian_exact`` rounds; the current
-    combination of ``laurent_coefficients`` is the independent one.
+    The ``A_n`` come from the plain product of the two terminating series;
+    the current combination of ``laurent_coefficients`` is the independent
+    route, and ``half_wronskian_exact`` rounds the integers of a third, the
+    recurrence of ``_laurent_table``.
     """
     _check_orders(j, l)
     if j == l:
@@ -336,6 +369,28 @@ def _pair_stack(l_max: int, zs) -> np.ndarray:
     return out
 
 
+def _laurent_stack(l_max: int, zs, order: int, single: bool = False) -> np.ndarray:
+    """Pair factors cut at ``order`` in ``u = 1/(2z)``, shape ``(n, l_max + 1, l_max + 1)``.
+
+    ``sum_{n <= order} L_n u**n`` at every point of ``zs`` (as in ``_pair_stack``),
+    or ``L_order u**order`` alone with ``single``, by Horner's rule in ``2**m u``
+    over ``_laurent_table`` (its first orders only, below order ``l_max``): the
+    bits of the unscaled sum where that is finite.  ``conj(u) = -u`` on the axis
+    and ``L_n(j, l) = (-1)**n L_n(l, j)``: each matrix is Hermitian bit for bit.
+    Entries past float64 come back non-finite, with warnings ``_flux_rows`` silences.
+    """
+    top = min(order, 2 * l_max + 1)
+    table, scale = _laurent_table(l_max, max(top, 1) + 1 if top < l_max else None)
+    v = 0.5 / np.asarray(zs).reshape(-1, 1, 1) * 2.0**scale
+    out = np.empty((v.size, l_max + 1, l_max + 1), dtype=complex)
+    out[...] = table[top] if top == order or not single else 0.0
+    for n in range(top - 1, -1, -1):
+        out *= v
+        if not single:
+            out += table[n]
+    return out
+
+
 def pair_matrix(l_max: int, z: complex) -> np.ndarray:
     """Dense pair factors for all degree pairs up to ``l_max``, at one ``z``.
 
@@ -367,10 +422,13 @@ def pair_matrix(l_max: int, z: complex) -> np.ndarray:
     return out
 
 
-def _pair_overflow(l_max: int, kr: float) -> FluxDomainError:
+def _pair_overflow(l_max: int, kr: float, order: int | None = None) -> FluxDomainError:
+    """Pair factors past float64, or their distance expansion cut at ``order``."""
+    cut = "" if order is None else f", order={order}"
     return FluxDomainError(
-        f"pair factors at l_max={l_max}, kR={kr:.6g} exceed the float64 limit {_FLOAT_MAX:.4g}: "
-        f"they grow like (2 kR)**-(2*l_max+1); raise kR or lower l_max"
+        f"{'pair' if order is None else 'distance expansion of the pair'} factors at "
+        f"l_max={l_max}, kR={kr:.6g}{cut} exceed the float64 limit {_FLOAT_MAX:.4g}: they "
+        f"grow like (2 kR)**-(2*l_max+1); raise kR or lower l_max{cut and ' or the order'}"
     )
 
 

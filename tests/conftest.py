@@ -134,6 +134,38 @@ def pair_factor_oracle(l: int, js, z: complex) -> np.ndarray:
     return out
 
 
+def flux_oracle(f, channels, R: float, nhat) -> np.ndarray:
+    """``sum_beta weight_beta sum_{l,j} conj(S_l) HW_lj S_j`` at ``z = -i k_beta R``, 60 digits.
+
+    The degree sums ``S_l`` are the program's (``flux._degree_sums``), which
+    both flux paths share; the pair factors come from the exact rationals of
+    ``laurent_coefficients``, summed with the sums in 60-digit arithmetic
+    (mpmath) at the float ``u = 1/(2z)`` of the program.  One value per
+    direction of the ``(n, 3)`` array ``nhat``.
+    """
+    import mpmath as mp
+
+    from nearfield.flux import _degree_sums
+    from nearfield.wronskian import laurent_coefficients
+
+    l_max = f.l_max
+    out = np.zeros(len(nhat))
+    with mp.workdps(60):
+        for label, sums in _degree_sums(f, channels, np.asarray(nhat, dtype=float)):
+            u = mp.mpc(0.5 / complex(-1j * channels.k(label) * R))
+            pairs = mp.matrix(l_max + 1, l_max + 1)
+            for l in range(l_max + 1):
+                for j in range(l_max + 1):
+                    exact = laurent_coefficients(j, l)
+                    coeffs = [mp.mpf(c.numerator) / c.denominator for c in exact]
+                    pairs[l, j] = mp.polyval(coeffs[::-1], u)
+            for p in range(len(nhat)):
+                s = mp.matrix([mp.mpc(complex(v)) for v in sums[:, p]])
+                value = (s.H * pairs * s)[0]
+                out[p] += float(channels.weight(label) * mp.re(value))
+    return out
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)

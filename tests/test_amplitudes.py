@@ -577,6 +577,21 @@ def test_family_runs_the_unitarity_gate_once(monkeypatch):
         smatrix_amplitude_family(bent, cs)
 
 
+def test_smatrix_amplitudes_take_one_incident_direction():
+    model = random_unitary_smatrix(2, 3, seed=4)
+    cs = channel_set(2)
+    family = smatrix_amplitude_family(model, cs)
+    one = amplitudes_from_smatrix(model, cs, kappa_hat=(1.0, 0.0, 0.0))
+    # a batch of one vector is that vector
+    assert amplitudes_from_smatrix(model, cs, kappa_hat=[[1.0, 0.0, 0.0]]) == one
+    assert family("c0", [[1.0, 0.0, 0.0]]) == one
+    for kappa_hat in ([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], np.zeros((0, 3)), np.ones((2, 2, 3))):
+        with pytest.raises(ValueError, match="one direction vector"):
+            amplitudes_from_smatrix(model, cs, kappa_hat=kappa_hat)
+        with pytest.raises(ValueError, match="one direction vector"):
+            family("c1", kappa_hat)
+
+
 def test_family_matches_direct_construction():
     model = random_unitary_smatrix(3, 2, seed=9)
     cs = channel_set(3)

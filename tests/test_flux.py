@@ -41,6 +41,7 @@ from nearfield.wronskian import pair_matrix
 
 from conftest import (
     channel_set,
+    flux_oracle,
     hard_sphere_sigma_oracle,
     fit_slope,
     raw_amplitude,
@@ -580,6 +581,71 @@ def test_expansion_raises_typed_error_outside_float_range():
         assert np.isfinite(differential_flux_asymptotic(f, cs, 0.05, nhat, order=4))
 
 
+def test_complete_expansion_matches_exact_over_degrees_and_seeds():
+    # the distances of check two-path in the slowest channel: the expansion
+    # summed from its degree images was off by up to 1.7e-10 (l_max 18)
+    r_values = np.array([0.7, 2.0, 9.0, 120.0]) / 0.8
+    for l_max in range(3, 21):
+        for seed in range(5):
+            f, cs, _ = unitary_amplitude(3, l_max, seed=seed)
+            nhat = np.random.default_rng(seed).normal(size=(6, 3))
+            exact = differential_flux_exact(f, cs, r_values, nhat)
+            series = differential_flux_asymptotic(f, cs, r_values, nhat, order=2 * l_max)
+            assert np.max(np.abs(series - exact) / np.abs(exact)) <= 1e-12, (l_max, seed)
+
+
+@pytest.mark.parametrize(("l_max", "gate"), [(80, 1e-12), (100, 1e-11)])
+def test_complete_expansion_past_float64_coefficients(l_max, gate):
+    # past l_max 75 the Laurent coefficients leave float64 and the table
+    # holds them scaled by powers of two
+    f, cs, _ = unitary_amplitude(1, l_max, seed=l_max)
+    nhat = np.random.default_rng(l_max).normal(size=(6, 3))
+    r_values = np.array([5.0, 400.0])
+    exact = differential_flux_exact(f, cs, r_values, nhat)
+    series = differential_flux_asymptotic(f, cs, r_values, nhat, order=2 * l_max)
+    assert np.all(np.isfinite(series))
+    assert np.max(np.abs(series - exact) / np.abs(exact)) <= gate
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 4, 9])
+def test_correction_terms_past_the_complete_order_are_exact_zeros(l_max):
+    f, cs, _ = unitary_amplitude(2, l_max, seed=3)
+    nhat = np.random.default_rng(3).normal(size=(5, 3))
+    r_values = np.array([0.4, 3.0, 80.0])
+    for order in (2 * l_max + 1, 2 * l_max + 2, 2 * l_max + 7, 10 * l_max + 30):
+        term = flux_correction_term(f, cs, r_values, nhat, order=order)
+        assert term.shape == (3, 5) and not np.any(term), order
+
+
+def test_both_flux_paths_match_sixty_digit_oracle():
+    # l_max 12 at kR 0.7 and 9 in the slowest channel: the expansion summed
+    # from its degree images was off by up to 1.3e-11 here
+    f, cs, _ = unitary_amplitude(3, 12, seed=8)
+    nhat = np.random.default_rng(8).normal(size=(6, 3))
+    for kr in (0.7, 9.0):
+        R = kr / 0.8
+        want = flux_oracle(f, cs, R, nhat)
+        for got in (
+            differential_flux_exact(f, cs, R, nhat),
+            differential_flux_asymptotic(f, cs, R, nhat, order=24),
+        ):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12, kr
+
+
+def test_expansion_order_must_be_an_integer():
+    f, cs, _ = unitary_amplitude(2, 3, seed=5)
+    nhat = unit_from_angles(0.4, 1.0)
+    for route in (differential_flux_asymptotic, flux_correction_term):
+        for order in (2.5, 2.0, True, "2", None, np.float64(3.0)):
+            with pytest.raises(ValueError, match="integer"):
+                route(f, cs, 2.0, nhat, order=order)
+        assert route(f, cs, 2.0, nhat, order=np.int64(3)) == route(f, cs, 2.0, nhat, order=3)
+    with pytest.raises(ValueError, match="at least 0"):
+        differential_flux_asymptotic(f, cs, 2.0, nhat, order=-1)
+    with pytest.raises(ValueError, match="at least 1"):
+        flux_correction_term(f, cs, 2.0, nhat, order=0)
+
+
 # ----------------------------------------------------------------------
 # positivity
 # ----------------------------------------------------------------------
@@ -986,6 +1052,17 @@ def test_optical_theorem_defects():
     tiny = PartialWaveAmplitude({("c0", 0, 0): 1e-170, ("c0", 1, 0): -3e-171j})
     with pytest.raises(FluxDomainError, match="underflows"):
         optical_theorem_defect(tiny, channel_set(1))
+
+
+def test_optical_theorem_defect_is_one_float_for_one_direction():
+    f, cs, _ = unitary_amplitude(2, 4, seed=23)
+    kappa = (0.0, 0.0, 1.0)
+    defect = optical_theorem_defect(f, cs, kappa)
+    assert isinstance(defect, float)
+    assert optical_theorem_defect(f, cs, [kappa]) == defect
+    for kappa_hat in ([kappa, (1.0, 0.0, 0.0)], np.zeros((0, 3))):
+        with pytest.raises(ValueError, match="one direction vector"):
+            optical_theorem_defect(f, cs, kappa_hat)
 
 
 def test_optical_theorem_hard_sphere():

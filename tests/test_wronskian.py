@@ -14,8 +14,8 @@ from nearfield.special import FluxDomainError
 from nearfield.wronskian import (
     _STACK_ENTRIES,
     _combination_laurent,
+    _laurent_stack,
     _pair_stack,
-    _series_laurent,
     _series_product_coefficients,
     half_wronskian_exact,
     integral_representation_check,
@@ -246,13 +246,15 @@ def test_pair_matrix_matches_50_digit_oracle(l_max):
 
 def test_series_route_integers_equal_combination_route():
     # the integer u**(n+1) coefficient is delta * A_n / (n+1), an exact
-    # division, for every pair; the series route feeds the float tables
+    # division, for every pair, as in the float tables of _laurent_table
     for l in range(31):
         for j in range(31):
             delta = j * (j + 1) - l * (l + 1)
+            series = [1]
             for n, a_n in enumerate(_series_product_coefficients(l, j)):
                 assert (delta * a_n) % (n + 1) == 0
-            assert _series_laurent(l, j) == _combination_laurent(l, j)
+                series.append(delta * a_n // (n + 1))
+            assert tuple(series if delta else [1]) == _combination_laurent(l, j)
 
 
 def test_laurent_floats_equal_exact_rationals_bitwise():
@@ -263,6 +265,40 @@ def test_laurent_floats_equal_exact_rationals_bitwise():
             expect = np.array([float(c) for c in laurent_coefficients(col, row)])
             got = wronskian._laurent_float(row, col)
             assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), (row, col)
+
+
+def test_laurent_table_scale_keeps_coefficients_past_float64():
+    # the coefficients of pairs past l_max 75 overflow float64 unscaled; the
+    # table holds them times 2**(-m n), and a pair that fits unscales exactly
+    assert wronskian._laurent_table(75)[1] == 0
+    table, scale = wronskian._laurent_table(100)
+    assert scale == 3 and np.all(np.isfinite(table))
+    for row, col in ((0, 100), (40, 100), (100, 3)):
+        expect = np.array([float(c) for c in laurent_coefficients(col, row)])
+        got = wronskian._laurent_float(row, col)
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), (row, col)
+    assert np.isnan(wronskian._laurent_float(99, 100)).all()
+
+
+def test_laurent_stack_is_hermitian_bitwise_on_imaginary_axis():
+    for l_max in range(13):
+        zs = -1j * np.array([0.3, 0.7, 2.0, 13.0, 900.0])
+        u = (0.5 / zs)[:, None, None]
+        table, _ = wronskian._laurent_table(l_max)
+        for order in sorted({0, 1, 2, l_max, max(2 * l_max - 1, 0), 2 * l_max}):
+            for single in (False, True):
+                stack = _laurent_stack(l_max, zs, order, single)
+                assert np.array_equal(stack, stack.conj().transpose(0, 2, 1)), (l_max, order)
+                # below the complete order only the table's first orders are
+                # built: Horner's rule over the whole table, bit for bit
+                expect = np.zeros_like(stack)
+                for n in range(min(order, len(table) - 1), -1, -1):
+                    expect = expect * u + (table[n] if n == order or not single else 0.0)
+                assert np.array_equal(stack, expect), (l_max, order, single)
+        # through the complete order the cut series is the pair matrix
+        for z, mat in zip(zs, _laurent_stack(l_max, zs, 2 * l_max)):
+            scale = sum(np.abs(c) * abs(0.5 / z) ** n for n, c in enumerate(table))
+            assert np.all(np.abs(mat - pair_matrix(l_max, z)) <= 1e-14 * scale), (l_max, z)
 
 
 def test_pair_stack_equals_pointwise_pair_matrix_bitwise():
