@@ -246,65 +246,66 @@ def _flux_rows(
 ) -> np.ndarray:
     """Differential flux, shape ``(n_distances, n_points)``, from degree sums.
 
-    ``weight_beta * sum_{l,j} conj(S_l) HW_lj S_j`` at ``z = -i k_beta R``,
-    one matrix per channel and distance from one stacked call: the exact
-    pair factors (``wronskian._pair_stack``), or with an ``order`` their
-    distance expansion cut there, or with ``single`` its term of that order
-    (``wronskian._laurent_stack``).  Each channel's distances run in blocks
-    of at most ``_BLOCK_ENTRIES`` product entries, in buffers that all
-    channels and blocks share: one batched product with the sums gives the
-    values, one of the moduli the absolute-value contraction, which must be
-    finite, and the values are asserted real against it.  Each row is
-    ``_kernels.quadratic_form`` of the sums and moduli, bit for bit.
+    ``weight_beta * sum_{l,j} conj(S_l) HW_lj S_j`` at ``z = -i k_beta R``, one
+    matrix per channel and distance from one stacked call: the exact pair factors
+    (``wronskian._pair_stack``), or with an ``order`` their distance expansion cut
+    there, or with ``single`` its term of that order (``wronskian._laurent_stack``);
+    order 0, the all-ones matrix, is ``|sum_l S_l|**2``.  Distances run in blocks of
+    at most ``_BLOCK_ENTRIES`` product entries, in buffers all channels and blocks
+    share: one batched product gives the values, one of the moduli the absolute-value
+    contraction, which must be finite, and the values are asserted real against it.
+    Each row is ``_kernels.quadratic_form`` of the sums and moduli, bit for bit.
     """
     total = np.zeros((distances.size, n_points))
-    if not sums:
+    if not sums or order == 0 and not single:
+        for label, collapsed in sums:
+            total += channels.weight(label) * np.abs(collapsed.sum(axis=0)) ** 2
         return total
     ks = [channels.k(label) for label, _ in sums]
     zs = np.concatenate([-1j * k * distances for k in ks])
+    stacks = _pair_stack(l_max, zs) if order is None else _laurent_stack(l_max, zs, order, single)
+    stacks = stacks.reshape(len(sums), distances.size, l_max + 1, l_max + 1)
     n = distances.size
-    # matrices past float64 show as a non-finite scale, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        if order is None:
-            stacks = _pair_stack(l_max, zs)
-        else:
-            stacks = _laurent_stack(l_max, zs, order, single)
-        stacks = stacks.reshape(len(sums), n, l_max + 1, l_max + 1)
-        size = min(n, max(1, _BLOCK_ENTRIES // ((l_max + 1) * max(n_points, 1))))
-        # a block of one distance is a 2-d product, cheaper per call than a
-        # stack of one: library calls at one distance, and thousands of points
-        if size <= 1:
-            blocks = range(n)
-            shape = (l_max + 1, n_points)
-        else:
-            blocks = [slice(start, start + size) for start in range(0, n, size)]
-            shape = (size, l_max + 1, n_points)
-        # buffers shared by all channels and blocks: where the sums of one
-        # channel pass the mmap threshold (a full grid at l_max 20 has 4005
-        # points), fresh arrays per channel or block fault in their pages anew
-        conj_sums = np.empty((l_max + 1, n_points), dtype=complex)
-        abs_sums = np.empty(conj_sums.shape)
-        block_products = np.empty(shape, dtype=complex)
-        block_abs_products = np.empty(shape)
-        for (label, collapsed), stack, k in zip(sums, stacks, ks):
-            np.conjugate(collapsed, out=conj_sums)
-            np.abs(collapsed, out=abs_sums)
-            weight = channels.weight(label)
-            for rows in blocks:
-                block = stack[rows]
-                # the whole buffer, or the leading part of it for a last, short block
-                products = block_products[: len(block)]
-                abs_products = block_abs_products[: len(block)]
+    size = min(n, max(1, _BLOCK_ENTRIES // ((l_max + 1) * max(n_points, 1))))
+    # a block of one distance is a 2-d product, cheaper per call than a
+    # stack of one: library calls at one distance, and thousands of points
+    if size <= 1:
+        blocks = range(n)
+        shape = (l_max + 1, n_points)
+    else:
+        blocks = [slice(start, start + size) for start in range(0, n, size)]
+        shape = (size, l_max + 1, n_points)
+    # buffers shared by all channels and blocks: where the sums of one
+    # channel pass the mmap threshold (a full grid at l_max 20 has 4005
+    # points), fresh arrays per channel or block fault in their pages anew
+    conj_sums = np.empty((l_max + 1, n_points), dtype=complex)
+    abs_sums = np.empty(conj_sums.shape)
+    block_products = np.empty(shape, dtype=complex)
+    block_abs_products = np.empty(shape)
+    for (label, collapsed), stack, k in zip(sums, stacks, ks):
+        np.conjugate(collapsed, out=conj_sums)
+        np.abs(collapsed, out=abs_sums)
+        weight = channels.weight(label)
+        for rows in blocks:
+            block = stack[rows]
+            # the whole buffer, or the leading part of it for a last, short block
+            products, abs_products = block_products[: len(block)], block_abs_products[: len(block)]
+            with np.errstate(over="ignore", invalid="ignore"):
                 np.matmul(block, collapsed, out=products)
                 products *= conj_sums
                 np.matmul(np.abs(block), abs_sums, out=abs_products)
                 abs_products *= abs_sums
                 values, scale = products.sum(-2), abs_products.sum(-2)
-                if not np.isfinite(scale).all():
-                    finite = np.isfinite(scale).reshape(-1, n_points).all(axis=1)
-                    offending = np.atleast_1d(distances[rows])[~finite]
-                    raise _pair_overflow(l_max, k * float(offending.min()), order)
-                total[rows] += weight * _real_with_hermitian_check(values, scale)
+            if not np.isfinite(scale).all():
+                # matrices past float64 (named at the channel's smallest such kR), or their sum
+                finite = np.isfinite(stack).all(axis=(1, 2))
+                if not finite.all():
+                    raise _pair_overflow(l_max, k * float(distances[~finite].min()), order)
+                bad = ~np.isfinite(scale.reshape(-1, n_points)).all(axis=1)
+                kr = k * float(np.atleast_1d(distances[rows])[bad].min())
+                raise FluxDomainError(f"the flux at l_max={l_max}, kR={kr:.6g} sums past the "
+                                      f"float64 limit {np.finfo(float).max:.4g}; raise kR")
+            total[rows] += weight * _real_with_hermitian_check(values, scale)
     return total
 
 
@@ -372,7 +373,7 @@ def _expansion_order(order, single: bool = False) -> int:
     """An integer ``order`` (not a ``bool``), at least 1 for a ``single`` term."""
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < single:
         raise ValueError(f"order must be an integer of at least {int(single)}, got {order!r}")
-    return order
+    return int(order)
 
 
 def differential_flux_asymptotic(

@@ -24,12 +24,11 @@ whose coefficients ``A_n`` are exactly the product coefficients of the two
 terminating series, ``A_n = [u**n] P_l(-u) P_j(u)``.  These corrections are
 the whole content of pre-asymptotic flux behaviour.
 
-Float coefficients come from one table per ``l_max`` (``_laurent_table``),
-exact integers rounded once; past ``l_max = 75`` they outgrow float64, so it
-holds them times ``2**(-m n)`` for Horner's rule in ``2**m u``, an exact
-rescaling (``m = 0`` up to 75, 3 at 100).  ``half_wronskian_exact`` sums a
-column, the flux expansion the table cut at its order (``_laurent_stack``);
-``laurent_coefficients`` and ``wronskian_series`` are independent routes.
+Float coefficients come from one exact-integer recurrence, rounded once, for
+one pair (``half_wronskian_exact``) or for all up to ``l_max``, in the table
+the flux expansion cuts at its order (``_laurent_stack``): past ``l_max = 75``
+it holds them times ``2**(-m n)`` for Horner's rule in ``2**m u``, an exact
+rescaling.  ``laurent_coefficients`` and ``wronskian_series`` are independent.
 
 The exact flux builds no integers.  The correction is the integral
 
@@ -126,40 +125,35 @@ def _series_product_coefficients(conj_deg: int, dir_deg: int) -> tuple[int, ...]
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
-# Largest l_max whose exact Laurent coefficients all fit in float64: the
-# pair (75, 76) is the first whose coefficients overflow.
-_FLOAT_PAIR_DEGREE = 75
+
+def _recurrence(start: np.ndarray, steps: int):
+    """Yield ``start`` times ``P_1(u) .. P_steps(u)``, integer coefficients on the last axis."""
+    previous, current = start, start
+    for j in range(steps):
+        previous, current = current, previous.copy()
+        current[..., 1:] += 2 * (2 * j + 1) * previous[..., :-1]
+        yield current
 
 
 @lru_cache(maxsize=32)
-def _laurent_table(l_max: int, rows: int | None = None) -> tuple[np.ndarray, int]:
-    """Laurent coefficients of every pair factor up to ``l_max``, and their scale ``m``.
-
-    ``table[n, l, j] * 2**(m n)`` is the ``u**n`` coefficient of ``HW(j, l)``
-    (``pair_matrix``'s layout), shape ``(2 l_max + 2, l_max + 1, l_max + 1)``,
-    or its first ``rows >= 2`` orders.  In exact integers, ``P_{j+1} = P_{j-1}
-    + 2 (2j+1) u P_j`` carries each ``P_l(-u) P_j(u)`` from one ``j`` to the
-    next; ``delta A_n / (n+1)`` is divided by ``2**(m n)``, least ``m >= 0``
-    keeping all finite, and rounded.
-    """
-    size, n = l_max + 1, np.arange(1, rows or 2 * l_max + 2)
-    # products[l, n] = [u**n] P_l(-u) P_j(u), from j = 0 on, where it is P_l(-u)
-    products = np.zeros((size, n.size), dtype=object)
-    products[0, 0] = 1
-    for l in range(l_max):
-        products[l + 1] = products[l - 1 if l else 0]
-        products[l + 1, 1:] -= 2 * (2 * l + 1) * products[l, :-1]
-    previous, degrees = products.copy(), np.arange(size) * np.arange(1, size + 1)
+def _laurent_table(l_max: int, orders: int) -> tuple[np.ndarray, int]:
+    """``table[n, l, j] * 2**(m n)``, the ``u**n`` coefficient of ``HW(j, l)`` in
+    ``pair_matrix``'s layout for ``n < orders`` (all at ``2 l_max + 2``), and ``m``:
+    ``_recurrence`` carries each row ``P_l(-u)`` to ``P_l(-u) P_j(u)`` in exact integers,
+    and ``delta A_n / (n+1)`` over ``2**(m n)``, least ``m`` keeping all finite, is rounded."""
+    size, n = l_max + 1, np.arange(1, orders)
+    one = np.array([1] + [0] * (orders - 2), dtype=object)
+    rows = np.array([one, *_recurrence(one, l_max)], dtype=object)
+    rows[:, 1::2] *= -1  # P_l(-u)
+    degrees = np.arange(size) * np.arange(1, size + 1)
     columns, peaks = [], np.zeros(n.size, dtype=object)
-    for j in range(l_max):
-        previous[:, 1:] += 2 * (2 * j + 1) * products[:, :-1]
-        previous, products = products, previous
-        delta = (degrees[j + 1] - degrees[: j + 1]).astype(object)
-        columns.append(delta[:, None] * products[: j + 1] // n)
+    for j, products in enumerate(_recurrence(rows, l_max), start=1):
+        delta = (degrees[j] - degrees[:j]).astype(object)
+        columns.append(delta[:, None] * products[:j] // n)
         peaks = np.maximum(peaks, np.abs(columns[-1]).max(axis=0))
     scale = max(0, *(-(-(int(p).bit_length() - 1023) // k) for k, p in zip(n, peaks)))
     powers = np.array([1 << int(scale * k) for k in n])
-    table = np.zeros((n.size + 1, size, size))
+    table = np.zeros((orders, size, size))
     for j, column in enumerate(columns, start=1):
         table[1:, :j, j] = (column / powers).astype(float).T
     # L_n(j, l) = (-1)**n L_n(l, j) below the diagonal; on it, HW = 1
@@ -171,14 +165,20 @@ def _laurent_table(l_max: int, rows: int | None = None) -> tuple[np.ndarray, int
 
 @lru_cache(maxsize=None)
 def _laurent_float(conj_deg: int, dir_deg: int) -> np.ndarray:
-    """One pair's column of ``_laurent_table`` through its last nonzero entry,
-    unscaled; a nan past float64, which ``_laurent_sum`` reports."""
-    table, scale = _laurent_table(max(conj_deg, dir_deg))
-    top = 1 if conj_deg == dir_deg else conj_deg + dir_deg + 2
-    with np.errstate(over="ignore"):
-        arr = np.ldexp(table[:top, conj_deg, dir_deg], scale * np.arange(top))
-    if not np.isfinite(arr).all():
-        arr = np.array([np.nan])
+    """One pair's ``_laurent_table`` entries, unscaled, to the last nonzero, from its own
+    row (``O((j + l)**2)`` integer operations, none on the diagonal); a nan past float64."""
+    arr = np.ones(1)
+    if conj_deg != dir_deg:
+        low, high = sorted((conj_deg, dir_deg))
+        n = np.arange(1, low + high + 2)
+        row = np.array([*_series_poly(low, True), *[0] * high], dtype=object)
+        for row in _recurrence(row, high):
+            pass
+        row[::2] *= (-1) ** (conj_deg > dir_deg)  # L_n(j, l) = (-1)**n L_n(l, j)
+        try:
+            arr = np.array([1.0, *((high * (high + 1) - low * (low + 1)) * row // n / 1)])
+        except OverflowError:
+            arr = np.array([np.nan])
     arr.flags.writeable = False
     return arr
 
@@ -201,7 +201,7 @@ def _laurent_sum(j: int, l: int, z, n_terms: int | None = None) -> np.ndarray:
     if bad.any():
         raise FluxDomainError(
             f"HW(j={j}, l={l}) at |z|={abs(z.flat[np.argmax(bad)]):.6g} exceeds the float64 "
-            f"limit {_FLOAT_MAX:.4g}, or its coefficients do (past l_max={_FLOAT_PAIR_DEGREE})"
+            f"limit {_FLOAT_MAX:.4g}, or its coefficients do (past l_max=75)"
         )
     return acc
 
@@ -270,7 +270,7 @@ def wronskian_series(j: int, l: int) -> WronskianSeries:
     The ``A_n`` come from the plain product of the two terminating series;
     the current combination of ``laurent_coefficients`` is the independent
     route, and ``half_wronskian_exact`` rounds the integers of a third, the
-    recurrence of ``_laurent_table``.
+    degree recurrence ``_recurrence``.
     """
     _check_orders(j, l)
     if j == l:
@@ -370,24 +370,23 @@ def _pair_stack(l_max: int, zs) -> np.ndarray:
 
 
 def _laurent_stack(l_max: int, zs, order: int, single: bool = False) -> np.ndarray:
-    """Pair factors cut at ``order`` in ``u = 1/(2z)``, shape ``(n, l_max + 1, l_max + 1)``.
-
-    ``sum_{n <= order} L_n u**n`` at every point of ``zs`` (as in ``_pair_stack``),
-    or ``L_order u**order`` alone with ``single``, by Horner's rule in ``2**m u``
-    over ``_laurent_table`` (its first orders only, below order ``l_max``): the
-    bits of the unscaled sum where that is finite.  ``conj(u) = -u`` on the axis
-    and ``L_n(j, l) = (-1)**n L_n(l, j)``: each matrix is Hermitian bit for bit.
-    Entries past float64 come back non-finite, with warnings ``_flux_rows`` silences.
-    """
+    """Pair factors cut at ``order`` in ``u = 1/(2z)``, shape ``(n, l_max + 1, l_max + 1)``:
+    ``sum_{n <= order} L_n u**n`` at every point of ``zs`` (as in ``_pair_stack``), or
+    ``L_order u**order`` with ``single``, by Horner's rule in ``2**m u`` over ``_laurent_table``,
+    the unscaled sum's bits where finite.  Hermitian bit for bit (``conj(u) = -u``, ``L_n(j,
+    l) = (-1)**n L_n(l, j)``); non-finite past float64, without a warning."""
     top = min(order, 2 * l_max + 1)
-    table, scale = _laurent_table(l_max, max(top, 1) + 1 if top < l_max else None)
+    # the first 2**k orders reaching ``top``: 8 at l_max 100 cost 4% of all
+    # 202, and a sweep over the orders builds at most twice the whole table
+    table, scale = _laurent_table(l_max, min(2 * l_max + 2, max(2, 1 << top.bit_length())))
     v = 0.5 / np.asarray(zs).reshape(-1, 1, 1) * 2.0**scale
     out = np.empty((v.size, l_max + 1, l_max + 1), dtype=complex)
     out[...] = table[top] if top == order or not single else 0.0
-    for n in range(top - 1, -1, -1):
-        out *= v
-        if not single:
-            out += table[n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(top - 1, -1, -1):
+            out *= v
+            if not single:
+                out += table[n]
     return out
 
 

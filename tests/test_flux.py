@@ -434,6 +434,21 @@ def test_far_field_flux_is_order_zero(rng):
     )
 
 
+def test_far_field_flux_contracts_no_pair_matrix(monkeypatch):
+    # the order-0 matrix is all ones: the flux is sum_beta w_beta |f_beta|**2
+    def forbidden(*args):
+        raise AssertionError("a pair matrix stack for order 0")
+
+    monkeypatch.setattr(flux_module, "_laurent_stack", forbidden)
+    f, cs, _ = unitary_amplitude(3, 12, seed=2)
+    grid = default_grid(f)
+    far = far_field_flux(f, cs, grid.points)
+    expect = sum(cs.weight(b) * np.abs(evaluate(f, b, grid.points)) ** 2 for b in cs.labels)
+    assert np.max(np.abs(far - expect)) <= 1e-13 * np.max(expect)
+    rows = differential_flux_asymptotic(f, cs, np.array([0.5, 40.0]), grid.points, order=0)
+    assert np.array_equal(rows, np.array([far, far]))
+
+
 def test_far_field_limit_at_huge_distance():
     f, cs, _ = unitary_amplitude(3, 4, seed=9)
     grid = gauss_legendre_sphere(16)
@@ -775,6 +790,21 @@ def test_pointwise_flux_raises_typed_error_outside_float_range():
         differential_flux_exact(f, cs, 1e-3, nhat)
 
 
+def test_flux_summed_past_float64_raises_typed_error():
+    # finite pair factors (about 1e250 at kR 0.02) whose sum with degree sums
+    # of 1e60 passes float64: both paths raise, naming the offending kR
+    cs = ChannelSet(channels=(Channel("a", 1.0),), entrance="a")
+    f = PartialWaveAmplitude({("a", l, 0): 1e60 for l in range(41)})
+    nhat = unit_from_angles(0.3, 0.0)
+    r_values = np.array([3.0, 0.02, 0.05])
+    match = "the flux at l_max=40, kR=0.02 sums past the float64 limit"
+    with pytest.raises(FluxDomainError, match=match):
+        differential_flux_exact(f, cs, r_values, nhat)
+    with pytest.raises(FluxDomainError, match=match):
+        differential_flux_asymptotic(f, cs, r_values, nhat, order=80)
+    assert np.all(np.isfinite(differential_flux_asymptotic(f, cs, r_values, nhat, order=4)))
+
+
 def test_flux_profile_builds_no_integers(monkeypatch):
     # the pair factors of a scan come from the quadrature, not from the
     # exact Laurent integers behind half_wronskian_exact
@@ -783,6 +813,7 @@ def test_flux_profile_builds_no_integers(monkeypatch):
 
     monkeypatch.setattr(wronskian, "_poly_mul", forbidden)
     monkeypatch.setattr(wronskian, "_laurent_float", forbidden)
+    monkeypatch.setattr(wronskian, "_recurrence", forbidden)
     f, cs, _ = unitary_amplitude(2, 20, seed=12)
     profile = flux_profile(f, cs, np.geomspace(2.0, 40.0, 3))
     assert np.all(np.isfinite(profile.samples))

@@ -269,22 +269,37 @@ def test_laurent_floats_equal_exact_rationals_bitwise():
 
 def test_laurent_table_scale_keeps_coefficients_past_float64():
     # the coefficients of pairs past l_max 75 overflow float64 unscaled; the
-    # table holds them times 2**(-m n), and a pair that fits unscales exactly
-    assert wronskian._laurent_table(75)[1] == 0
-    table, scale = wronskian._laurent_table(100)
+    # table holds them times 2**(-m n), and a pair's own row, where it fits,
+    # rounds the exact rationals
+    assert wronskian._laurent_table(75, 152)[1] == 0
+    table, scale = wronskian._laurent_table(100, 202)
     assert scale == 3 and np.all(np.isfinite(table))
-    for row, col in ((0, 100), (40, 100), (100, 3)):
+    for row, col in ((0, 100), (40, 100), (100, 3), (3, 120)):
         expect = np.array([float(c) for c in laurent_coefficients(col, row)])
         got = wronskian._laurent_float(row, col)
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), (row, col)
     assert np.isnan(wronskian._laurent_float(99, 100)).all()
 
 
+def test_one_pair_builds_no_table(monkeypatch):
+    # a pair's coefficients run its own row of the recurrence, O((j + l)**2)
+    # integer operations: a diagonal pair is 1 at once, and a pair past
+    # float64 raises after its row, whatever the degree
+    def forbidden(*args):
+        raise AssertionError("a table was built for one pair")
+
+    monkeypatch.setattr(wronskian, "_laurent_table", forbidden)
+    assert half_wronskian_exact(1000, 1000, -7j) == 1.0
+    assert wronskian_series(1000, 1000).evaluate(0.3) == 1.0
+    with pytest.raises(FluxDomainError, match=r"HW\(j=400, l=3\)"):
+        half_wronskian_exact(400, 3, -5j)
+
+
 def test_laurent_stack_is_hermitian_bitwise_on_imaginary_axis():
     for l_max in range(13):
         zs = -1j * np.array([0.3, 0.7, 2.0, 13.0, 900.0])
         u = (0.5 / zs)[:, None, None]
-        table, _ = wronskian._laurent_table(l_max)
+        table, _ = wronskian._laurent_table(l_max, 2 * l_max + 2)
         for order in sorted({0, 1, 2, l_max, max(2 * l_max - 1, 0), 2 * l_max}):
             for single in (False, True):
                 stack = _laurent_stack(l_max, zs, order, single)
