@@ -14,21 +14,24 @@ Three subcommands share one executable:
     Run the named consistency battery (or all of them) and print one
     ``defect= tol= PASS|FAIL`` line per check.
 
-Exit codes: 0 success, 1 a check failed, 2 configuration error,
-3 amplitude data violates an invariant, 4 the requested degrees and
-distances leave the float64 range (``FluxDomainError``).
+An option's value follows it or joins it with ``=`` (``--format=json``);
+long options are never abbreviated.  ``-h`` or ``--help`` prints this text.
+
+Exit codes: 0 success, 1 a check failed, 2 a usage error (one
+``usage error:`` line) or configuration error, 3 amplitude data violates an
+invariant, 4 the requested degrees and distances leave the float64 range
+(``FluxDomainError``).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import logging
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,6 +57,16 @@ __all__ = ["main"]
 log = logging.getLogger("nearfield.cli")
 
 _fmt = nf_io._fmt
+
+
+def _output(path: str | None):
+    """The stream a command writes to: stdout, or the file ``--out`` names."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -134,10 +147,8 @@ def cmd_flux(config: RunConfig) -> int:
             ]
         text = "\n".join(lines) + "\n"
 
-    if config.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(config.out).write_text(text, encoding="utf-8")
+    with _output(config.out) as out:
+        out.write(text)
     return 0
 
 
@@ -175,7 +186,7 @@ def _coeff_json(l: int, j: int) -> dict:
     }
 
 
-def cmd_coeffs(args: argparse.Namespace) -> int:
+def cmd_coeffs(args: SimpleNamespace) -> int:
     if args.table is not None:
         if args.table < 0:
             raise ConfigError("coeffs: --table degree must be non-negative")
@@ -194,10 +205,8 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         for l, j in pairs:
             lines += _coeff_lines(l, j)
         text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+    with _output(args.out) as out:
+        out.write(text)
     return 0
 
 
@@ -308,16 +317,13 @@ def _run_check(name: str, config: RunConfig, source: AmplitudeSource | None) -> 
     return _check_two_path(config, source)
 
 
-def cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_check(args: SimpleNamespace, config: RunConfig) -> int:
     names = _CHECKS if args.which == "all" else (args.which,)
     needs_amplitude = any(name != "greens" for name in names)
     source = _source_for_check(config) if needs_amplitude else None
 
     failures = 0
-    with (
-        open(args.out, "w", encoding="utf-8") if args.out is not None
-        else contextlib.nullcontext(sys.stdout)
-    ) as out:
+    with _output(args.out) as out:
         for name in names:
             # each line goes out as soon as its check finishes, so a later
             # crash cannot hide the lines already computed
@@ -337,50 +343,85 @@ def cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nearfield",
-        description="Finite-distance scattered flux on a detector sphere.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_FORMATS = ("csv", "json")
 
-    p_flux = sub.add_parser("flux", help="evaluate flux over a distance schedule")
-    p_flux.add_argument("--config", required=True, help="run configuration JSON")
-    p_flux.add_argument("--format", choices=("csv", "json"))
-    p_flux.add_argument("--out", help="write output here instead of stdout")
+# Each command's arguments: an option maps to ``str``, ``int`` or the tuple of
+# its allowed values; a name without dashes is the positional argument.
+_OPTIONS = {
+    "flux": {"--config": str, "--format": _FORMATS, "--out": str},
+    "coeffs": {"--l": int, "--j": int, "--table": int, "--format": _FORMATS, "--out": str},
+    "check": {"which": (*_CHECKS, "all"), "--config": str, "--out": str},
+}
+_DEFAULTS = {"which": "all"}
+# an option that may stand alone, and the value it then takes
+_BARE = {"--table": "3"}
 
-    p_coeffs = sub.add_parser("coeffs", help="exact overlap-series coefficients")
-    p_coeffs.add_argument("--l", type=int, help="conjugated-mode degree")
-    p_coeffs.add_argument("--j", type=int, help="direct-mode degree")
-    p_coeffs.add_argument(
-        "--table",
-        type=int,
-        nargs="?",
-        const=3,
-        default=None,
-        metavar="L",
-        help="print the full table for conjugated degree L, j=0..L (default L=3)",
-    )
-    p_coeffs.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_coeffs.add_argument("--out")
 
-    p_check = sub.add_parser("check", help="run consistency batteries")
-    p_check.add_argument(
-        "which", nargs="?", default="all", choices=_CHECKS + ("all",)
-    )
-    p_check.add_argument("--config", help="run configuration JSON")
-    p_check.add_argument("--out")
-    return parser
+class _UsageError(Exception):
+    """The command line does not match ``_OPTIONS``."""
+
+
+def _is_flag(token: str) -> bool:
+    """Whether ``token`` starts an option (``-1`` and ``-0.5`` are values)."""
+    return token.startswith("-") and token != "-" and not token[1:].replace(".", "", 1).isdigit()
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of one command, or ``None`` where help is asked for."""
+    if not argv:
+        raise _UsageError("expected a command: flux, coeffs or check")
+    command, pending = argv[0], argv[:0:-1]  # the rest, last token first
+    if command in ("-h", "--help"):
+        return None
+    if command not in _OPTIONS:
+        raise _UsageError(f"unknown command {command!r}")
+    options = _OPTIONS[command]
+    positional = [name for name in options if not name.startswith("-")]
+    args = {name.lstrip("-"): _DEFAULTS.get(name) for name in options}
+    while pending:
+        token = pending.pop()
+        if token in ("-h", "--help"):
+            return None
+        if not _is_flag(token):
+            if not positional:
+                raise _UsageError(f"{command}: unexpected argument {token!r}")
+            name, value, where = positional.pop(), token, command
+        else:
+            name, given, value = token.partition("=")
+            if name not in options:
+                raise _UsageError(f"{command}: unknown option {name!r}")
+            where = f"{command} {name}"
+            if not given:
+                if pending and not _is_flag(pending[-1]):
+                    value = pending.pop()
+                elif name in _BARE:
+                    value = _BARE[name]
+                else:
+                    raise _UsageError(f"{where}: expected a value")
+        kind = options[name]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"{where}: {value!r} is not an integer") from None
+        elif kind is not str and value not in kind:
+            raise _UsageError(f"{where}: {value!r} is not one of {', '.join(kind)}")
+        args[name.lstrip("-")] = value
+    if command == "flux" and args["config"] is None:
+        raise _UsageError("flux: --config is required")
+    return SimpleNamespace(command=command, **args)
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    if args is None:
+        print(__doc__, end="")
+        return 0
     try:
         if args.command == "coeffs":
             return cmd_coeffs(args)

@@ -902,3 +902,135 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_argparse():
+    # the command line is parsed by cli._parse, so the import pays for none
+    # of argparse, gettext or the locale module gettext pulls in
+    src = str(Path(nearfield.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import nearfield.cli; "
+        "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+_OPTION_CASES = [
+    (["flux"], "--config", "run.json", "run.json"),
+    (["flux", "--config", "run.json"], "--format", "json", "json"),
+    (["flux", "--config", "run.json"], "--out", "rows.csv", "rows.csv"),
+    (["coeffs"], "--l", "4", 4),
+    (["coeffs"], "--j", "-2", -2),
+    (["coeffs"], "--table", "5", 5),
+    (["coeffs"], "--format", "csv", "csv"),
+    (["coeffs"], "--out", "table.csv", "table.csv"),
+    (["check"], "--config", "run.json", "run.json"),
+    (["check", "greens"], "--out", "report.txt", "report.txt"),
+]
+
+
+@pytest.mark.parametrize("head,option,text,value", _OPTION_CASES)
+def test_cli_parse_option_forms(head, option, text, value):
+    spaced = cli._parse([*head, option, text])
+    joined = cli._parse([*head, f"{option}={text}"])
+    assert spaced == joined
+    assert getattr(spaced, option.lstrip("-")) == value
+    assert spaced.command == head[0]
+
+
+def test_cli_parse_defaults_and_positional():
+    args = cli._parse(["check"])
+    assert (args.command, args.which, args.config, args.out) == ("check", "all", None, None)
+    assert cli._parse(["check", "--config", "run.json", "two-path"]).which == "two-path"
+    args = cli._parse(["coeffs", "--l", "1", "--j", "0"])
+    assert (args.table, args.format, args.out) == (None, None, None)
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["flux", "-h"], ["coeffs", "--help"], ["check", "-h", "--l"]]
+)
+def test_cli_help_prints_the_usage_lines(argv, capsys):
+    # help returns before any later token of the line is checked
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    for usage in ("nearfield flux --config", "nearfield coeffs --l L", "nearfield check [which]"):
+        assert usage in out
+
+
+@pytest.mark.parametrize(
+    "argv,token",
+    [
+        ([], "command"),
+        (["fluxes"], "'fluxes'"),
+        (["flux", "--config", "run.json", "--bogus"], "'--bogus'"),
+        (["flux", "--config", "run.json", "--l", "3"], "'--l'"),
+        (["flux", "--conf", "run.json"], "'--conf'"),
+        (["flux", "--config"], "--config"),
+        (["coeffs", "--l", "--j", "0"], "--l"),
+        (["flux", "--config", "run.json", "--format", "xml"], "'xml'"),
+        (["coeffs", "--l", "1", "--j", "0", "--format=tsv"], "'tsv'"),
+        (["check", "bogus"], "'bogus'"),
+        (["check", "greens", "optical"], "'optical'"),
+        (["coeffs", "--l", "x", "--j", "0"], "'x'"),
+        (["coeffs", "--table=2.5"], "'2.5'"),
+        (["flux"], "--config"),
+        (["flux", "--format", "json"], "--config"),
+    ],
+)
+def test_cli_usage_errors(argv, token, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("usage error: ")
+    assert token in line
+
+
+def test_cli_bare_table_means_three():
+    assert cli._parse(["coeffs", "--table"]).table == 3
+    args = cli._parse(["coeffs", "--table", "--format", "json"])
+    assert (args.table, args.format) == (3, "json")
+    assert cli._parse(["coeffs", "--out", "t.csv", "--table"]).table == 3
+
+
+def test_cli_negative_degree_reaches_the_config_error(capsys):
+    assert cli._parse(["coeffs", "--l", "-1", "--j", "0"]).l == -1
+    assert cli.main(["coeffs", "--l", "-1", "--j", "0"]) == 2
+    assert capsys.readouterr().err.startswith("config error: coeffs: --l and --j")
+    assert cli.main(["coeffs", "--table", "-2"]) == 2
+    assert capsys.readouterr().err.startswith("config error: coeffs: --table")
+
+
+def test_cli_repeated_option_takes_its_last_value():
+    argv = ["coeffs", "--l", "1", "--j", "0", "--l=4", "--format=json", "--format", "csv"]
+    args = cli._parse(argv)
+    assert (args.l, args.j, args.format) == (4, 0, "csv")
+
+
+def test_cli_main_reads_sys_argv(monkeypatch, capsys):
+    # the console script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["nearfield", "coeffs", "--l", "1", "--j", "0"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out.startswith("# l=1 j=0 delta=-2")
+
+
+@pytest.mark.parametrize("command", ["flux", "coeffs", "check"])
+def test_cli_unwritable_out(command, tmp_path, capsys):
+    # an output that cannot be opened is a usage fault (2), not a failed check (1)
+    cfg = str(_write_config(
+        tmp_path, {"amplitude": {"model": "hard_sphere", "l_max": 2}, "r_values": [5.0]}
+    ))
+    head = {
+        "flux": ["flux", "--config", cfg],
+        "coeffs": ["coeffs", "--l", "1", "--j", "0"],
+        "check": ["check", "optical", "--config", cfg],
+    }[command]
+    path = str(tmp_path / "absent" / "out.txt")
+    assert cli.main([*head, "--out", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"config error: cannot write output {path}: ")
