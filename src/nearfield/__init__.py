@@ -11,7 +11,8 @@ detector distance.
 The package is pure Python on NumPy; SciPy is needed only by
 ``integral_representation_check`` and the tests.  The pointwise flux
 contracts at degree level, since the pair factors depend only on the two
-degrees; ``nearfield._kernels`` holds its two NumPy contractions.
+degrees: one blocked product, ``flux._flux_rows``, serves both the exact
+flux and its distance expansion.
 """
 
 from __future__ import annotations

@@ -8,9 +8,7 @@ probability current of a superposition involves the combination
 
 evaluated at ``z = -i k r`` for outgoing waves.  Because the decaying
 solutions terminate, the exponential factors cancel identically and ``HW``
-is an exact Laurent polynomial in ``u = 1/(2z)``.  This module computes the
-Laurent coefficients exactly (as rationals) through two independent routes
-and exposes fast float evaluation for flux assembly.
+is an exact Laurent polynomial in ``u = 1/(2z)``.
 
 Structure worth knowing: the constant term is 1 for every pair, and the
 diagonal ``j == l`` is *exactly* 1 at every distance, which is why the total
@@ -24,11 +22,15 @@ whose coefficients ``A_n`` are exactly the product coefficients of the two
 terminating series, ``A_n = [u**n] P_l(-u) P_j(u)``.  These corrections are
 the whole content of pre-asymptotic flux behaviour.
 
-Float coefficients come from one exact-integer recurrence, rounded once, for
-one pair (``half_wronskian_exact``) or for all up to ``l_max``, in the table
-the flux expansion cuts at its order (``_laurent_stack``): past ``l_max = 75``
-it holds them times ``2**(-m n)`` for Horner's rule in ``2**m u``, an exact
-rescaling.  ``laurent_coefficients`` and ``wronskian_series`` are independent.
+Every exact integer here comes from one recurrence, ``_recurrence``, which
+carries ``P_l(-u)`` to ``P_l(-u) P_j(u)`` one degree ``j`` at a time: for
+one pair (``_pair_products``), whose ``A_n`` ``wronskian_series`` keeps,
+``laurent_coefficients`` turns into rationals and ``half_wronskian_exact``
+rounds once, or for all pairs up to ``l_max``, in the table the flux
+expansion cuts at its order (``_laurent_stack``): past ``l_max = 75`` it
+holds them times ``2**(-m n)`` for Horner's rule in ``2**m u``, an exact
+rescaling.  The test suite checks them against the current combination and
+the plain series product, built apart from this module.
 
 The exact flux builds no integers.  The correction is the integral
 
@@ -50,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import FluxDomainError, _chi_integers, chi_terms
+from .special import FluxDomainError, chi_terms
 
 __all__ = [
     "IntegralCheckReport",
@@ -61,66 +63,6 @@ __all__ = [
     "pair_matrix",
     "wronskian_series",
 ]
-
-
-# ----------------------------------------------------------------------
-# exact polynomial helpers (ascending coefficient tuples of Python ints)
-# ----------------------------------------------------------------------
-# Every coefficient below is an integer: the chi coefficients are, and the
-# tables are built from their products and derivatives only.  Integer
-# arithmetic is exact and far cheaper than ``Fraction``; the public
-# functions convert at the boundary.
-
-def _poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        for k, qk in enumerate(q):
-            out[i + k] += pi * qk
-    return tuple(out)
-
-
-def _poly_diff(p: tuple[int, ...]) -> tuple[int, ...]:
-    if len(p) <= 1:
-        return (0,)
-    return tuple(n * c for n, c in enumerate(p))[1:]
-
-
-@lru_cache(maxsize=None)
-def _series_poly(order: int, negate: bool) -> tuple[int, ...]:
-    sign = -1 if negate else 1
-    return tuple(c * sign**s for s, c in enumerate(_chi_integers(order)))
-
-
-@lru_cache(maxsize=None)
-def _combination_laurent(conj_deg: int, dir_deg: int) -> tuple[int, ...]:
-    """Laurent coefficients of HW via the current combination itself.
-
-    ``q * p + u**2 * (q p' - q' p)`` with ``q = P_conj(-u)``, ``p = P_dir(u)``,
-    which is the chain-rule image of the defining derivative combination.
-    """
-    q = _series_poly(conj_deg, negate=True)
-    p = _series_poly(dir_deg, negate=False)
-    qp = _poly_mul(q, p)
-    cross1 = _poly_mul(q, _poly_diff(p))
-    cross2 = _poly_mul(_poly_diff(q), p)
-    out = [0] * (max(len(qp), len(cross1) + 2, len(cross2) + 2))
-    for n, c in enumerate(qp):
-        out[n] += c
-    for n, c in enumerate(cross1):
-        out[n + 2] += c
-    for n, c in enumerate(cross2):
-        out[n + 2] -= c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _series_product_coefficients(conj_deg: int, dir_deg: int) -> tuple[int, ...]:
-    """``A_n = [u**n] P_conj(-u) P_dir(u)``, the series-route coefficients."""
-    return _poly_mul(
-        _series_poly(conj_deg, negate=True), _series_poly(dir_deg, negate=False)
-    )
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -164,19 +106,39 @@ def _laurent_table(l_max: int, orders: int) -> tuple[np.ndarray, int]:
 
 
 @lru_cache(maxsize=None)
+def _pair_products(conj_deg: int, dir_deg: int) -> np.ndarray:
+    """``A_n = [u**n] P_conj(-u) P_dir(u)`` for ``n <= j + l``, exact integers, from the pair's
+    own row: ``_recurrence`` gives ``P_low(-u)`` and carries it ``high`` steps to ``P_low(-u)
+    P_high(u)``, and ``A_n(l, j) = (-1)**n A_n(j, l)`` (``O((j + l)**2)`` integer operations)."""
+    low, high = sorted((conj_deg, dir_deg))
+    row = np.zeros(low + high + 1, dtype=object)
+    row[0] = 1
+    for row in _recurrence(row, low):
+        pass
+    row[1::2] *= -1  # P_low(-u)
+    for row in _recurrence(row, high):
+        pass
+    if conj_deg > dir_deg:
+        row[1::2] *= -1
+    row.flags.writeable = False
+    return row
+
+
+def _laurent_integers(conj_deg: int, dir_deg: int) -> np.ndarray:
+    """An off-diagonal pair's Laurent coefficients ``1, delta A_n / (n+1)``, exact divisions."""
+    products = _pair_products(conj_deg, dir_deg)
+    delta = dir_deg * (dir_deg + 1) - conj_deg * (conj_deg + 1)
+    return np.array([1, *delta * products // np.arange(1, products.size + 1)], dtype=object)
+
+
+@lru_cache(maxsize=None)
 def _laurent_float(conj_deg: int, dir_deg: int) -> np.ndarray:
-    """One pair's ``_laurent_table`` entries, unscaled, to the last nonzero, from its own
-    row (``O((j + l)**2)`` integer operations, none on the diagonal); a nan past float64."""
+    """One pair's ``_laurent_table`` entries, unscaled, to the last nonzero, each rounded once
+    from ``_laurent_integers`` (none on the diagonal); a nan past float64."""
     arr = np.ones(1)
     if conj_deg != dir_deg:
-        low, high = sorted((conj_deg, dir_deg))
-        n = np.arange(1, low + high + 2)
-        row = np.array([*_series_poly(low, True), *[0] * high], dtype=object)
-        for row in _recurrence(row, high):
-            pass
-        row[::2] *= (-1) ** (conj_deg > dir_deg)  # L_n(j, l) = (-1)**n L_n(l, j)
         try:
-            arr = np.array([1.0, *((high * (high + 1) - low * (low + 1)) * row // n / 1)])
+            arr = _laurent_integers(conj_deg, dir_deg).astype(float)
         except OverflowError:
             arr = np.array([np.nan])
     arr.flags.writeable = False
@@ -186,12 +148,13 @@ def _laurent_float(conj_deg: int, dir_deg: int) -> np.ndarray:
 def _laurent_sum(j: int, l: int, z, n_terms: int | None = None) -> np.ndarray:
     """``HW(j, l; z)`` through ``n_terms`` corrections (all by default), by
     Horner's rule in ``u = 1/(2z)`` over ``_laurent_float``."""
-    _check_orders(j, l)
-    if n_terms is not None and n_terms < 0:
-        raise ValueError("n_terms must be non-negative")
+    j, l = _check_orders(j, l)
+    if n_terms is not None:
+        n_terms = _nonnegative_int("n_terms", n_terms)
     z = np.asarray(z)
-    if np.any(z == 0):
-        raise ValueError("evaluation point z = 0 is singular")
+    bad = ~(np.isfinite(z) & (z != 0))
+    if bad.any():
+        raise ValueError(f"HW(j={j}, l={l}) needs a finite, nonzero z, got z={z[bad].flat[0]}")
     with np.errstate(over="ignore", invalid="ignore"):
         u = 1.0 / (2.0 * z)
         acc = np.zeros_like(u)
@@ -206,9 +169,19 @@ def _laurent_sum(j: int, l: int, z, n_terms: int | None = None) -> np.ndarray:
     return acc
 
 
-def _check_orders(j: int, l: int) -> None:
-    if j < 0 or l < 0:
-        raise ValueError("mode degrees must be non-negative")
+def _nonnegative_int(name: str, value) -> int:
+    """``value`` as a Python ``int``; ``ValueError`` naming it unless it is a non-negative
+    ``int`` or NumPy integer (a ``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return int(value)
+
+
+def _check_orders(j: int, l: int) -> tuple[int, int]:
+    """The mode degrees ``j`` and ``l`` as Python ``int``s (see ``_nonnegative_int``)."""
+    return _nonnegative_int("mode degree j", j), _nonnegative_int("mode degree l", l)
 
 
 # ----------------------------------------------------------------------
@@ -218,11 +191,13 @@ def _check_orders(j: int, l: int) -> None:
 def laurent_coefficients(j: int, l: int) -> tuple[Fraction, ...]:
     """Exact Laurent coefficients of ``HW(j, l; z)`` in ``u = 1/(2z)``.
 
-    Ascending order; the leading entry is always 1 and the polynomial
-    terminates at degree ``j + l + 1``.
+    Ascending order; the leading entry is always 1.  An off-diagonal pair
+    terminates at degree ``j + l + 1``; a diagonal pair is the constant 1.
     """
-    _check_orders(j, l)
-    return tuple(Fraction(c) for c in _combination_laurent(l, j))
+    j, l = _check_orders(j, l)
+    if j == l:
+        return (Fraction(1),)
+    return tuple(Fraction(c) for c in _laurent_integers(l, j))
 
 
 def half_wronskian_exact(j: int, l: int, z: complex | np.ndarray) -> complex | np.ndarray:
@@ -232,7 +207,8 @@ def half_wronskian_exact(j: int, l: int, z: complex | np.ndarray) -> complex | n
     conjugated factor ``chi_l(-z)``; the outgoing flux pairing uses
     ``z = -i k r``.  On the imaginary axis the pair matrix is Hermitian:
     ``HW(j, l; z) == conj(HW(l, j; z))``.  Past float64 (coefficients past
-    ``l_max = 75``, or the value) ``FluxDomainError`` names ``j``, ``l``, ``|z|``.
+    ``l_max = 75``, or the value) ``FluxDomainError`` names ``j``, ``l``, ``|z|``;
+    a ``z`` that is zero or not finite raises ``ValueError`` naming it.
     """
     acc = _laurent_sum(j, l, z)
     return acc if acc.ndim else acc[()]
@@ -265,25 +241,18 @@ class WronskianSeries:
 
 
 def wronskian_series(j: int, l: int) -> WronskianSeries:
-    """Series form of the pair factor, built through the product route.
-
-    The ``A_n`` come from the plain product of the two terminating series;
-    the current combination of ``laurent_coefficients`` is the independent
-    route, and ``half_wronskian_exact`` rounds the integers of a third, the
-    degree recurrence ``_recurrence``.
-    """
-    _check_orders(j, l)
+    """Series form of the pair factor: the ``A_n`` of ``_pair_products``, unscaled."""
+    j, l = _check_orders(j, l)
     if j == l:
         return WronskianSeries(
             j=j, l=l, constant_term=Fraction(1), prefactor=0, correction=()
         )
-    coeffs = _series_product_coefficients(l, j)
     return WronskianSeries(
         j=j,
         l=l,
         constant_term=Fraction(1),
         prefactor=j * (j + 1) - l * (l + 1),
-        correction=tuple((n, Fraction(c)) for n, c in enumerate(coeffs)),
+        correction=tuple((n, Fraction(c)) for n, c in enumerate(_pair_products(l, j))),
     )
 
 
@@ -401,13 +370,13 @@ def pair_matrix(l_max: int, z: complex) -> np.ndarray:
     distances at once; it has no degree limit of its own.  Each entry is
     within about 1e-13 of its exact value, relative to the entry.
 
-    Raises ``ValueError`` off the imaginary axis, where the recurrence for
+    Raises ``ValueError`` for an ``l_max`` that is not a non-negative
+    integer and off the imaginary axis, where the recurrence for
     ``P_l(-v)`` would have to run separately and is unstable, and
     ``FluxDomainError`` where the factors overflow float64: they grow like
     ``|2z|**-(2 l_max + 1)`` toward small ``|z|``.
     """
-    if l_max < 0:
-        raise ValueError("l_max must be non-negative")
+    l_max = _nonnegative_int("l_max", l_max)
     z = complex(z)
     if z == 0:
         raise ValueError("evaluation point z = 0 is singular")
@@ -468,7 +437,7 @@ def integral_representation_check(j: int, l: int, z: float) -> IntegralCheckRepo
             "which is not installed"
         ) from exc
 
-    _check_orders(j, l)
+    j, l = _check_orders(j, l)
     if not (z > 0):
         raise ValueError("integral representation requires real z > 0")
     delta = j * (j + 1) - l * (l + 1)

