@@ -21,8 +21,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .special import (
-    FluxDomainError, _check_positive, _chi_integers, _chi_table, _directions, _radial_table,
-    _ylm, mode_degrees, mode_list,
+    FluxDomainError, _check_positive, _chi_integers, _chi_table, _directions, _integer,
+    _radial_table, _ylm, mode_degrees, mode_index, mode_list,
 )
 
 __all__ = [
@@ -155,19 +155,19 @@ class PartialWaveAmplitude:
     def __init__(self, coefficients: Mapping[tuple[str, int, int], complex] | None = None):
         coefficients = coefficients or {}
         keys = list(coefficients)
+        positions = []
         for key in keys:
             if not (isinstance(key, tuple) and len(key) == 3 and isinstance(key[0], str)):
                 raise ValueError(f"coefficient key {key!r} is not (exit label, l, m)")
-            if not (isinstance(key[1], int) and isinstance(key[2], int)):
-                raise ValueError(f"invalid mode indices in key {key!r}")
+            try:
+                positions.append(mode_index(key[1], key[2]))
+            except ValueError as exc:
+                raise ValueError(f"invalid mode indices in key {key!r}: {exc}") from None
         labels = list(dict.fromkeys(beta for beta, _, _ in keys))
-        l, m = np.array([key[1:] for key in keys], dtype=np.int64).reshape(-1, 2).T
-        invalid = ~((-l <= m) & (m <= l))
-        if invalid.any():
-            raise ValueError(f"invalid mode indices in key {keys[np.argmax(invalid)]!r}")
-        table = np.zeros((len(labels), (int(l.max(initial=0)) + 1) ** 2), dtype=complex)
+        width = (math.isqrt(max(positions, default=0)) + 1) ** 2
+        table = np.zeros((len(labels), width), dtype=complex)
         values = np.fromiter(map(complex, coefficients.values()), dtype=complex, count=len(keys))
-        table[[labels.index(beta) for beta, _, _ in keys], l * l + l + m] = values
+        table[[labels.index(beta) for beta, _, _ in keys], positions] = values
         self._store(tuple(labels), table)
 
     @classmethod
@@ -282,8 +282,7 @@ def apply_angular_operator(f: PartialWaveAmplitude, power: int = 1) -> PartialWa
     Each mode is an eigenvector with eigenvalue ``l(l+1)``, so the action is
     an exact per-degree rescaling.
     """
-    if power < 1:
-        raise ValueError("power must be a positive integer")
+    power = _integer("power", power, 1)
     return f.map_modes(lambda l: float(l * (l + 1)) ** power)
 
 
@@ -296,8 +295,7 @@ def h_coefficient(f: PartialWaveAmplitude, s: int) -> PartialWaveAmplitude:
     mode with ``l < s``, so the expansion of any finite amplitude terminates
     at ``s = l_max``.
     """
-    if s < 1:
-        raise ValueError("order s must be a positive integer")
+    s = _integer("s", s, 1)
     return f.map_modes(lambda l: float(_chi_integers(l)[s]) if s <= l else 0.0)
 
 
@@ -330,8 +328,8 @@ def scattered_wave_series(
     positive (``ValueError``), and the radial factors finite (``FluxDomainError``).
     """
     _check_positive(np.asarray(r, dtype=float), "distance r")
-    if s_max is not None and s_max < 0:
-        raise ValueError("s_max must be non-negative")
+    if s_max is not None:
+        s_max = _integer("s_max", s_max)
     rows, shape = _directions(nhat)
     l_max = f.l_max
     kr = channels.k(beta) * r
@@ -394,8 +392,7 @@ def random_unitary_smatrix(n_channels: int, l_max: int, seed: int = 0) -> SMatri
     ``l`` in that order, and one stacked QR factorization; the phases of
     ``R``'s diagonal are moved into ``Q``.
     """
-    if n_channels < 1 or l_max < 0:
-        raise ValueError("need n_channels >= 1 and l_max >= 0")
+    n_channels, l_max = _integer("n_channels", n_channels, 1), _integer("l_max", l_max)
     rng = np.random.default_rng(seed)
     normals = rng.standard_normal((l_max + 1, 2, n_channels, n_channels))
     q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
@@ -412,8 +409,7 @@ def hard_sphere_model(k: float, a: float, l_max: int) -> SMatrixModel:
     """
     if k <= 0 or a <= 0:
         raise ValueError("k and a must be positive")
-    if l_max < 0:
-        raise ValueError("l_max must be non-negative")
+    l_max = _integer("l_max", l_max)
     x = k * a
     if not 0.0 < x < math.inf:
         raise ValueError(f"k*a = {x!r} is not a positive finite float")

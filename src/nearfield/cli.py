@@ -41,6 +41,7 @@ from .flux import (
     _check_scale,
     _degree_sums,
     _flux_rows,
+    _least_order,
     default_grid,
     flux_profile,
     optical_theorem_defect,
@@ -74,10 +75,10 @@ def _output(path: str | None):
 # ----------------------------------------------------------------------
 
 def _flux_grid(config: RunConfig, f: PartialWaveAmplitude):
-    """Quadrature grid for the run, raised to resolve every mode pair."""
+    """Quadrature grid for the run, raised to resolve every mode pair (``flux._least_order``)."""
     if config.grid_degree is None:
         return default_grid(f)
-    minimum = max(2 * f.l_max, 1)
+    minimum = _least_order(f.l_max)
     degree = config.grid_degree
     if degree < minimum:
         log.warning(

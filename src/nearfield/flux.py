@@ -55,6 +55,7 @@ from .special import (
     FluxDomainError,
     _check_positive,
     _directions,
+    _integer,
     _sphere_grid_arrays,
     _ylm,
     gauss_legendre_sphere,
@@ -369,13 +370,6 @@ def differential_flux_exact(
     return _pointwise(f, channels, R, nhat)
 
 
-def _expansion_order(order, single: bool = False) -> int:
-    """An integer ``order`` (not a ``bool``), at least 1 for a ``single`` term."""
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < single:
-        raise ValueError(f"order must be an integer of at least {int(single)}, got {order!r}")
-    return int(order)
-
-
 def differential_flux_asymptotic(
     f: PartialWaveAmplitude, channels: ChannelSet, R: float | np.ndarray, nhat, order: int = 4
 ) -> float | np.ndarray:
@@ -395,7 +389,7 @@ def differential_flux_asymptotic(
     sum per channel for all of them, and each row is the scalar call's
     value bit for bit.
     """
-    return _pointwise(f, channels, R, nhat, _expansion_order(order))
+    return _pointwise(f, channels, R, nhat, _integer("order", order))
 
 
 def flux_correction_term(
@@ -409,7 +403,7 @@ def flux_correction_term(
     with flux conservation order by order.  ``R`` may be a 1-d array, as in
     ``differential_flux_asymptotic``.
     """
-    return _pointwise(f, channels, R, nhat, _expansion_order(order, True), single=True)
+    return _pointwise(f, channels, R, nhat, _integer("order", order, 1), single=True)
 
 
 def far_field_flux(
@@ -462,13 +456,48 @@ def cross_sections(
     return CrossSections(labels, _cross_sections_per_channel(f, channels), quad, diff, grid)
 
 
-def _warn_if_underresolved(grid: AngularGrid, l_max: int) -> None:
-    if grid.order < 2 * l_max:
+def _least_order(l_max: int) -> int:
+    """The one grid-resolution rule: the least grid order that integrates every mode
+    bilinear ``conj(Y_a) Y_b`` of degrees up to ``l_max`` exactly (see ``AngularGrid``)."""
+    return max(l_max, 1)
+
+
+def _totals(
+    f: PartialWaveAmplitude, channels: ChannelSet, distances: np.ndarray, grid: AngularGrid,
+    canonical: bool, method: str, samples: np.ndarray | None = None,
+) -> np.ndarray:
+    """``total_flux`` at each of ``distances``, the one route choice; ``canonical`` passes
+    the grid test already made, and ``samples`` the grid rows where a caller has them
+    (each the one-distance row bit for bit), so that none is contracted twice."""
+    l_max = f.l_max
+    resolved = grid.order >= _least_order(l_max)
+    if not resolved:
         log.warning(
-            "grid order %d below 2*l_max = %d: mode bilinears are not integrated exactly",
+            "grid order %d below l_max = %d: mode bilinears are not integrated exactly",
             grid.order,
-            2 * l_max,
+            l_max,
         )
+    if method == "auto":
+        method = "gram" if canonical else "pointwise"
+    if method == "pointwise":
+        if samples is None:
+            samples = _grid_rows(f, channels, grid, distances, canonical)
+        return np.array([float(grid.integrate(row)) for row in samples])
+    if not canonical:
+        raise ValueError(
+            "gram method needs the canonical gauss_legendre_sphere grid of its order"
+        )
+    if resolved:
+        return np.full(distances.size, _summed_cross_section(f, channels))
+    gram = np.ascontiguousarray(sphere_mode_gram(grid.order, l_max))
+    totals = np.zeros(distances.size)
+    for label, row in _channel_rows(f, channels):
+        row = np.ascontiguousarray(row)
+        for i, R in enumerate(distances):
+            w_pairs = _mode_pair_matrix(l_max, -1j * channels.k(label) * R)
+            value = _kernels.weighted_pair_sum(row, w_pairs, gram)
+            totals[i] += channels.weight(label) * value.real
+    return totals
 
 
 def total_flux(
@@ -500,30 +529,8 @@ def total_flux(
         grid = default_grid(f)
     if method not in ("auto", "gram", "pointwise"):
         raise ValueError("method must be auto, gram, or pointwise")
-    _warn_if_underresolved(grid, f.l_max)
-    canonical = _is_canonical_grid(grid)
-    if method == "auto":
-        method = "gram" if canonical else "pointwise"
-    if method == "pointwise":
-        values = _grid_rows(f, channels, grid, np.array([R], dtype=float), canonical)[0]
-        return float(grid.integrate(values))
-    if not canonical:
-        raise ValueError(
-            "gram method needs the canonical gauss_legendre_sphere grid of its order"
-        )
-    l_max = f.l_max
-    if grid.order >= l_max:
-        return _summed_cross_section(f, channels)
-    gram = sphere_mode_gram(grid.order, l_max)
-    total = 0.0
-    for label, row in _channel_rows(f, channels):
-        z = -1j * channels.k(label) * R
-        w_pairs = _mode_pair_matrix(l_max, z)
-        value = _kernels.weighted_pair_sum(
-            np.ascontiguousarray(row), w_pairs, np.ascontiguousarray(gram)
-        )
-        total += channels.weight(label) * value.real
-    return float(total)
+    distances = np.array([R], dtype=float)
+    return float(_totals(f, channels, distances, grid, _is_canonical_grid(grid), method)[0])
 
 
 @dataclass(frozen=True)
@@ -573,24 +580,14 @@ def flux_profile(
     k_min = min(channels.k(label) for label in channels.labels)
     canonical = _is_canonical_grid(grid)
     samples = _grid_rows(f, channels, grid, r_values, canonical)
-    far = _summed_cross_section(f, channels)
-    # the total_flux value at every distance, without contracting twice
-    if canonical and grid.order >= f.l_max:
-        totals = np.full(r_values.size, far)
-    elif canonical:
-        totals = np.array([total_flux(f, channels, r, grid) for r in r_values])
-    else:
-        # each sample row is the pointwise route's row of its distance, bit for bit
-        _warn_if_underresolved(grid, f.l_max)
-        totals = np.array([float(grid.integrate(row)) for row in samples])
     return FluxProfile(
         r_values=r_values,
-        total=totals,
+        total=_totals(f, channels, r_values, grid, canonical, "auto", samples),
         diff_min=samples.min(axis=1),
         diff_max=samples.max(axis=1),
         samples=samples,
         validity=k_min * r_values >= _VALIDITY_KR,
-        far_field_total=far,
+        far_field_total=_summed_cross_section(f, channels),
         grid=grid,
     )
 

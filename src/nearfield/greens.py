@@ -40,7 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _INV_I_POWERS, FluxDomainError, _chi_table, _legendre_table, _regular_table
+from .special import (
+    _INV_I_POWERS, FluxDomainError, _chi_table, _integer, _legendre_table, _regular_table,
+)
 
 __all__ = [
     "GreensQuery",
@@ -226,10 +228,8 @@ def _evaluate(
     k, R_vec, x_vec, sign, lone = _batch(query)
     if l_max is None:
         cutoffs = auto_l_max(k, _norms(x_vec))
-    elif l_max < 0:
-        raise ValueError("l_max must be non-negative")
     else:
-        cutoffs = np.full(k.size, l_max)
+        cutoffs = np.full(k.size, _integer("l_max", l_max))
     values = _assemble(k, R_vec, x_vec, sign, cutoffs, s_max)
     return complex(values[0]) if lone else values
 
@@ -264,6 +264,4 @@ def greens_asymptotic(
     result equals ``greens_multipole`` at the same cutoff bit for bit.  A
     sequence of queries gives an array, as there.
     """
-    if s_max < 0:
-        raise ValueError("s_max must be non-negative")
-    return _evaluate(query, l_max, s_max)
+    return _evaluate(query, l_max, _integer("s_max", s_max))

@@ -29,7 +29,7 @@ from .amplitudes import (
     random_unitary_smatrix,
     smatrix_amplitude_family,
 )
-from .special import mode_list
+from .special import _integer, mode_list
 
 __all__ = [
     "AmplitudeDataError",
@@ -131,13 +131,6 @@ def _numbers(
     return [_number(v, what, error) for v in values]
 
 
-def _integer(value: Any, what: str, error: type[ValueError], minimum: int = 0) -> int:
-    """``value`` if it is a JSON integer ``>= minimum``, else ``error``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise error(f"{what} must be an integer >= {minimum}")
-    return value
-
-
 def loads_amplitude(text: str) -> tuple[PartialWaveAmplitude, ChannelSet]:
     """Parse amplitude JSON, enforcing every schema invariant."""
     try:
@@ -200,8 +193,8 @@ def loads_amplitude(text: str) -> tuple[PartialWaveAmplitude, ChannelSet]:
         beta = entry["beta"]
         if beta not in labels:
             raise AmplitudeDataError(f"{what}: unknown exit channel {beta!r}")
-        l = _integer(entry["l"], f"{what}: l", AmplitudeDataError)
-        m = _integer(entry["m"], f"{what}: m", AmplitudeDataError, minimum=-l)
+        l = _integer(f"{what}: l", entry["l"], error=AmplitudeDataError)
+        m = _integer(f"{what}: m", entry["m"], -l, AmplitudeDataError)
         if m > l:
             raise AmplitudeDataError(f"{what}: m must satisfy |m| <= l")
         value = complex(
@@ -276,7 +269,7 @@ def _parse_r_schedule(doc: dict) -> np.ndarray | None:
         _require_keys(rng, keys | {"spacing"}, keys, "r_range", ConfigError)
         lo = _number(rng["min"], "r_range: min", ConfigError)
         hi = _number(rng["max"], "r_range: max", ConfigError)
-        points = _integer(rng["points"], "r_range: points", ConfigError, minimum=2)
+        points = _integer("r_range: points", rng["points"], 2, ConfigError)
         spacing = rng.get("spacing", "log")
         if spacing not in ("log", "linear"):
             raise ConfigError("r_range spacing must be 'log' or 'linear'")
@@ -308,7 +301,7 @@ def load_config(path: str | Path) -> RunConfig:
 
     grid_degree = doc.get("grid_degree")
     if grid_degree is not None:
-        grid_degree = _integer(grid_degree, "grid_degree", ConfigError, minimum=1)
+        grid_degree = _integer("grid_degree", grid_degree, 1, ConfigError)
 
     fmt = doc.get("format", "csv")
     if fmt not in ("csv", "json"):
@@ -345,7 +338,7 @@ def load_config(path: str | Path) -> RunConfig:
         per_angle=per_angle,
         weight_mode=weight_mode,
         tolerances=clean_tol,
-        seed=_integer(doc.get("seed", 0), "seed", ConfigError),
+        seed=_integer("seed", doc.get("seed", 0), error=ConfigError),
         base_dir=path.parent,
     )
 
@@ -397,7 +390,7 @@ def _resolve_hard_sphere(config: RunConfig, spec: dict) -> AmplitudeSource:
     _require_keys(spec, allowed, set(), what, ConfigError)
     k = _number(spec.get("k", 1.0), f"{what}: k", ConfigError)
     radius = _number(spec.get("radius", 1.0), f"{what}: radius", ConfigError)
-    l_max = _integer(spec.get("l_max", 8), f"{what}: l_max", ConfigError)
+    l_max = _integer(f"{what}: l_max", spec.get("l_max", 8), error=ConfigError)
     label = spec.get("label", "elastic")
     if not isinstance(label, str) or not label:
         raise ConfigError(f"{what}: label must be a non-empty string")
@@ -423,11 +416,9 @@ def _resolve_random_unitary(config: RunConfig, spec: dict) -> AmplitudeSource:
     what = "random_unitary model"
     allowed = {"model", "n_channels", "l_max", "seed", "k", "v", "labels", "alpha", "kappa"}
     _require_keys(spec, allowed, set(), what, ConfigError)
-    n_channels = _integer(
-        spec.get("n_channels", 2), f"{what}: n_channels", ConfigError, minimum=1
-    )
-    l_max = _integer(spec.get("l_max", 3), f"{what}: l_max", ConfigError)
-    seed = _integer(spec.get("seed", config.seed), f"{what}: seed", ConfigError)
+    n_channels = _integer(f"{what}: n_channels", spec.get("n_channels", 2), 1, ConfigError)
+    l_max = _integer(f"{what}: l_max", spec.get("l_max", 3), error=ConfigError)
+    seed = _integer(f"{what}: seed", spec.get("seed", config.seed), error=ConfigError)
     labels = spec.get("labels")
     if labels is None:
         labels = [f"ch{i}" for i in range(n_channels)]

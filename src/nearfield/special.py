@@ -57,6 +57,18 @@ __all__ = [
 # decaying radial solution
 # ----------------------------------------------------------------------
 
+def _integer(name: str, value, minimum: int = 0, error: type[ValueError] = ValueError) -> int:
+    """The one integer rule of every degree, order and count, in a call or in a file:
+    ``value`` as a Python ``int`` if it is an ``int`` or a NumPy integer (a ``bool`` is
+    not) of at least ``minimum``, else ``error`` naming ``name`` and the value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+        raise error(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
 def _check_positive(values: np.ndarray, name: str) -> None:
     """Raise ``ValueError`` naming ``name`` and the first entry not finite and positive."""
     bad = ~(np.isfinite(values) & (values > 0))
@@ -90,8 +102,7 @@ def chi_coefficient(l: int, s: int) -> Fraction:
     harmonic of degree ``l``.  The dual-route tests exercise the equality of
     the two roles.
     """
-    if l < 0 or s < 0:
-        raise ValueError("orders must be non-negative")
+    l, s = _integer("l", l), _integer("s", s)
     if s > l:
         return Fraction(0)
     return Fraction(_chi_integers(l)[s])
@@ -110,7 +121,7 @@ def chi_terms(l_max: int, s_max: int, u: complex | np.ndarray) -> np.ndarray:
     Toward small ``|z|`` high orders can still overflow; callers check the
     result.
     """
-    ratios = np.multiply.outer(_chi_ratios(l_max, s_max), u)
+    ratios = np.multiply.outer(_chi_ratios(_integer("l_max", l_max), _integer("s_max", s_max)), u)
     return np.concatenate([np.ones((1, *ratios.shape[1:])), np.cumprod(ratios, axis=0)])
 
 
@@ -167,8 +178,7 @@ def chi(l: int, z: complex | np.ndarray) -> complex | np.ndarray:
     relative error grows like ``exp(2 |Re z|)``.  Toward small ``|z|`` high
     orders leave the float64 range, which raises ``FluxDomainError``.
     """
-    if l < 0:
-        raise ValueError("order must be non-negative")
+    l = _integer("l", l)
     value = _chi_table(l, z)[l]
     finite = np.isfinite(value)
     if not np.all(finite):
@@ -288,8 +298,7 @@ def regular_psi(l: int, x: float | np.ndarray) -> float | np.ndarray:
 
     Vanishes like ``x**(l+1)`` toward the origin; real for real argument.
     """
-    if l < 0:
-        raise ValueError("order must be non-negative")
+    l = _integer("l", l)
     x = np.asarray(x, dtype=float)
     _check_positive(x, "argument x")
     out = _regular_table(l, x)[l]
@@ -302,31 +311,39 @@ def regular_psi(l: int, x: float | np.ndarray) -> float | np.ndarray:
 
 def sph_harm(l: int, m: int, nhat) -> complex | np.ndarray:
     """Complex spherical harmonic ``Y_l^m`` (Condon-Shortley phase) at directions ``(..., 3)``."""
-    if l < 0 or abs(m) > l:
-        raise ValueError("require l >= 0 and |m| <= l")
+    index = mode_index(l, m)
     rows, shape = _directions(nhat)
-    return _ylm(l, rows)[mode_index(l, m)].reshape(shape)[()]
+    # position l*l + l + m has integer square root l
+    return _ylm(math.isqrt(index), rows)[index].reshape(shape)[()]
 
 
 def mode_index(l: int, m: int) -> int:
     """Position of ``(l, m)`` in the flattened ``(0,0), (1,-1), (1,0), ...`` order."""
-    if l < 0 or abs(m) > l:
-        raise ValueError("require l >= 0 and |m| <= l")
+    l = _integer("l", l)
+    m = _integer("m", m, -l)
+    if m > l:
+        raise ValueError(f"m must be at most {l}, got {m}")
     return l * l + (m + l)
 
 
-@lru_cache(maxsize=None)
 def mode_list(l_max: int) -> tuple[tuple[int, int], ...]:
     """All ``(l, m)`` pairs with ``l <= l_max`` in ``mode_index`` order."""
-    if l_max < 0:
-        raise ValueError("l_max must be non-negative")
+    return _mode_list(_integer("l_max", l_max))
+
+
+@lru_cache(maxsize=None)
+def _mode_list(l_max: int) -> tuple[tuple[int, int], ...]:
     return tuple((l, m) for l in range(l_max + 1) for m in range(-l, l + 1))
 
 
-@lru_cache(maxsize=None)
 def mode_degrees(l_max: int) -> np.ndarray:
-    """Degree ``l`` of each flattened mode, shape ``((l_max+1)**2,)``."""
-    arr = np.array([l for l, _ in mode_list(l_max)], dtype=np.intp)
+    """Degree ``l`` of each flattened mode, shape ``((l_max+1)**2,)``, read-only."""
+    return _mode_degrees(_integer("l_max", l_max))
+
+
+@lru_cache(maxsize=None)
+def _mode_degrees(l_max: int) -> np.ndarray:
+    arr = np.array([l for l, _ in _mode_list(l_max)], dtype=np.intp)
     arr.flags.writeable = False
     return arr
 
@@ -366,8 +383,6 @@ class _HarmonicPlan:
 
 @lru_cache(maxsize=None)
 def _harmonic_plan(l_max: int) -> _HarmonicPlan:
-    if l_max < 0:
-        raise ValueError("l_max must be non-negative")
     sectoral = [1.0 / math.sqrt(4.0 * math.pi)]
     for m in range(1, l_max + 1):
         sectoral.append(-sectoral[-1] * math.sqrt((2 * m + 1) / (2 * m)))
@@ -434,7 +449,7 @@ def _ylm_vectorized(l_max: int, c: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     plan = _harmonic_plan(l_max)
     n = c.size
-    # powers[l_max + m] = w**m, and (-1)**m conj(w**|m|) for m < 0, as
+    # powers[l_max + m] = w**m, and (-1)**m conj(w**|m|) for negative m, as
     # ``mirror`` in _ylm_point
     powers = np.empty((2 * l_max + 1, n), dtype=complex)
     powers[l_max] = 1.0
@@ -485,6 +500,7 @@ def ylm_table(l_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     NumPy's ``cos(theta)`` and ``sin(theta) exp(i phi)`` at any batch size.
     Angles must be finite (``ValueError``).
     """
+    l_max = _integer("l_max", l_max)
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     if theta.shape != phi.shape:
         raise ValueError("theta and phi must have matching shapes")
@@ -503,7 +519,7 @@ def ylm_directions(l_max: int, nhat) -> np.ndarray:
     ``ValueError`` for a vector that is not finite or is zero; shape
     ``((l_max+1)**2, n_points)``.
     """
-    return _ylm(l_max, _directions(nhat)[0])
+    return _ylm(_integer("l_max", l_max), _directions(nhat)[0])
 
 
 # ----------------------------------------------------------------------
@@ -677,7 +693,6 @@ def gauss_legendre_sphere(order: int) -> AngularGrid:
     product ``conj(Y_a) Y_b`` with ``max(deg a, deg b) <= order`` exactly,
     and the weights sum to the full solid angle.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    order = _integer("order", order, 1)
     theta, phi, weights = _sphere_grid_arrays(order)
     return AngularGrid(order=order, theta=theta, phi=phi, weights=weights)

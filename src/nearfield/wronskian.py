@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import FluxDomainError, chi_terms
+from .special import FluxDomainError, _integer, chi_terms
 
 __all__ = [
     "IntegralCheckReport",
@@ -150,7 +150,7 @@ def _laurent_sum(j: int, l: int, z, n_terms: int | None = None) -> np.ndarray:
     Horner's rule in ``u = 1/(2z)`` over ``_laurent_float``."""
     j, l = _check_orders(j, l)
     if n_terms is not None:
-        n_terms = _nonnegative_int("n_terms", n_terms)
+        n_terms = _integer("n_terms", n_terms)
     z = np.asarray(z)
     bad = ~(np.isfinite(z) & (z != 0))
     if bad.any():
@@ -169,19 +169,9 @@ def _laurent_sum(j: int, l: int, z, n_terms: int | None = None) -> np.ndarray:
     return acc
 
 
-def _nonnegative_int(name: str, value) -> int:
-    """``value`` as a Python ``int``; ``ValueError`` naming it unless it is a non-negative
-    ``int`` or NumPy integer (a ``bool`` is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return int(value)
-
-
 def _check_orders(j: int, l: int) -> tuple[int, int]:
-    """The mode degrees ``j`` and ``l`` as Python ``int``s (see ``_nonnegative_int``)."""
-    return _nonnegative_int("mode degree j", j), _nonnegative_int("mode degree l", l)
+    """The mode degrees ``j`` and ``l`` as Python ``int``s (see ``special._integer``)."""
+    return _integer("mode degree j", j), _integer("mode degree l", l)
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +366,7 @@ def pair_matrix(l_max: int, z: complex) -> np.ndarray:
     ``FluxDomainError`` where the factors overflow float64: they grow like
     ``|2z|**-(2 l_max + 1)`` toward small ``|z|``.
     """
-    l_max = _nonnegative_int("l_max", l_max)
+    l_max = _integer("l_max", l_max)
     z = complex(z)
     if z == 0:
         raise ValueError("evaluation point z = 0 is singular")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -234,6 +235,25 @@ def test_amplitude_rejects_invalid_modes():
         PartialWaveAmplitude({("a", -1, 0): 1.0})
     with pytest.raises(ValueError):
         PartialWaveAmplitude({("a", 1, 2): 1.0})
+
+
+def test_amplitude_keys_follow_the_integer_rule():
+    # degrees and orders of keys go through special._integer: NumPy integers
+    # are read as ints, a bool or a float is refused, and -l <= m <= l
+    f = PartialWaveAmplitude({("a", 2, -1): 1.0, ("b", 1, 1): 2j})
+    numpy_keys = {("a", np.int64(2), np.int32(-1)): 1.0, ("b", 1, np.int8(1)): 2j}
+    assert PartialWaveAmplitude(numpy_keys) == f
+    for key, rule in (
+        (("a", True, 0), "l must be an integer, got True"),
+        (("a", 1, False), "m must be an integer, got False"),
+        (("a", 2.0, 0), "l must be an integer, got 2.0"),
+        (("a", -1, 0), "l must be non-negative, got -1"),
+        (("a", 1, -2), "m must be at least -1, got -2"),
+        (("a", np.int64(1), 2), "m must be at most 1, got 2"),
+    ):
+        message = f"invalid mode indices in key {key!r}: {rule}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PartialWaveAmplitude({key: 1.0})
 
 
 def test_amplitude_linearity(rng):

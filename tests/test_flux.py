@@ -655,7 +655,7 @@ def test_expansion_order_must_be_an_integer():
             with pytest.raises(ValueError, match="integer"):
                 route(f, cs, 2.0, nhat, order=order)
         assert route(f, cs, 2.0, nhat, order=np.int64(3)) == route(f, cs, 2.0, nhat, order=3)
-    with pytest.raises(ValueError, match="at least 0"):
+    with pytest.raises(ValueError, match="non-negative"):
         differential_flux_asymptotic(f, cs, 2.0, nhat, order=-1)
     with pytest.raises(ValueError, match="at least 1"):
         flux_correction_term(f, cs, 2.0, nhat, order=0)
@@ -859,16 +859,38 @@ def test_total_flux_method_validation(rng):
 def test_total_flux_warns_on_underresolved_grid(caplog):
     f, cs, _ = unitary_amplitude(2, 4, seed=2)
     with caplog.at_level(logging.WARNING, logger="nearfield.flux"):
-        total_flux(f, cs, 3.0, grid=gauss_legendre_sphere(5))
+        total_flux(f, cs, 3.0, grid=gauss_legendre_sphere(3))
     assert any("grid order" in rec.message for rec in caplog.records)
     # a scan on a grid that is not canonical integrates its samples, and
     # warns once
-    grid = gauss_legendre_sphere(5)
+    grid = gauss_legendre_sphere(3)
     shifted = AngularGrid(grid.order, grid.theta, grid.phi + 1e-3, grid.weights)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="nearfield.flux"):
         flux_profile(f, cs, [1.0, 3.0, 9.0], grid=shifted)
     assert sum("grid order" in rec.message for rec in caplog.records) == 1
+
+
+def test_grid_of_order_l_max_integrates_the_pointwise_flux_exactly(caplog):
+    # the one grid-resolution rule (flux._least_order): order l_max resolves
+    # every mode bilinear, order l_max - 1 does not, and only it warns
+    for l_max in (3, 6, 10):
+        f, cs, family = unitary_amplitude(2, l_max, seed=4)
+        g = family("c0", (0.6, 0.0, 0.8))
+        sigma = cross_sections(g, cs).total
+        R = 20.0 / min(c.k for c in cs.channels)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="nearfield.flux"):
+            exact = total_flux(g, cs, R, grid=gauss_legendre_sphere(l_max), method="pointwise")
+        assert not caplog.records
+        assert abs(exact / sigma - 1.0) < 1e-14
+        with caplog.at_level(logging.WARNING, logger="nearfield.flux"):
+            coarse = total_flux(g, cs, R, grid=gauss_legendre_sphere(l_max - 1), method="pointwise")
+        assert [rec.message for rec in caplog.records] == [
+            f"grid order {l_max - 1} below l_max = {l_max}: "
+            "mode bilinears are not integrated exactly"
+        ]
+        assert abs(coarse / sigma - 1.0) > 1e-3
 
 
 def test_flux_profile_contents():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -159,6 +160,31 @@ def _mut(mutator):
 def test_loads_amplitude_rejects_bad_documents(text):
     with pytest.raises(AmplitudeDataError):
         loads_amplitude(text)
+
+
+def test_integer_fields_share_the_integer_rule_of_calls(tmp_path):
+    # files and configs read integers by special._integer, naming the field
+    for index, field, value, message in (
+        (0, "l", 2.0, "coefficient[0]: l must be an integer, got 2.0"),
+        (1, "m", -2, "coefficient[1]: m must be at least -1, got -2"),
+        (0, "l", -1, "coefficient[0]: l must be non-negative, got -1"),
+    ):
+        doc = _valid_doc()
+        doc["coefficients"][index][field] = value
+        with pytest.raises(AmplitudeDataError, match=re.escape(message)):
+            loads_amplitude(json.dumps(doc))
+    for doc, message in (
+        ({"grid_degree": 0}, "grid_degree must be at least 1, got 0"),
+        ({"grid_degree": True}, "grid_degree must be an integer, got True"),
+        ({"r_range": {"min": 1, "max": 2, "points": 1}},
+         "r_range: points must be at least 2, got 1"),
+        ({"amplitude": {"model": "random_unitary", "n_channels": 0}},
+         "random_unitary model: n_channels must be at least 1, got 0"),
+        ({"amplitude": {"model": "hard_sphere", "l_max": 2.7}},
+         "hard_sphere model: l_max must be an integer, got 2.7"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            resolve_amplitude(load_config(_write_config(tmp_path, doc)))
 
 
 def test_load_amplitude_missing_file(tmp_path):
@@ -474,6 +500,20 @@ def test_cli_flux_per_angle_block(tmp_path, capsys):
     grid = gauss_legendre_sphere(12)
     angles = np.array([[float(v) for v in s.split(",")[1:3]] for s in samples])
     np.testing.assert_allclose(angles, np.column_stack([grid.theta, grid.phi]), rtol=1e-15)
+
+
+def test_cli_flux_raises_grid_degree_to_l_max_only(tmp_path, capsys, caplog):
+    # flux._least_order: a grid of order l_max resolves every mode pair
+    amplitude = {"model": "random_unitary", "l_max": 6, "seed": 3}
+    for degree, order in ((4, 6), (6, 6), (8, 8)):
+        cfg = _write_config(
+            tmp_path, {"amplitude": amplitude, "r_values": [3.0], "grid_degree": degree}
+        )
+        caplog.clear()
+        assert cli.main(["flux", "--config", str(cfg)]) == 0
+        assert f"# grid_order: {order}" in capsys.readouterr().out.split("\n")
+        raised = [rec.message for rec in caplog.records if "raising to" in rec.message]
+        assert len(raised) == (degree < 6)
 
 
 def test_cli_flux_per_angle_json_lists_every_node(tmp_path, capsys):

@@ -8,11 +8,14 @@ must name an attribute of its module.
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import nearfield
+
+from test_wronskian import INTEGER_ARGUMENTS
 
 MODULES = ["nearfield"] + [
     f"nearfield.{info.name}" for info in pkgutil.iter_modules(nearfield.__path__)
@@ -32,3 +35,31 @@ def test_chi_polynomial_is_gone(name):
     module = importlib.import_module(name)
     assert not hasattr(module, "ChiPolynomial")
     assert "ChiPolynomial" not in module.__all__
+
+
+# parameter names that hold a degree, an order or a count
+INTEGER_PARAMETERS = {
+    "l", "j", "m", "s", "l_max", "s_max", "order", "n_terms", "power", "n_channels",
+}
+
+
+def test_every_integer_parameter_is_in_the_integer_table():
+    # a new public function with a degree, order or count must join the
+    # table of tests/test_wronskian.py, which holds it to the one integer rule
+    covered = {(function, parameter) for function, parameter, *_ in INTEGER_ARGUMENTS}
+    public = ["nearfield"] + [
+        f"nearfield.{info.name}"
+        for info in pkgutil.iter_modules(nearfield.__path__)
+        if not info.name.startswith("_")
+    ]
+    missing = set()
+    for name in public:
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            function = getattr(module, attr)
+            if not callable(function) or inspect.isclass(function):
+                continue
+            for parameter in inspect.signature(function).parameters:
+                if parameter in INTEGER_PARAMETERS and (function, parameter) not in covered:
+                    missing.add(f"{function.__module__}.{function.__qualname__}({parameter})")
+    assert not missing, f"integer parameters missing from INTEGER_ARGUMENTS: {sorted(missing)}"

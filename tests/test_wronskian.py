@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nearfield import wronskian
+from nearfield import amplitudes, flux, greens, special, wronskian
 from nearfield.special import FluxDomainError
 from nearfield.wronskian import (
     _STACK_ENTRIES,
@@ -23,7 +24,7 @@ from nearfield.wronskian import (
     wronskian_series,
 )
 
-from conftest import laurent_oracle, pair_factor_oracle, series_product_oracle
+from conftest import laurent_oracle, pair_factor_oracle, series_product_oracle, unitary_amplitude
 
 
 def _series_as_laurent(j: int, l: int) -> tuple[Fraction, ...]:
@@ -183,9 +184,83 @@ def test_pair_factor_at_a_point_that_is_not_finite_names_it(evaluate, match):
     assert info.type is ValueError
 
 
+# Every integer argument of a public function, read by ``special._integer``:
+# (function, parameter, call with that argument, a valid value, its minimum).
+# ``tests/test_public_api.py`` fails for a public function whose degree,
+# order or count parameter is missing here.
+_F, _CS, _ = unitary_amplitude(2, 3, seed=5)
+_NHAT = np.array([0.6, 0.0, 0.8])
+_QUERY = greens.GreensQuery(k=1.0, R_vec=np.array([0.0, 3.0, 4.0]), x_vec=np.array([0.3, 0.0, 0.4]))
+INTEGER_ARGUMENTS = [
+    (special.chi, "l", lambda v: special.chi(v, 1.5j), 2, 0),
+    (special.chi_coefficient, "l", lambda v: special.chi_coefficient(v, 1), 3, 0),
+    (special.chi_coefficient, "s", lambda v: special.chi_coefficient(3, v), 2, 0),
+    (special.chi_terms, "l_max", lambda v: special.chi_terms(v, 2, 0.1), 2, 0),
+    (special.chi_terms, "s_max", lambda v: special.chi_terms(3, v, 0.1), 2, 0),
+    (special.regular_psi, "l", lambda v: special.regular_psi(v, 1.0), 2, 0),
+    (special.sph_harm, "l", lambda v: special.sph_harm(v, 1, _NHAT), 2, 0),
+    (special.sph_harm, "m", lambda v: special.sph_harm(2, v, _NHAT), 1, -2),
+    (special.mode_index, "l", lambda v: special.mode_index(v, 1), 2, 0),
+    (special.mode_index, "m", lambda v: special.mode_index(2, v), 1, -2),
+    (special.mode_list, "l_max", special.mode_list, 2, 0),
+    (special.mode_degrees, "l_max", special.mode_degrees, 2, 0),
+    (special.ylm_table, "l_max", lambda v: special.ylm_table(v, [0.3, 1.0], [0.2, 4.0]), 2, 0),
+    (special.ylm_directions, "l_max", lambda v: special.ylm_directions(v, _NHAT), 2, 0),
+    (special.gauss_legendre_sphere, "order",
+     lambda v: special.gauss_legendre_sphere(v).weights, 2, 1),
+    (amplitudes.apply_angular_operator, "power",
+     lambda v: amplitudes.apply_angular_operator(_F, v).table, 1, 1),
+    (amplitudes.h_coefficient, "s", lambda v: amplitudes.h_coefficient(_F, v).table, 2, 1),
+    (amplitudes.scattered_wave_series, "s_max",
+     lambda v: amplitudes.scattered_wave_series(_F, _CS, "c0", 3.0, _NHAT, v), 1, 0),
+    (amplitudes.random_unitary_smatrix, "n_channels",
+     lambda v: amplitudes.random_unitary_smatrix(v, 2, 7).stack, 2, 1),
+    (amplitudes.random_unitary_smatrix, "l_max",
+     lambda v: amplitudes.random_unitary_smatrix(2, v, 7).stack, 2, 0),
+    (amplitudes.hard_sphere_model, "l_max",
+     lambda v: amplitudes.hard_sphere_model(1.0, 2.0, v).stack, 3, 0),
+    (greens.greens_multipole, "l_max", lambda v: greens.greens_multipole(_QUERY, v), 2, 0),
+    (greens.greens_asymptotic, "s_max", lambda v: greens.greens_asymptotic(_QUERY, v, 4), 2, 0),
+    (greens.greens_asymptotic, "l_max", lambda v: greens.greens_asymptotic(_QUERY, 2, v), 4, 0),
+    (flux.differential_flux_asymptotic, "order",
+     lambda v: flux.differential_flux_asymptotic(_F, _CS, 2.0, _NHAT, v), 3, 0),
+    (flux.flux_correction_term, "order",
+     lambda v: flux.flux_correction_term(_F, _CS, 2.0, _NHAT, v), 2, 1),
+    (half_wronskian_exact, "j", lambda v: half_wronskian_exact(v, 1, -2j), 3, 0),
+    (half_wronskian_exact, "l", lambda v: half_wronskian_exact(3, v, -2j), 1, 0),
+    (laurent_coefficients, "j", lambda v: laurent_coefficients(v, 1), 3, 0),
+    (laurent_coefficients, "l", lambda v: laurent_coefficients(3, v), 1, 0),
+    (wronskian_series, "j", lambda v: wronskian_series(v, 1), 3, 0),
+    (wronskian_series, "l", lambda v: wronskian_series(3, v), 1, 0),
+    (integral_representation_check, "j", lambda v: integral_representation_check(v, 1, 1.5), 2, 0),
+    (integral_representation_check, "l", lambda v: integral_representation_check(2, v, 1.5), 1, 0),
+    (pair_matrix, "l_max", lambda v: pair_matrix(v, -2j), 3, 0),
+    (WronskianSeries.evaluate, "n_terms", lambda v: wronskian_series(3, 1).evaluate(-2j, v), 2, 0),
+]
+
+
+def _refusals():
+    """A float, a NumPy float, ``True``, a fraction and a value below the minimum, per row."""
+    for function, parameter, call, valid, minimum in INTEGER_ARGUMENTS:
+        bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+        for bad, rule in (
+            (2.0, "an integer, got 2.0"),
+            (np.float64(2), "an integer, got " + repr(np.float64(2))),
+            (True, "an integer, got True"),
+            (valid + 0.5, f"an integer, got {valid + 0.5}"),
+            (minimum - 1, f"{bound}, got {minimum - 1}"),
+        ):
+            match = rf"\b{parameter} must be {re.escape(rule)}"
+            yield pytest.param(
+                lambda call=call, bad=bad: call(bad), match,
+                id=f"{function.__qualname__}-{parameter}-{bad!r}",
+            )
+
+
 @pytest.mark.parametrize(
     "call, match",
     [
+        *_refusals(),
         (lambda: wronskian_series(2, 2.0), r"mode degree l must be an integer, got 2.0"),
         (lambda: wronskian_series(np.float64(1), 2), "mode degree j must be an integer"),
         (lambda: laurent_coefficients(2.5, 1), r"mode degree j must be an integer, got 2.5"),
@@ -205,6 +280,28 @@ def test_pair_factor_at_a_point_that_is_not_finite_names_it(evaluate, match):
 def test_degrees_and_term_counts_must_be_integers(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def _bits(value):
+    """``value`` for a bitwise comparison: arrays and numbers by type, dtype, shape and bytes."""
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    array = np.asarray(value)
+    if array.dtype == object:
+        return type(value), value
+    return type(value), array.dtype, array.shape, array.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call, valid",
+    [
+        pytest.param(call, valid, id=f"{function.__qualname__}-{parameter}")
+        for function, parameter, call, valid, _ in INTEGER_ARGUMENTS
+    ],
+)
+def test_numpy_integer_arguments_give_the_bits_of_ints(call, valid):
+    assert _bits(call(np.int64(valid))) == _bits(call(valid))
+    assert _bits(call(np.int32(valid))) == _bits(call(valid))
 
 
 def test_numpy_integer_degrees_are_python_ints():
