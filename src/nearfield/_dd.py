@@ -9,7 +9,7 @@ near-perfect orthogonality cancellations happen *before* any large pair
 factor multiplies in.  Everything downstream stays float64.  A grid of
 order at least ``l_max`` needs none of this, since it integrates the
 harmonic pairs exactly and the total follows from orthonormality; the
-Gram serves only canonical grids of lower order.
+Gram serves only grids of lower order.
 
 The double-double representation stores a value as an unevaluated sum
 ``hi + lo`` with ``|lo| <= ulp(hi)/2``.  All primitives below are branch-free

@@ -3,7 +3,7 @@
 ``quadratic_form`` contracts degree sums with one pair matrix; no flux path
 calls it, and it is the reference, bit for bit, for each row of
 ``flux._flux_rows``.  ``weighted_pair_sum`` is the Gram-weighted total flux
-on canonical grids of order below ``l_max``.  Both run BLAS products.
+on grids of order below ``l_max``.  Both run BLAS products.
 """
 
 from __future__ import annotations

@@ -215,14 +215,15 @@ class PartialWaveAmplitude:
         }
 
     def coefficient(self, beta: str, l: int, m: int) -> complex:
-        inside = 0 <= l <= self.l_max and -l <= m <= l
-        return complex(self.dense(beta)[l * l + l + m]) if inside else 0.0 + 0.0j
+        """``B_beta^{lm}``, zero past ``l_max``; ``(l, m)`` must be a mode (``mode_index``)."""
+        position = mode_index(l, m)
+        return complex(self.dense(beta)[position]) if l <= self.l_max else 0.0 + 0.0j
 
     def rows(self, labels: Sequence[str], l_max: int | None = None) -> np.ndarray:
         """Read-only rows of ``labels``, cut at or zero-padded to degree ``l_max``.
 
         Absent labels read as zeros; a run of the table's rows is a view of it."""
-        n = ((self.l_max if l_max is None else l_max) + 1) ** 2
+        n = ((self.l_max if l_max is None else _integer("l_max", l_max)) + 1) ** 2
         width = self.table.shape[1]
         index = [self.exit_labels.index(b) if b in self.exit_labels else -1 for b in labels]
         start = min(index, default=0)

@@ -5,35 +5,36 @@ sphere of radius ``R``: a double partial-wave sum pairing every mode with
 every other through the exact radial pair factors of ``wronskian``.  Those
 factors depend only on the two degrees, so the pointwise path first sums
 each degree's harmonics, ``S_l(p) = sum_m B_lm Y_lm(p)``, and then contracts
-at degree level, with one set of sums for all distances of a scan; the
-pair factors of all channels and distances come from one stacked
-Clenshaw-Curtis evaluation on the imaginary axis (``wronskian._pair_stack``),
-exact in structure and without a degree limit.  Each channel's distances
-are contracted in blocks small enough to stay off fresh pages, one batched
-product per block, and each row is the one-distance contraction bit for
-bit.  On the canonical product grid the harmonics separate, ``Y_lm(theta_i,
-phi_j) = y_lm(theta_i) exp(i m phi_j)``, so the sums come from a table on
-the polar nodes alone and one product with the azimuthal Fourier matrix.  An
-amplitude with no ``m != 0`` coefficient is axially symmetric, so its
-flux is contracted once per polar ring there.  Because the pair factors
-terminate, the "exact" path here is exact in structure: they are Laurent
-polynomials, ``HW_lj = sum_n L_n(l, j) u**n`` in ``u = 1/(2z)``, and the
-"asymptotic" path, the distance expansion, is that series cut at its order
-(``wronskian._laurent_stack``).  It ends at order ``2 l_max``, where the
-two paths must agree to rounding; their agreement (and controlled
-disagreement below that order) is the main scientific claim this package
-exists to check.  One kernel, ``_flux_rows``, contracts both, at a scalar
-or a 1-d array of distances, from degree sums they can share.
+at degree level, with one set of sums for all distances of a scan; the pair
+factors of all channels and distances come from one stacked Clenshaw-Curtis
+evaluation on the imaginary axis (``wronskian._pair_stack``), exact in
+structure and without a degree limit.  Each channel's distances are
+contracted in blocks small enough to stay off fresh pages, one batched
+product per block, and each row is the one-distance contraction bit for bit.
+Every ``AngularGrid`` is the Gauss-Legendre product grid of its order, where
+the harmonics separate, ``Y_lm(theta_i, phi_j) = y_lm(theta_i) exp(i m
+phi_j)``, so the sums come from a table on the polar nodes alone and one
+product with the azimuthal Fourier matrix.  An amplitude with no ``m != 0``
+coefficient is axially symmetric, so its flux is contracted once per polar
+ring there.  Because the pair factors terminate, the "exact" path here is
+exact in structure: they are Laurent polynomials, ``HW_lj = sum_n L_n(l, j)
+u**n`` in ``u = 1/(2z)``, and the "asymptotic" path, the distance expansion,
+is that series cut at its order (``wronskian._laurent_stack``).  It ends at
+order ``2 l_max``, where the two paths must agree to rounding; their
+agreement (and controlled disagreement below that order) is the main
+scientific claim this package exists to check.  One kernel, ``_flux_rows``,
+contracts both, at a scalar or a 1-d array of distances, from degree sums
+they can share.
 
 Totals need care: at small ``kR`` the pointwise integrand can exceed its own
 integral by many orders of magnitude, so totals are not taken from it where
-the grid allows otherwise.  A canonical grid of order at least ``l_max``
-integrates ``conj(Y_a) Y_b`` to exactly ``delta_ab``, so the total collapses
-to ``sum_beta weight_beta sum_l (sum_m |B_lm|**2) HW_ll``, and the diagonal
+the grid allows otherwise.  A grid of order at least ``l_max`` integrates
+``conj(Y_a) Y_b`` to exactly ``delta_ab``, so the total collapses to
+``sum_beta weight_beta sum_l (sum_m |B_lm|**2) HW_ll``, and the diagonal
 pair factor ``HW_ll`` is exactly 1 at every distance: the total is the summed
 cross section, exact at any ``kR`` and without a pair factor evaluated.
-Only an under-resolved canonical grid (order below ``l_max``) contracts the
-pair factors against the sphere Gram matrix precomputed in double-double
+Only an under-resolved grid (order below ``l_max``) contracts the pair
+factors against the sphere Gram matrix precomputed in double-double
 arithmetic (see ``_dd``); there the Gram's own rounding noise (about 1e-31)
 is multiplied by pair factors that grow like ``(kR)**-(2 l_max + 1)``.
 """
@@ -56,7 +57,6 @@ from .special import (
     _check_positive,
     _directions,
     _integer,
-    _sphere_grid_arrays,
     _ylm,
     gauss_legendre_sphere,
     mode_degrees,
@@ -161,48 +161,28 @@ def _check_scale(f: PartialWaveAmplitude, channels: ChannelSet) -> float:
     return sigma
 
 
-def _is_canonical_grid(grid: AngularGrid) -> bool:
-    """Whether ``grid`` holds the nodes and weights of ``gauss_legendre_sphere(grid.order)``.
-
-    A grid built by ``gauss_legendre_sphere`` holds the cached arrays
-    themselves, which an identity test recognizes without comparing them.
-    """
-    if grid.order < 1 or grid.n_nodes != (grid.order + 1) * (2 * grid.order + 1):
-        return False
-    arrays = (grid.theta, grid.phi, grid.weights)
-    reference = _sphere_grid_arrays(grid.order)
-    if all(a is b for a, b in zip(arrays, reference)):
-        return True
-    return all(np.array_equal(a, b) for a, b in zip(arrays, reference))
-
-
 def _degree_sums(
     f: PartialWaveAmplitude,
     channels: ChannelSet,
     directions: AngularGrid | np.ndarray,
-    canonical: bool | None = None,
 ) -> list[tuple[str, np.ndarray]]:
     """Degree sums ``S_l(p) = sum_m B_lm Y_lm(p)`` of each nonzero channel.
 
     ``directions`` is a grid or an ``(n_points, 3)`` array of direction
     vectors for ``special._ylm``; each sum array has shape ``(l_max + 1,
-    n_points)``.  On the canonical product grid (``canonical`` passes a
-    test already made) one table on the ``order + 1`` polar nodes, at ``phi
-    = 0``, serves every azimuth.  With no ``m !=
-    0`` coefficient the sums do not depend on ``phi``: they are ``B_l0``
-    times the ``m = 0`` rows of that table, one column per polar ring
-    (``n_points = order + 1``).  Otherwise the table is spread into an
-    ``(l, m)`` layout and multiplied by the ``(2 l_max + 1) x n_phi``
-    Fourier matrix ``exp(i m phi_j)``; node order is polar-major, as in the
-    grid.  Other grids take the full table at their angles, and direction
-    arrays the one at their unit vectors; each degree's rows are then summed.
+    n_points)``.  On a grid, one table on the ``order + 1`` polar nodes, at
+    ``phi = 0``, serves every azimuth.  With no ``m != 0`` coefficient the
+    sums do not depend on ``phi``: they are ``B_l0`` times the ``m = 0``
+    rows of that table, one column per polar ring (``n_points = order +
+    1``).  Otherwise the table is spread into an ``(l, m)`` layout and
+    multiplied by the ``(2 l_max + 1) x n_phi`` Fourier matrix ``exp(i m
+    phi_j)``; node order is polar-major, as in the grid.  Direction arrays
+    take the table at their unit vectors, and each degree's rows are summed.
     """
     l_max = f.l_max
     channel_rows = _channel_rows(f, channels)
     fourier = None
-    if isinstance(directions, AngularGrid) and (
-        _is_canonical_grid(directions) if canonical is None else canonical
-    ):
+    if isinstance(directions, AngularGrid):
         n_phi = 2 * directions.order + 1
         theta = directions.theta[::n_phi]
         table = ylm_table(l_max, theta, np.zeros_like(theta))
@@ -215,8 +195,6 @@ def _degree_sums(
         ms = np.arange(-l_max, l_max + 1)
         fourier = np.exp(1j * np.outer(ms, directions.phi[:n_phi]))
         slots = ls * (2 * l_max + 1) + ms_of_mode + l_max
-    elif isinstance(directions, AngularGrid):
-        table = ylm_table(l_max, directions.theta, directions.phi)
     else:
         table = _ylm(l_max, directions)
     degree_starts = np.arange(l_max + 1) ** 2
@@ -315,14 +293,13 @@ def _grid_rows(
     channels: ChannelSet,
     grid: AngularGrid,
     distances: np.ndarray,
-    canonical: bool,
 ) -> np.ndarray:
     """Differential flux on ``grid``, shape ``(n_distances, n_nodes)``.
 
     Ring sums of ``_degree_sums`` are contracted once per polar ring, and
     each ring's value is repeated over its azimuths.
     """
-    sums = _degree_sums(f, channels, grid, canonical)
+    sums = _degree_sums(f, channels, grid)
     n_points = sums[0][1].shape[1] if sums else grid.n_nodes
     rows = _flux_rows(sums, channels, f.l_max, distances, n_points)
     if n_points == grid.n_nodes:
@@ -464,11 +441,9 @@ def _least_order(l_max: int) -> int:
 
 def _totals(
     f: PartialWaveAmplitude, channels: ChannelSet, distances: np.ndarray, grid: AngularGrid,
-    canonical: bool, method: str, samples: np.ndarray | None = None,
+    method: str = "gram",
 ) -> np.ndarray:
-    """``total_flux`` at each of ``distances``, the one route choice; ``canonical`` passes
-    the grid test already made, and ``samples`` the grid rows where a caller has them
-    (each the one-distance row bit for bit), so that none is contracted twice."""
+    """``total_flux`` at each of ``distances``, the one route choice."""
     l_max = f.l_max
     resolved = grid.order >= _least_order(l_max)
     if not resolved:
@@ -477,16 +452,9 @@ def _totals(
             grid.order,
             l_max,
         )
-    if method == "auto":
-        method = "gram" if canonical else "pointwise"
     if method == "pointwise":
-        if samples is None:
-            samples = _grid_rows(f, channels, grid, distances, canonical)
+        samples = _grid_rows(f, channels, grid, distances)
         return np.array([float(grid.integrate(row)) for row in samples])
-    if not canonical:
-        raise ValueError(
-            "gram method needs the canonical gauss_legendre_sphere grid of its order"
-        )
     if resolved:
         return np.full(distances.size, _summed_cross_section(f, channels))
     gram = np.ascontiguousarray(sphere_mode_gram(grid.order, l_max))
@@ -505,7 +473,7 @@ def total_flux(
     channels: ChannelSet,
     R: float,
     grid: AngularGrid | None = None,
-    method: str = "auto",
+    method: str = "gram",
 ) -> float:
     """Solid-angle integral of the differential flux at distance ``R``.
 
@@ -513,24 +481,22 @@ def total_flux(
     cross sections; verifying that numerically is the whole point.
     ``"pointwise"`` integrates the differential flux samples on ``grid``
     directly and is conditioning-limited at small ``kR``, where the
-    integrand dwarfs the integral.  ``"gram"`` needs the canonical product
-    grid.  When its order is at least ``l_max`` the grid integrates
-    ``conj(Y_a) Y_b`` to exactly ``delta_ab``, so the total is
+    integrand dwarfs the integral.  ``"gram"``, the default, uses the
+    grid's exactness instead: when its order is at least ``l_max`` the grid
+    integrates ``conj(Y_a) Y_b`` to exactly ``delta_ab``, so the total is
     ``sum_beta weight_beta sum_l (sum_m |B_lm|**2) HW_ll`` with the diagonal
     pair factor ``HW_ll == 1``: the summed cross section, exact at any
-    ``kR``.  On a canonical grid of lower order the pair factors are
-    contracted against the double-double sphere Gram matrix, whose rounding
-    the pair factors amplify at small ``kR``.  ``"auto"`` picks ``"gram"``
-    when the grid is canonical.  ``R`` must be finite and positive, or
+    ``kR``.  On a grid of lower order the pair factors are contracted
+    against the double-double sphere Gram matrix, whose rounding the pair
+    factors amplify at small ``kR``.  ``R`` must be finite and positive, or
     ``ValueError`` is raised.
     """
     _check_positive(np.asarray(R, dtype=float), "distance R")
     if grid is None:
         grid = default_grid(f)
-    if method not in ("auto", "gram", "pointwise"):
-        raise ValueError("method must be auto, gram, or pointwise")
-    distances = np.array([R], dtype=float)
-    return float(_totals(f, channels, distances, grid, _is_canonical_grid(grid), method)[0])
+    if method not in ("gram", "pointwise"):
+        raise ValueError(f"method must be gram or pointwise, got {method!r}")
+    return float(_totals(f, channels, np.array([R], dtype=float), grid, method)[0])
 
 
 @dataclass(frozen=True)
@@ -539,10 +505,9 @@ class FluxProfile:
 
     ``samples[i]`` holds the differential flux on ``grid`` at ``r_values[i]``
     (float64 pointwise evaluation); ``total`` holds the conserved
-    solid-angle integrals from ``total_flux``: the summed cross section,
-    by exact orthonormality, on a canonical grid of order at least
-    ``l_max``, the Gram route on a coarser canonical grid, and the
-    integrated samples on any other grid.  ``validity``
+    solid-angle integrals from ``total_flux``'s Gram route: the summed
+    cross section, by exact orthonormality, on a grid of order at least
+    ``l_max``, and the Gram contraction on a coarser one.  ``validity``
     flags rows where every channel satisfies ``k R >= 1``, the stated
     domain of the distance expansion; rows below that are still computed
     but should be read as extrapolation.
@@ -578,11 +543,10 @@ def flux_profile(
     if grid is None:
         grid = default_grid(f)
     k_min = min(channels.k(label) for label in channels.labels)
-    canonical = _is_canonical_grid(grid)
-    samples = _grid_rows(f, channels, grid, r_values, canonical)
+    samples = _grid_rows(f, channels, grid, r_values)
     return FluxProfile(
         r_values=r_values,
-        total=_totals(f, channels, r_values, grid, canonical, "auto", samples),
+        total=_totals(f, channels, r_values, grid),
         diff_min=samples.min(axis=1),
         diff_max=samples.max(axis=1),
         samples=samples,

@@ -29,7 +29,7 @@ with the ``m``-dependent normalization folded in).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -597,23 +597,28 @@ def angles_from_unit(nhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """Product quadrature grid on the unit sphere.
+    """The Gauss-Legendre product grid of ``order``, at least 1, on the unit sphere.
 
-    ``order`` is the guaranteed exactness degree: the weighted sum of
-    ``conj(Y_a) * Y_b`` over the nodes equals the exact orthonormality
-    integral whenever both degrees are at most ``order``.
+    Its ``order + 1`` polar nodes, Gauss-Legendre in ``cos(theta)``,
+    integrate polar polynomials up to degree ``2*order + 1`` exactly, and
+    its ``2*order + 1`` uniform azimuths Fourier modes up to ``2*order``.
+    So ``order`` is the guaranteed exactness degree: the weighted sum of
+    ``conj(Y_a) Y_b`` over the nodes is the exact orthonormality integral
+    whenever both degrees are at most ``order``, and the weights sum to the
+    full solid angle.  The node angles and weights are the cached, read-only
+    arrays of the order, so grids are equal exactly when their orders are.
     """
 
     order: int
-    theta: np.ndarray
-    phi: np.ndarray
-    weights: np.ndarray
+    theta: np.ndarray = field(init=False, compare=False, repr=False)
+    phi: np.ndarray = field(init=False, compare=False, repr=False)
+    weights: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("theta", "phi", "weights"):
-            arr = getattr(self, name)
-            if arr.ndim != 1 or arr.shape != self.theta.shape:
-                raise ValueError("grid arrays must be matching 1-d arrays")
+        order = _integer("order", self.order, 1)
+        object.__setattr__(self, "order", order)
+        for name, array in zip(("theta", "phi", "weights"), _sphere_grid_arrays(order)):
+            object.__setattr__(self, name, array)
 
     @property
     def n_nodes(self) -> int:
@@ -685,14 +690,5 @@ def _sphere_grid_arrays(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def gauss_legendre_sphere(order: int) -> AngularGrid:
-    """Grid with ``order + 1`` polar nodes and ``2*order + 1`` azimuths.
-
-    Gauss-Legendre in ``cos(theta)`` integrates polar polynomials up to
-    degree ``2*order + 1`` exactly; the uniform azimuth rule is exact for
-    Fourier modes up to ``2*order``.  Together the rule resolves every
-    product ``conj(Y_a) Y_b`` with ``max(deg a, deg b) <= order`` exactly,
-    and the weights sum to the full solid angle.
-    """
-    order = _integer("order", order, 1)
-    theta, phi, weights = _sphere_grid_arrays(order)
-    return AngularGrid(order=order, theta=theta, phi=phi, weights=weights)
+    """``AngularGrid(order)``: ``order + 1`` polar nodes times ``2*order + 1`` azimuths."""
+    return AngularGrid(order)

@@ -302,13 +302,13 @@ def _pair_stack(l_max: int, zs) -> np.ndarray:
     come back non-finite, without a warning, and callers name the offending
     point in their terms.
     """
-    u = np.atleast_1d(0.5 / np.asarray(zs))
     if l_max == 0:
-        return np.ones((u.size, 1, 1), dtype=complex)
+        return np.ones((np.size(zs), 1, 1), dtype=complex)
     steps, weights, half_delta = _pair_rule(l_max)
-    out = np.empty((u.size, l_max + 1, l_max + 1), dtype=complex)
+    out = np.empty((np.size(zs), l_max + 1, l_max + 1), dtype=complex)
     step = max(_STACK_DISTANCES, _STACK_ENTRIES // ((l_max + 1) * weights.size))
     with np.errstate(over="ignore", invalid="ignore"):
+        u = np.atleast_1d(0.5 / np.asarray(zs))
         for start in range(0, u.size, step):
             u_block = u[start : start + step]
             factors = steps[:, None] * u_block[:, None]
@@ -338,10 +338,10 @@ def _laurent_stack(l_max: int, zs, order: int, single: bool = False) -> np.ndarr
     # the first 2**k orders reaching ``top``: 8 at l_max 100 cost 4% of all
     # 202, and a sweep over the orders builds at most twice the whole table
     table, scale = _laurent_table(l_max, min(2 * l_max + 2, max(2, 1 << top.bit_length())))
-    v = 0.5 / np.asarray(zs).reshape(-1, 1, 1) * 2.0**scale
-    out = np.empty((v.size, l_max + 1, l_max + 1), dtype=complex)
+    out = np.empty((np.size(zs), l_max + 1, l_max + 1), dtype=complex)
     out[...] = table[top] if top == order or not single else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
+        v = 0.5 / np.asarray(zs).reshape(-1, 1, 1) * 2.0**scale
         for n in range(top - 1, -1, -1):
             out *= v
             if not single:
@@ -361,15 +361,15 @@ def pair_matrix(l_max: int, z: complex) -> np.ndarray:
     within about 1e-13 of its exact value, relative to the entry.
 
     Raises ``ValueError`` for an ``l_max`` that is not a non-negative
-    integer and off the imaginary axis, where the recurrence for
-    ``P_l(-v)`` would have to run separately and is unstable, and
-    ``FluxDomainError`` where the factors overflow float64: they grow like
-    ``|2z|**-(2 l_max + 1)`` toward small ``|z|``.
+    integer, for a ``z`` that is zero or not finite, and off the imaginary
+    axis, where the recurrence for ``P_l(-v)`` would have to run separately
+    and is unstable; ``FluxDomainError`` where the factors overflow float64:
+    they grow like ``|2z|**-(2 l_max + 1)`` toward small ``|z|``.
     """
     l_max = _integer("l_max", l_max)
     z = complex(z)
-    if z == 0:
-        raise ValueError("evaluation point z = 0 is singular")
+    if not (np.isfinite(z) and z != 0):
+        raise ValueError(f"pair_matrix needs a finite, nonzero z, got z={z}")
     if z.real != 0:
         raise ValueError(
             f"pair_matrix evaluates on the imaginary axis only (z = -i k R); got z={z}"

@@ -93,6 +93,9 @@ def test_amplitude_bookkeeping(rng):
     assert dense.shape == (16,)
     assert dense[5] == f.coefficient("c1", 2, -1)
     assert f.coefficient("c0", 9, 0) == 0
+    # a degree past l_max reads zero; an (l, m) that is not a mode raises
+    with pytest.raises(ValueError, match="m must be at most 2, got 3"):
+        f.coefficient("c0", 2, 3)
 
 
 @pytest.mark.parametrize("l_max", [1, 4, 7])

@@ -165,9 +165,8 @@ def test_expansion_at_array_distances_matches_stacked_scalar_calls(order):
             route(f, cs, np.array([1.0, 0.0]), pts, order)
 
 
-def _degree_level_reference(f, cs, pts):
-    """Degree sums from the full table, with their absolute-value sums."""
-    theta, phi = angles_from_unit(pts)
+def _degree_level_reference(f, cs, theta, phi):
+    """Degree sums from the full table at ``theta, phi``, with their absolute-value sums."""
     table = ylm_table(f.l_max, theta, phi)
     starts = np.arange(f.l_max + 1) ** 2
     out = {}
@@ -186,7 +185,7 @@ def test_separable_degree_sums_match_full_table():
     for l_max in range(21):
         f = raw_amplitude(rng, cs, l_max)
         grid = gauss_legendre_sphere(max(l_max, 1))
-        reference = _degree_level_reference(f, cs, grid.points)
+        reference = _degree_level_reference(f, cs, *angles_from_unit(grid.points))
         separable = _degree_sums(f, cs, grid)
         assert [label for label, _ in separable] == list(cs.labels)
         # at l_max 0 the amplitude is zonal: one column per polar ring
@@ -207,7 +206,7 @@ def test_flux_profile_rows_match_pointwise_evaluation():
     profile = flux_profile(f, cs, r_values)
     pts = profile.grid.points
     direct = differential_flux_exact(f, cs, r_values, pts)
-    reference = _degree_level_reference(f, cs, pts)
+    reference = _degree_level_reference(f, cs, *angles_from_unit(pts))
     for i, R in enumerate(r_values):
         scale = np.zeros(pts.shape[0])
         for label in cs.labels:
@@ -277,15 +276,6 @@ def test_zonal_amplitude_contracts_once_per_polar_ring(monkeypatch):
     flux_profile(tilted, cs, np.geomspace(0.5, 50.0, 4), grid=grid)
     total_flux(tilted, cs, 2.0, grid=grid, method="pointwise")
     assert contracted == [grid.n_nodes] * 2
-    # a grid that is not canonical keeps every node
-    contracted.clear()
-    copy = AngularGrid(grid.order, grid.theta + 0.0, grid.phi + 1e-3, grid.weights.copy())
-    r_values = np.array([3.0, 0.7, 40.0])
-    profile = flux_profile(f, cs, r_values, grid=copy)
-    # the samples only: their integrals are the pointwise totals, bit for bit
-    assert contracted == [grid.n_nodes]
-    expected = [total_flux(f, cs, r, grid=copy, method="pointwise") for r in r_values]
-    np.testing.assert_array_equal(profile.total, expected)
 
 
 @pytest.mark.parametrize("l_max", range(13))
@@ -297,12 +287,12 @@ def test_ring_rows_match_pointwise_evaluation(l_max):
     profile = flux_profile(f, cs, r_values)
     grid = profile.grid
     pts = grid.points
-    # the route the ring path replaces: harmonics at the angles of every node
-    per_node = flux_module._flux_rows(
-        _degree_sums(f, cs, grid, canonical=False), cs, l_max, r_values, grid.n_nodes
-    )
     direct = differential_flux_exact(f, cs, r_values, pts)
-    reference = _degree_level_reference(f, cs, pts)
+    reference = _degree_level_reference(f, cs, *angles_from_unit(pts))
+    # the route the ring path replaces: the full harmonic table at the angles of every node
+    at_nodes = _degree_level_reference(f, cs, grid.theta, grid.phi)
+    sums = [(label, at_nodes[label][0]) for label in cs.labels]
+    per_node = flux_module._flux_rows(sums, cs, l_max, r_values, grid.n_nodes)
     for i, R in enumerate(r_values):
         scale = np.zeros(pts.shape[0])
         for label in cs.labels:
@@ -317,39 +307,6 @@ def test_ring_rows_match_pointwise_evaluation(l_max):
     # each polar ring holds one value
     rings = profile.samples.reshape(r_values.size, grid.order + 1, -1)
     assert np.array_equal(rings, np.broadcast_to(rings[:, :, :1], rings.shape))
-
-
-def test_canonical_grid_test_recognizes_the_cached_arrays(monkeypatch):
-    grid = gauss_legendre_sphere(12)
-    copy = AngularGrid(grid.order, grid.theta.copy(), grid.phi.copy(), grid.weights.copy())
-    shifted = AngularGrid(grid.order, grid.theta, grid.phi + 1e-12, grid.weights)
-    compared = []
-    real_equal = np.array_equal
-
-    def counting_equal(a, b, *args, **kwargs):
-        compared.append(a.size)
-        return real_equal(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(flux_module.np, "array_equal", counting_equal)
-    assert flux_module._is_canonical_grid(grid) and not compared
-    assert flux_module._is_canonical_grid(copy) and len(compared) == 3
-    assert not flux_module._is_canonical_grid(shifted)
-    small = AngularGrid(0, np.zeros(1), np.zeros(1), np.full(1, 4 * np.pi))
-    assert not flux_module._is_canonical_grid(small)
-
-
-def test_flux_profile_tests_the_grid_once(monkeypatch):
-    calls = []
-    real_test = flux_module._is_canonical_grid
-
-    def counting_test(grid):
-        calls.append(grid.order)
-        return real_test(grid)
-
-    monkeypatch.setattr(flux_module, "_is_canonical_grid", counting_test)
-    f, cs, _ = unitary_amplitude(2, 4, seed=41)
-    flux_profile(f, cs, np.geomspace(0.5, 50.0, 3))
-    assert calls == [default_grid(f).order]
 
 
 def test_scan_stacks_pair_factors_once_per_nonzero_channel(monkeypatch):
@@ -747,9 +704,8 @@ def test_resolved_grid_totals_equal_sigma_at_any_kr(l_max):
     k_min = min(cs.k(label) for label in cs.labels)
     for grid in (None, gauss_legendre_sphere(l_max)):
         for kR in (1e-3, 0.05, 0.2, 1.0, 7.0, 300.0):
-            for method in ("auto", "gram"):
-                value = total_flux(f, cs, kR / k_min, grid=grid, method=method)
-                assert abs(value - sigma) <= 1e-12 * sigma, (kR, method)
+            value = total_flux(f, cs, kR / k_min, grid=grid)
+            assert abs(value - sigma) <= 1e-12 * sigma, kR
 
 
 def test_resolved_totals_need_no_pair_factors():
@@ -828,6 +784,13 @@ def test_pointwise_flux_domain_error_names_kr_without_warnings():
             differential_flux_exact(f, cs, np.array([3.0, 5e-4, 1e-3]), nhat)
     message = str(info.value)
     assert "l_max=40" in message and "kR=0.001 " in message and "1.798e+308" in message
+    # at a subnormal distance 1/(2z) overflows too, without a warning on either path
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FluxDomainError, match="l_max=40, kR=1.99998e-320 "):
+            differential_flux_exact(f, cs, 1e-320, nhat)
+        with pytest.raises(FluxDomainError, match="l_max=40, kR=1.99998e-320, order=4 "):
+            differential_flux_asymptotic(f, cs, 1e-320, nhat, order=4)
 
 
 def test_total_flux_pointwise_route_moderate_kr(rng):
@@ -842,18 +805,10 @@ def test_total_flux_method_validation(rng):
     f, cs, _ = unitary_amplitude(2, 2, seed=6)
     with pytest.raises(ValueError):
         total_flux(f, cs, 1.0, method="magic")
+    with pytest.raises(ValueError, match="method must be gram or pointwise, got 'auto'"):
+        total_flux(f, cs, 1.0, method="auto")
     with pytest.raises(ValueError):
         total_flux(f, cs, 0.0)
-    # gram contraction needs the canonical product grid
-    grid = gauss_legendre_sphere(8)
-    shuffled = type(grid)(
-        order=grid.order,
-        theta=grid.theta[::-1].copy(),
-        phi=grid.phi[::-1].copy(),
-        weights=grid.weights[::-1].copy(),
-    )
-    with pytest.raises(ValueError):
-        total_flux(f, cs, 1.0, grid=shuffled, method="gram")
 
 
 def test_total_flux_warns_on_underresolved_grid(caplog):
@@ -861,14 +816,6 @@ def test_total_flux_warns_on_underresolved_grid(caplog):
     with caplog.at_level(logging.WARNING, logger="nearfield.flux"):
         total_flux(f, cs, 3.0, grid=gauss_legendre_sphere(3))
     assert any("grid order" in rec.message for rec in caplog.records)
-    # a scan on a grid that is not canonical integrates its samples, and
-    # warns once
-    grid = gauss_legendre_sphere(3)
-    shifted = AngularGrid(grid.order, grid.theta, grid.phi + 1e-3, grid.weights)
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="nearfield.flux"):
-        flux_profile(f, cs, [1.0, 3.0, 9.0], grid=shifted)
-    assert sum("grid order" in rec.message for rec in caplog.records) == 1
 
 
 def test_grid_of_order_l_max_integrates_the_pointwise_flux_exactly(caplog):
@@ -928,7 +875,7 @@ def test_flux_profile_rejects_non_finite_distances(bad):
 
 
 @pytest.mark.parametrize("bad", _BAD_DISTANCES)
-@pytest.mark.parametrize("method", ["auto", "gram", "pointwise"])
+@pytest.mark.parametrize("method", ["gram", "pointwise"])
 def test_total_flux_rejects_non_finite_distances(bad, method):
     f, cs, _ = unitary_amplitude(2, 3, seed=42)
     with pytest.raises(ValueError, match=_names(bad)):

@@ -43,9 +43,30 @@ INTEGER_PARAMETERS = {
 }
 
 
+# result records: the constructor stores the degrees a checked function was
+# given, and nothing reads them back
+RECORDS = {"IntegralCheckReport"}
+
+
+def _public_callables(module):
+    """The public functions of ``module``, and the constructor and public methods of its classes."""
+    for attr in module.__all__:
+        value = getattr(module, attr)
+        if not inspect.isclass(value):
+            if callable(value):
+                yield value
+            continue
+        if not issubclass(value, BaseException) and attr not in RECORDS:
+            yield value
+        for name, member in vars(value).items():
+            if not name.startswith("_") and inspect.isfunction(member):
+                yield member
+
+
 def test_every_integer_parameter_is_in_the_integer_table():
-    # a new public function with a degree, order or count must join the
-    # table of tests/test_wronskian.py, which holds it to the one integer rule
+    # a new public function, constructor or method with a degree, order or
+    # count must join the table of tests/test_wronskian.py, which holds it
+    # to the one integer rule
     covered = {(function, parameter) for function, parameter, *_ in INTEGER_ARGUMENTS}
     public = ["nearfield"] + [
         f"nearfield.{info.name}"
@@ -54,11 +75,7 @@ def test_every_integer_parameter_is_in_the_integer_table():
     ]
     missing = set()
     for name in public:
-        module = importlib.import_module(name)
-        for attr in module.__all__:
-            function = getattr(module, attr)
-            if not callable(function) or inspect.isclass(function):
-                continue
+        for function in _public_callables(importlib.import_module(name)):
             for parameter in inspect.signature(function).parameters:
                 if parameter in INTEGER_PARAMETERS and (function, parameter) not in covered:
                     missing.add(f"{function.__module__}.{function.__qualname__}({parameter})")

@@ -22,6 +22,7 @@ from nearfield.special import (
     _gauss_legendre,
     _legendre_table,
     _radial_table,
+    _sphere_grid_arrays,
     _ylm_point,
     _ylm_vectorized,
     angles_from_unit,
@@ -589,6 +590,20 @@ def test_default_grid_polar_nodes_keep_legendre_orthonormality(l_max):
     p = _legendre_table(l_max, x) * np.sqrt(np.arange(l_max + 1) + 0.5)[:, None]
     gram = (p * w) @ p.T
     assert np.max(np.abs(gram - np.eye(l_max + 1))) <= 2e-14
+
+
+def test_angular_grid_is_the_gauss_legendre_grid_of_its_order():
+    grid = AngularGrid(4)
+    assert grid == gauss_legendre_sphere(4) == AngularGrid(np.int64(4))
+    assert hash(grid) == hash(gauss_legendre_sphere(4)) and grid != AngularGrid(5)
+    assert type(AngularGrid(np.int64(4)).order) is int
+    # the cached, read-only arrays of the order, not copies
+    cached = _sphere_grid_arrays(4)
+    assert all(a is b for a, b in zip((grid.theta, grid.phi, grid.weights), cached))
+    assert not grid.weights.flags.writeable
+    # the order is the one input (refused orders: INTEGER_ARGUMENTS in test_wronskian.py)
+    with pytest.raises(TypeError):
+        AngularGrid(4, grid.theta, grid.phi, grid.weights)
 
 
 def test_grid_requires_positive_order():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +174,9 @@ def test_pair_factor_overflow_raises_typed_error_without_warnings(evaluate, matc
         (lambda: half_wronskian_exact(3, 0, np.array([2.0j, 0.0])), "got z=0j"),
         (lambda: wronskian_series(1, 2).evaluate(-np.inf), "got z=-inf"),
         (lambda: wronskian_series(2, 2).evaluate(np.nan, 0), "got z=nan"),
+        (lambda: pair_matrix(3, complex(0, np.nan)), r"^pair_matrix needs a finite, nonzero z, got z=nanj$"),
+        (lambda: pair_matrix(3, complex(0, np.inf)), r"got z=infj$"),
+        (lambda: pair_matrix(3, 0j), r"got z=0j$"),
     ],
 )
 def test_pair_factor_at_a_point_that_is_not_finite_names_it(evaluate, match):
@@ -184,10 +188,10 @@ def test_pair_factor_at_a_point_that_is_not_finite_names_it(evaluate, match):
     assert info.type is ValueError
 
 
-# Every integer argument of a public function, read by ``special._integer``:
-# (function, parameter, call with that argument, a valid value, its minimum).
-# ``tests/test_public_api.py`` fails for a public function whose degree,
-# order or count parameter is missing here.
+# Every integer argument of a public function, constructor or method, read by
+# ``special._integer``: (function, parameter, call with that argument, a valid
+# value, its minimum).  ``tests/test_public_api.py`` fails for a public
+# callable whose degree, order or count parameter is missing here.
 _F, _CS, _ = unitary_amplitude(2, 3, seed=5)
 _NHAT = np.array([0.6, 0.0, 0.8])
 _QUERY = greens.GreensQuery(k=1.0, R_vec=np.array([0.0, 3.0, 4.0]), x_vec=np.array([0.3, 0.0, 0.4]))
@@ -208,6 +212,11 @@ INTEGER_ARGUMENTS = [
     (special.ylm_directions, "l_max", lambda v: special.ylm_directions(v, _NHAT), 2, 0),
     (special.gauss_legendre_sphere, "order",
      lambda v: special.gauss_legendre_sphere(v).weights, 2, 1),
+    (special.AngularGrid, "order", lambda v: special.AngularGrid(v).weights, 2, 1),
+    (amplitudes.PartialWaveAmplitude.coefficient, "l", lambda v: _F.coefficient("c0", v, 1), 2, 0),
+    (amplitudes.PartialWaveAmplitude.coefficient, "m", lambda v: _F.coefficient("c0", 2, v), 1, -2),
+    (amplitudes.PartialWaveAmplitude.rows, "l_max", lambda v: _F.rows(["c0", "c1"], v), 2, 0),
+    (amplitudes.PartialWaveAmplitude.dense, "l_max", lambda v: _F.dense("c0", v), 2, 0),
     (amplitudes.apply_angular_operator, "power",
      lambda v: amplitudes.apply_angular_operator(_F, v).table, 1, 1),
     (amplitudes.h_coefficient, "s", lambda v: amplitudes.h_coefficient(_F, v).table, 2, 1),
@@ -236,6 +245,9 @@ INTEGER_ARGUMENTS = [
     (integral_representation_check, "l", lambda v: integral_representation_check(2, v, 1.5), 1, 0),
     (pair_matrix, "l_max", lambda v: pair_matrix(v, -2j), 3, 0),
     (WronskianSeries.evaluate, "n_terms", lambda v: wronskian_series(3, 1).evaluate(-2j, v), 2, 0),
+    # a series stores its degrees, and ``evaluate`` reads them
+    (WronskianSeries, "j", lambda v: replace(wronskian_series(3, 1), j=v).evaluate(-2j), 3, 0),
+    (WronskianSeries, "l", lambda v: replace(wronskian_series(3, 1), l=v).evaluate(-2j), 1, 0),
 ]
 
 
@@ -567,6 +579,11 @@ def test_pair_matrix_overflow_raises_typed_error_without_warnings():
         "pair factors at l_max=40, kR=0.001 exceed the float64 limit 1.798e+308: "
         "they grow like (2 kR)**-(2*l_max+1); raise kR or lower l_max"
     )
+    # a subnormal distance: 1/(2z) itself overflows, inside the same guard
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FluxDomainError, match="l_max=3, kR=9.99989e-321 "):
+            pair_matrix(3, -1e-320j)
 
 
 def test_laurent_coefficients_beyond_float_range_raise_typed_error():
