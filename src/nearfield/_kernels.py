@@ -1,9 +1,9 @@
 """Contraction kernels of the flux module, in NumPy.
 
 ``quadratic_form`` contracts degree sums with one pair matrix; no flux path
-calls it, and it is the reference, bit for bit, for each row of
-``flux._flux_rows``.  ``weighted_pair_sum`` is the Gram-weighted total flux
-on grids of order below ``l_max``.  Both run BLAS products.
+calls it, and it is the reference, bit for bit, for each channel's part of
+each row of ``flux._flux_rows``.  ``weighted_pair_sum`` is the Gram-weighted
+total flux on grids of order below ``l_max``.  Both run BLAS products.
 """
 
 from __future__ import annotations

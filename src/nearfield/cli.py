@@ -296,9 +296,9 @@ def _check_two_path(config: RunConfig, source: AmplitudeSource) -> float:
     r_values = np.array([0.7, 2.0, 9.0, 120.0]) / k_min
     # one set of degree sums for both paths: the rows of
     # differential_flux_exact and differential_flux_asymptotic, bit for bit
-    sums = _degree_sums(f, channels, directions)
-    exact = _flux_rows(sums, channels, f.l_max, r_values, len(directions))
-    series = _flux_rows(sums, channels, f.l_max, r_values, len(directions), order=2 * f.l_max)
+    labels, sums = _degree_sums(f, channels, directions)
+    exact = _flux_rows(labels, sums, channels, r_values)
+    series = _flux_rows(labels, sums, channels, r_values, order=2 * f.l_max)
     return float(np.max(np.abs(exact - series) / np.maximum(np.abs(exact), 1e-300)))
 
 

@@ -8,9 +8,9 @@ each degree's harmonics, ``S_l(p) = sum_m B_lm Y_lm(p)``, and then contracts
 at degree level, with one set of sums for all distances of a scan; the pair
 factors of all channels and distances come from one stacked Clenshaw-Curtis
 evaluation on the imaginary axis (``wronskian._pair_stack``), exact in
-structure and without a degree limit.  Each channel's distances are
-contracted in blocks small enough to stay off fresh pages, one batched
-product per block, and each row is the one-distance contraction bit for bit.
+structure and without a degree limit.  Channels and distances are contracted
+in blocks small enough to stay off fresh pages, one batched product per block,
+and each row is the one-channel, one-distance contractions summed, bit for bit.
 Every ``AngularGrid`` is the Gauss-Legendre product grid of its order, where
 the harmonics separate, ``Y_lm(theta_i, phi_j) = y_lm(theta_i) exp(i m
 phi_j)``, so the sums come from a table on the polar nodes alone and one
@@ -100,6 +100,13 @@ def default_grid(f: PartialWaveAmplitude) -> AngularGrid:
     return gauss_legendre_sphere(2 * f.l_max + 4)
 
 
+def _grid(f: PartialWaveAmplitude, grid) -> AngularGrid:
+    """``grid``, ``default_grid(f)`` for None; anything else raises ``TypeError``."""
+    if grid is not None and not isinstance(grid, AngularGrid):
+        raise TypeError(f"grid must be an AngularGrid, got {grid!r}: use AngularGrid(order)")
+    return default_grid(f) if grid is None else grid
+
+
 def _mode_pair_matrix(l_max: int, z: complex) -> np.ndarray:
     ls = np.asarray(mode_degrees(l_max))
     pm = pair_matrix(l_max, z)
@@ -122,12 +129,6 @@ def _real_with_hermitian_check(values: np.ndarray, scale: np.ndarray) -> np.ndar
             f"imaginary flux residue {worst:.3e} of local magnitude exceeds 1e-10"
         )
     return values.real
-
-
-def _channel_rows(f: PartialWaveAmplitude, channels: ChannelSet):
-    """``(label, coefficient row)`` of each channel with a nonzero coefficient."""
-    rows = f.rows(channels.labels)
-    return [(label, row) for label, row in zip(channels.labels, rows) if row.any()]
 
 
 def _cross_sections_per_channel(
@@ -165,127 +166,129 @@ def _degree_sums(
     f: PartialWaveAmplitude,
     channels: ChannelSet,
     directions: AngularGrid | np.ndarray,
-) -> list[tuple[str, np.ndarray]]:
-    """Degree sums ``S_l(p) = sum_m B_lm Y_lm(p)`` of each nonzero channel.
+) -> tuple[list[str], np.ndarray]:
+    """Labels of the nonzero channels, and their degree sums ``S_l(p) = sum_m B_lm
+    Y_lm(p)``, shape ``(n_channels, l_max + 1, n_points)``.
 
-    ``directions`` is a grid or an ``(n_points, 3)`` array of direction
-    vectors for ``special._ylm``; each sum array has shape ``(l_max + 1,
-    n_points)``.  On a grid, one table on the ``order + 1`` polar nodes, at
-    ``phi = 0``, serves every azimuth.  With no ``m != 0`` coefficient the
-    sums do not depend on ``phi``: they are ``B_l0`` times the ``m = 0``
-    rows of that table, one column per polar ring (``n_points = order +
-    1``).  Otherwise the table is spread into an ``(l, m)`` layout and
-    multiplied by the ``(2 l_max + 1) x n_phi`` Fourier matrix ``exp(i m
-    phi_j)``; node order is polar-major, as in the grid.  Direction arrays
-    take the table at their unit vectors, and each degree's rows are summed.
+    ``directions`` is a grid or an ``(n_points, 3)`` array of direction vectors
+    for ``special._ylm``.  On a grid, one table on the ``order + 1`` polar nodes,
+    at ``phi = 0``, serves every azimuth.  With no ``m != 0`` coefficient the sums
+    do not depend on ``phi``: they are ``B_l0`` times the ``m = 0`` rows of that
+    table, one column per polar ring (``n_points = order + 1``).  Otherwise each
+    channel's terms are spread into an ``(l, m)`` layout, one channel at a time
+    so that no layout of all channels raises the peak, and multiplied by the
+    ``(2 l_max + 1) x n_phi`` Fourier matrix ``exp(i m phi_j)``; node order is
+    polar-major, as in the grid.  Direction arrays take the table at their unit
+    vectors, and each degree's rows are summed.
     """
     l_max = f.l_max
-    channel_rows = _channel_rows(f, channels)
-    fourier = None
-    if isinstance(directions, AngularGrid):
-        n_phi = 2 * directions.order + 1
-        theta = directions.theta[::n_phi]
-        table = ylm_table(l_max, theta, np.zeros_like(theta))
-        # mode (l, m) sits at flat index l*l + l + m, slot (l, m + l_max)
-        ls = mode_degrees(l_max)
-        ms_of_mode = np.arange(ls.size) - ls * ls - ls
-        zonal = ms_of_mode == 0
-        if not any(row[~zonal].any() for _, row in channel_rows):
-            return [(label, row[zonal, None] * table[zonal]) for label, row in channel_rows]
-        ms = np.arange(-l_max, l_max + 1)
-        fourier = np.exp(1j * np.outer(ms, directions.phi[:n_phi]))
-        slots = ls * (2 * l_max + 1) + ms_of_mode + l_max
-    else:
-        table = _ylm(l_max, directions)
-    degree_starts = np.arange(l_max + 1) ** 2
-    sums = []
-    for label, row in channel_rows:
-        terms = row[:, None] * table
-        if fourier is None:
-            sums.append((label, np.add.reduceat(terms, degree_starts, axis=0)))
-            continue
-        padded = np.zeros(((l_max + 1) * (2 * l_max + 1), theta.size), dtype=complex)
-        padded[slots] = terms
-        grid_sums = padded.reshape(l_max + 1, 2 * l_max + 1, -1).transpose(0, 2, 1) @ fourier
-        sums.append((label, grid_sums.reshape(l_max + 1, -1)))
-    return sums
+    rows = f.rows(channels.labels)
+    nonzero = rows.any(axis=1)
+    labels = [label for label, keep in zip(channels.labels, nonzero) if keep]
+    rows = rows[nonzero]
+    if not isinstance(directions, AngularGrid):
+        terms = rows[:, :, None] * _ylm(l_max, directions)
+        return labels, np.add.reduceat(terms, np.arange(l_max + 1) ** 2, axis=1)
+    n_phi = 2 * directions.order + 1
+    theta = directions.theta[::n_phi]
+    table = ylm_table(l_max, theta, np.zeros_like(theta))
+    # mode (l, m) sits at flat index l*l + l + m, slot (l, m + l_max)
+    ls = mode_degrees(l_max)
+    ms_of_mode = np.arange(ls.size) - ls * ls - ls
+    zonal = ms_of_mode == 0
+    if not rows[:, ~zonal].any():
+        return labels, rows[:, zonal, None] * table[zonal]
+    fourier = np.exp(1j * np.outer(np.arange(-l_max, l_max + 1), directions.phi[:n_phi]))
+    padded = np.zeros(((l_max + 1) * (2 * l_max + 1), theta.size), dtype=complex)
+    layout = padded.reshape(l_max + 1, 2 * l_max + 1, -1).transpose(0, 2, 1)
+    slots = ls * (2 * l_max + 1) + ms_of_mode + l_max
+    sums = np.empty((len(labels), l_max + 1, theta.size * n_phi), dtype=complex)
+    for row, out in zip(rows, sums):
+        padded[slots] = row[:, None] * table
+        np.matmul(layout, fourier, out=out.reshape(l_max + 1, theta.size, n_phi))
+    return labels, sums
 
 
-# Distances are contracted in blocks whose product ``(block, l_max + 1,
-# n_points)`` has at most this many entries (128 KiB of complex128), or one
-# distance where that alone has more: at scan sizes the block buffers stay
-# under glibc's default 128 KiB mmap threshold and come from heap pages
-# already mapped (blocks of 2**14 and 2**15 entries measured no faster).
+# Blocks of channels and distances whose product has at most this many entries
+# (128 KiB of complex128): every channel and as many distances as fit, else as
+# many channels as fit at one distance, at least one.  The block buffers stay
+# under glibc's default 128 KiB mmap threshold and come from heap pages already
+# mapped (blocks of 2**14 and 2**15 entries measured no faster).
 _BLOCK_ENTRIES = 2**13
 
 
 def _flux_rows(
-    sums: list[tuple[str, np.ndarray]], channels: ChannelSet, l_max: int,
-    distances: np.ndarray, n_points: int, order: int | None = None, single: bool = False,
+    labels: list[str], sums: np.ndarray, channels: ChannelSet, distances: np.ndarray,
+    order: int | None = None, single: bool = False,
 ) -> np.ndarray:
-    """Differential flux, shape ``(n_distances, n_points)``, from degree sums.
+    """Differential flux, shape ``(n_distances, n_points)``, from ``_degree_sums``.
 
     ``weight_beta * sum_{l,j} conj(S_l) HW_lj S_j`` at ``z = -i k_beta R``, one
     matrix per channel and distance from one stacked call: the exact pair factors
     (``wronskian._pair_stack``), or with an ``order`` their distance expansion cut
     there, or with ``single`` its term of that order (``wronskian._laurent_stack``);
-    order 0, the all-ones matrix, is ``|sum_l S_l|**2``.  Distances run in blocks of
-    at most ``_BLOCK_ENTRIES`` product entries, in buffers all channels and blocks
-    share: one batched product gives the values, one of the moduli the absolute-value
-    contraction, which must be finite, and the values are asserted real against it.
-    Each row is ``_kernels.quadratic_form`` of the sums and moduli, bit for bit.
+    order 0, the all-ones matrix, is ``|sum_l S_l|**2``.  Blocks of ``_BLOCK_ENTRIES``
+    share buffers: one batched product gives the values of the block's channels, one
+    of the moduli the absolute-value contraction, which must be finite, and the values
+    are asserted real against it.  Channel groups run outermost, so a grid too large
+    for one distance of every channel keeps one channel's sums in cache.  Channel rows
+    are added in channel order: each row is the sum of ``_kernels.quadratic_form`` of
+    each channel's sums and moduli, bit for bit.
     """
-    total = np.zeros((distances.size, n_points))
-    if not sums or order == 0 and not single:
-        for label, collapsed in sums:
-            total += channels.weight(label) * np.abs(collapsed.sum(axis=0)) ** 2
+    n_channels, degrees, n_points = sums.shape
+    l_max, n = degrees - 1, distances.size
+    total = np.zeros((n, n_points))
+    k = np.array([channels.k(label) for label in labels])
+    weight = np.array([channels.weight(label) for label in labels])[:, None]
+    if order == 0 and not single or not n_channels:
+        for row in weight * np.abs(sums.sum(axis=1)) ** 2:
+            total += row
         return total
-    ks = [channels.k(label) for label, _ in sums]
-    zs = np.concatenate([-1j * k * distances for k in ks])
+    # distance-major, so that every block is a contiguous part of the stack
+    zs = -1j * (distances[:, None] * k).ravel()
     stacks = _pair_stack(l_max, zs) if order is None else _laurent_stack(l_max, zs, order, single)
-    stacks = stacks.reshape(len(sums), distances.size, l_max + 1, l_max + 1)
-    n = distances.size
-    size = min(n, max(1, _BLOCK_ENTRIES // ((l_max + 1) * max(n_points, 1))))
-    # a block of one distance is a 2-d product, cheaper per call than a
-    # stack of one: library calls at one distance, and thousands of points
-    if size <= 1:
-        blocks = range(n)
-        shape = (l_max + 1, n_points)
-    else:
-        blocks = [slice(start, start + size) for start in range(0, n, size)]
-        shape = (size, l_max + 1, n_points)
-    # buffers shared by all channels and blocks: where the sums of one
-    # channel pass the mmap threshold (a full grid at l_max 20 has 4005
-    # points), fresh arrays per channel or block fault in their pages anew
-    conj_sums = np.empty((l_max + 1, n_points), dtype=complex)
-    abs_sums = np.empty(conj_sums.shape)
-    block_products = np.empty(shape, dtype=complex)
-    block_abs_products = np.empty(shape)
-    for (label, collapsed), stack, k in zip(sums, stacks, ks):
-        np.conjugate(collapsed, out=conj_sums)
-        np.abs(collapsed, out=abs_sums)
-        weight = channels.weight(label)
-        for rows in blocks:
-            block = stack[rows]
-            # the whole buffer, or the leading part of it for a last, short block
-            products, abs_products = block_products[: len(block)], block_abs_products[: len(block)]
+    stacks = stacks.reshape(n, n_channels, degrees, degrees)
+    entries = degrees * max(n_points, 1)
+    group = max(1, min(n_channels, _BLOCK_ENTRIES // entries))
+    size = max(1, min(n, _BLOCK_ENTRIES // (group * entries)))  # 1 unless group == n_channels
+    block_products = np.empty((size, group, degrees, n_points), dtype=complex)
+    block_abs_products = np.empty(block_products.shape)
+    for first in range(0, n_channels, group):
+        part = slice(first, first + group)
+        group_sums = sums[part]
+        conj_sums, abs_sums = np.conjugate(group_sums), np.abs(group_sums)
+        for start in range(0, n, size):
+            rows = slice(start, start + size)
+            block = stacks[rows, part]
+            # the whole buffers, or their leading part for a last, short block
+            products = block_products[: len(block), : block.shape[1]]
+            abs_products = block_abs_products[: len(block), : block.shape[1]]
             with np.errstate(over="ignore", invalid="ignore"):
-                np.matmul(block, collapsed, out=products)
+                np.matmul(block, group_sums, out=products)
                 products *= conj_sums
                 np.matmul(np.abs(block), abs_sums, out=abs_products)
                 abs_products *= abs_sums
                 values, scale = products.sum(-2), abs_products.sum(-2)
             if not np.isfinite(scale).all():
-                # matrices past float64 (named at the channel's smallest such kR), or their sum
-                finite = np.isfinite(stack).all(axis=(1, 2))
-                if not finite.all():
-                    raise _pair_overflow(l_max, k * float(distances[~finite].min()), order)
-                bad = ~np.isfinite(scale.reshape(-1, n_points)).all(axis=1)
-                kr = k * float(np.atleast_1d(distances[rows])[bad].min())
-                raise FluxDomainError(f"the flux at l_max={l_max}, kR={kr:.6g} sums past the "
-                                      f"float64 limit {np.finfo(float).max:.4g}; raise kR")
-            total[rows] += weight * _real_with_hermitian_check(values, scale)
+                raise _overflow(stacks[:, part], scale, k[part], distances, rows, order)
+            weighted = weight[part] * _real_with_hermitian_check(values, scale)
+            for channel in range(weighted.shape[1]):
+                total[rows] += weighted[:, channel]
     return total
+
+
+def _overflow(stacks, scale, k, distances, rows, order) -> FluxDomainError:
+    """A block's contraction past float64: at the smallest kR of the first channel whose
+    matrices pass float64, or else of the first channel whose sum does in the block."""
+    l_max = stacks.shape[-1] - 1
+    for k_c, finite_c in zip(k, np.isfinite(stacks).all(axis=(2, 3)).T):
+        if not finite_c.all():
+            return _pair_overflow(l_max, k_c * float(distances[~finite_c].min()), order)
+    bad = ~np.isfinite(scale).all(axis=2).T
+    c = int(np.flatnonzero(bad.any(axis=1))[0])
+    kr = k[c] * float(distances[rows][bad[c]].min())
+    return FluxDomainError(f"the flux at l_max={l_max}, kR={kr:.6g} sums past the "
+                           f"float64 limit {np.finfo(float).max:.4g}; raise kR")
 
 
 def _grid_rows(
@@ -299,10 +302,8 @@ def _grid_rows(
     Ring sums of ``_degree_sums`` are contracted once per polar ring, and
     each ring's value is repeated over its azimuths.
     """
-    sums = _degree_sums(f, channels, grid)
-    n_points = sums[0][1].shape[1] if sums else grid.n_nodes
-    rows = _flux_rows(sums, channels, f.l_max, distances, n_points)
-    if n_points == grid.n_nodes:
+    rows = _flux_rows(*_degree_sums(f, channels, grid), channels, distances)
+    if rows.shape[1] == grid.n_nodes:
         return rows
     return np.repeat(rows, 2 * grid.order + 1, axis=1)
 
@@ -324,8 +325,8 @@ def _pointwise(
         raise ValueError("R must be a scalar or a 1-d array of distances")
     _check_positive(r, "distance R")
     vectors, shape = _directions(nhat)
-    sums = _degree_sums(f, channels, vectors)
-    total = _flux_rows(sums, channels, f.l_max, np.atleast_1d(r), len(vectors), order, single)
+    labels, sums = _degree_sums(f, channels, vectors)
+    total = _flux_rows(labels, sums, channels, np.atleast_1d(r), order, single)
     return total.reshape(r.shape + shape)[()]
 
 
@@ -422,8 +423,7 @@ def cross_sections(
     f: PartialWaveAmplitude, channels: ChannelSet, grid: AngularGrid | None = None
 ) -> CrossSections:
     """Channel cross sections ``weight_beta * sum |B|^2`` plus quadrature check."""
-    if grid is None:
-        grid = default_grid(f)
+    grid = _grid(f, grid)
     table = ylm_directions(f.l_max, grid.points)
     labels = channels.labels
     # row by row: each row's samples are those of ``evaluate``, bit for bit
@@ -459,7 +459,9 @@ def _totals(
         return np.full(distances.size, _summed_cross_section(f, channels))
     gram = np.ascontiguousarray(sphere_mode_gram(grid.order, l_max))
     totals = np.zeros(distances.size)
-    for label, row in _channel_rows(f, channels):
+    for label, row in zip(channels.labels, f.rows(channels.labels)):
+        if not row.any():
+            continue
         row = np.ascontiguousarray(row)
         for i, R in enumerate(distances):
             w_pairs = _mode_pair_matrix(l_max, -1j * channels.k(label) * R)
@@ -492,8 +494,7 @@ def total_flux(
     ``ValueError`` is raised.
     """
     _check_positive(np.asarray(R, dtype=float), "distance R")
-    if grid is None:
-        grid = default_grid(f)
+    grid = _grid(f, grid)
     if method not in ("gram", "pointwise"):
         raise ValueError(f"method must be gram or pointwise, got {method!r}")
     return float(_totals(f, channels, np.array([R], dtype=float), grid, method)[0])
@@ -540,8 +541,7 @@ def flux_profile(
     if r_values.ndim != 1 or r_values.size == 0:
         raise ValueError("r_values must be a non-empty 1-d array")
     _check_positive(r_values, "distance R")
-    if grid is None:
-        grid = default_grid(f)
+    grid = _grid(f, grid)
     k_min = min(channels.k(label) for label in channels.labels)
     samples = _grid_rows(f, channels, grid, r_values)
     return FluxProfile(

@@ -183,7 +183,7 @@ def flux_oracle(f, channels, R: float, nhat) -> np.ndarray:
     l_max = f.l_max
     out = np.zeros(len(nhat))
     with mp.workdps(60):
-        for label, sums in _degree_sums(f, channels, np.asarray(nhat, dtype=float)):
+        for label, sums in zip(*_degree_sums(f, channels, np.asarray(nhat, dtype=float))):
             u = mp.mpc(0.5 / complex(-1j * channels.k(label) * R))
             pairs = mp.matrix(l_max + 1, l_max + 1)
             for l in range(l_max + 1):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import re
 import warnings
 
 import numpy as np
@@ -186,13 +187,13 @@ def test_separable_degree_sums_match_full_table():
         f = raw_amplitude(rng, cs, l_max)
         grid = gauss_legendre_sphere(max(l_max, 1))
         reference = _degree_level_reference(f, cs, *angles_from_unit(grid.points))
-        separable = _degree_sums(f, cs, grid)
-        assert [label for label, _ in separable] == list(cs.labels)
+        labels, separable = _degree_sums(f, cs, grid)
+        assert labels == list(cs.labels)
         # at l_max 0 the amplitude is zonal: one column per polar ring
         n_points = grid.order + 1 if l_max == 0 else grid.n_nodes
-        for label, sums in separable:
+        assert separable.shape == (len(labels), l_max + 1, n_points)
+        for label, sums in zip(labels, separable):
             ref, scale = reference[label]
-            assert sums.shape == (l_max + 1, n_points)
             spread = np.repeat(sums, grid.n_nodes // n_points, axis=1)
             assert np.all(np.abs(spread - ref) <= 1e-13 * scale), (l_max, label)
 
@@ -223,9 +224,9 @@ def _per_distance_rows(f, cs, r_values, directions):
     the Hermiticity check per distance, the reference for the stacked pass.
     Ring sums on a grid give one value per polar ring, repeated over the
     ring's azimuths."""
-    channel_sums = _degree_sums(f, cs, directions)
-    rows = np.zeros((r_values.size, channel_sums[0][1].shape[1]))
-    for label, sums in channel_sums:
+    labels, channel_sums = _degree_sums(f, cs, directions)
+    rows = np.zeros((r_values.size, channel_sums.shape[2]))
+    for label, sums in zip(labels, channel_sums):
         for i, R in enumerate(r_values):
             w = pair_matrix(f.l_max, -1j * cs.k(label) * R)
             values = _kernels.quadratic_form(sums, w)
@@ -259,9 +260,9 @@ def test_zonal_amplitude_contracts_once_per_polar_ring(monkeypatch):
     contracted = []
     real_rows = flux_module._flux_rows
 
-    def spy_rows(sums, channels, l_max, distances, n_points):
-        contracted.append(n_points)
-        return real_rows(sums, channels, l_max, distances, n_points)
+    def spy_rows(labels, sums, channels, distances):
+        contracted.append(sums.shape[2])
+        return real_rows(labels, sums, channels, distances)
 
     monkeypatch.setattr(flux_module, "_flux_rows", spy_rows)
     f, cs, _ = unitary_amplitude(3, 6, seed=40)
@@ -291,8 +292,8 @@ def test_ring_rows_match_pointwise_evaluation(l_max):
     reference = _degree_level_reference(f, cs, *angles_from_unit(pts))
     # the route the ring path replaces: the full harmonic table at the angles of every node
     at_nodes = _degree_level_reference(f, cs, grid.theta, grid.phi)
-    sums = [(label, at_nodes[label][0]) for label in cs.labels]
-    per_node = flux_module._flux_rows(sums, cs, l_max, r_values, grid.n_nodes)
+    sums = np.array([at_nodes[label][0] for label in cs.labels])
+    per_node = flux_module._flux_rows(list(cs.labels), sums, cs, r_values)
     for i, R in enumerate(r_values):
         scale = np.zeros(pts.shape[0])
         for label in cs.labels:
@@ -759,6 +760,14 @@ def test_flux_summed_past_float64_raises_typed_error():
     with pytest.raises(FluxDomainError, match=match):
         differential_flux_asymptotic(f, cs, r_values, nhat, order=80)
     assert np.all(np.isfinite(differential_flux_asymptotic(f, cs, r_values, nhat, order=4)))
+    # a faster first channel (kR 2 and up) stays finite: the second one is named, at its kR
+    two = ChannelSet(channels=(Channel("a", 100.0), Channel("b", 1.0)), entrance="a")
+    g = f + PartialWaveAmplitude({("b", l, 0): 1e60 for l in range(41)})
+    message = re.escape(f"{match} 1.798e+308; raise kR")
+    with pytest.raises(FluxDomainError, match=f"^{message}$"):
+        differential_flux_exact(g, two, r_values, nhat)
+    with pytest.raises(FluxDomainError, match=f"^{message}$"):
+        differential_flux_asymptotic(g, two, r_values, nhat, order=80)
 
 
 def test_flux_profile_builds_no_integers(monkeypatch):
@@ -791,6 +800,15 @@ def test_pointwise_flux_domain_error_names_kr_without_warnings():
             differential_flux_exact(f, cs, 1e-320, nhat)
         with pytest.raises(FluxDomainError, match="l_max=40, kR=1.99998e-320, order=4 "):
             differential_flux_asymptotic(f, cs, 1e-320, nhat, order=4)
+    # only the second of two channels passes float64 (the first one's kR is 1 and up)
+    two = ChannelSet(channels=(Channel("a", 2000.0), Channel("b", 2.0)), entrance="a")
+    g = f + PartialWaveAmplitude({("b", 40, 0): 1.0})
+    message = re.escape(
+        "pair factors at l_max=40, kR=0.001 exceed the float64 limit 1.798e+308: they grow "
+        "like (2 kR)**-(2*l_max+1); raise kR or lower l_max"
+    )
+    with pytest.raises(FluxDomainError, match=f"^{message}$"):
+        differential_flux_exact(g, two, np.array([3.0, 5e-4, 1e-3]), nhat)
 
 
 def test_total_flux_pointwise_route_moderate_kr(rng):
@@ -809,6 +827,21 @@ def test_total_flux_method_validation(rng):
         total_flux(f, cs, 1.0, method="auto")
     with pytest.raises(ValueError):
         total_flux(f, cs, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, cs: total_flux(f, cs, 2.0, grid=8),
+        lambda f, cs: flux_profile(f, cs, [1.0], grid=8),
+        lambda f, cs: cross_sections(f, cs, 8),
+    ],
+    ids=["total_flux", "flux_profile", "cross_sections"],
+)
+def test_grid_that_is_not_an_angular_grid_raises_type_error(call):
+    f = PartialWaveAmplitude({("c0", 1, 0): 1.0})
+    with pytest.raises(TypeError, match=r"^grid must be an AngularGrid, got 8: use AngularGrid\(order\)$"):
+        call(f, channel_set(1))
 
 
 def test_total_flux_warns_on_underresolved_grid(caplog):
@@ -1077,16 +1110,27 @@ def test_optical_theorem_hard_sphere():
 # contraction blocks
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("l_max", [0, 3, 10])
-def test_flux_rows_equal_two_quadratic_forms_bitwise(l_max):
-    f, cs, _ = unitary_amplitude(3, l_max, seed=70 + l_max)
+_CHANNEL_CASES = [(l_max, c) for c in ("three", "middle-zero", "one") for l_max in (0, 3, 10)]
+
+
+@pytest.mark.parametrize(
+    "l_max, channels",
+    _CHANNEL_CASES,
+    ids=[str(l_max) if c == "three" else f"{l_max}-{c}" for l_max, c in _CHANNEL_CASES],
+)
+def test_flux_rows_equal_two_quadratic_forms_bitwise(l_max, channels):
+    f, cs, _ = unitary_amplitude(1 if channels == "one" else 3, l_max, seed=70 + l_max)
+    if channels == "middle-zero":
+        f = PartialWaveAmplitude({key: b for key, b in f.coefficients.items() if key[0] != "c1"})
     pts = np.random.default_rng(l_max).normal(size=(50, 3))
     k_min = min(cs.k(label) for label in cs.labels)
     distances = np.geomspace(0.5, 300.0, 7) / k_min
-    sums = _degree_sums(f, cs, pts)
-    rows = flux_module._flux_rows(sums, cs, l_max, distances, pts.shape[0])
+    labels, sums = _degree_sums(f, cs, pts)
+    # a zero channel has no degree sums
+    assert labels == {"three": ["c0", "c1", "c2"], "middle-zero": ["c0", "c2"], "one": ["c0"]}[channels]
+    rows = flux_module._flux_rows(labels, sums, cs, distances)
     expected = np.zeros_like(rows)
-    for label, collapsed in sums:
+    for label, collapsed in zip(labels, sums):
         stack = wronskian._pair_stack(l_max, -1j * cs.k(label) * distances)
         for i, w_pairs in enumerate(stack):
             values = _kernels.quadratic_form(collapsed, w_pairs)
@@ -1095,12 +1139,12 @@ def test_flux_rows_equal_two_quadratic_forms_bitwise(l_max):
     np.testing.assert_array_equal(rows, expected)
 
 
-def _contraction_peak(sums, cs, l_max, distances, n_points) -> tuple[int, int]:
+def _contraction_peak(labels, sums, cs, distances) -> tuple[int, int]:
     import tracemalloc
 
     tracemalloc.start()
     try:
-        rows = flux_module._flux_rows(sums, cs, l_max, distances, n_points)
+        rows = flux_module._flux_rows(labels, sums, cs, distances)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1114,34 +1158,40 @@ def test_flux_peak_memory_does_not_grow_with_distances():
     # degree sums, whose table would otherwise set the peak)
     f, cs, _ = unitary_amplitude(3, 3, seed=71)
     pts = np.random.default_rng(71).normal(size=(8000, 3))
-    sums = _degree_sums(f, cs, pts)
+    labels, sums = _degree_sums(f, cs, pts)
     differential_flux_exact(f, cs, 1.0, pts[:1])  # warm the lazy tables
-    few, row = _contraction_peak(sums, cs, 3, np.array([1.0, 7.0]), pts.shape[0])
-    many, _ = _contraction_peak(sums, cs, 3, np.geomspace(1.0, 300.0, 40), pts.shape[0])
+    few, row = _contraction_peak(labels, sums, cs, np.array([1.0, 7.0]))
+    many, _ = _contraction_peak(labels, sums, cs, np.geomspace(1.0, 300.0, 40))
     assert many <= few + row
 
 
 @pytest.mark.parametrize(
-    "l_max, n_dirs",
-    [(10, None), (10, 50), (0, 500), (10, 1000)],
-    ids=["l10-rings", "l10-dirs", "l0-dirs", "l10-one-distance-blocks"],
+    "l_max, n_dirs, n_r",
+    [(10, None, 40), (10, 50, 40), (0, 500, 40), (10, 1000, 40), (3, 50, 20), (3, 1000, 40)],
+    ids=[
+        "l10-rings", "l10-dirs", "l0-dirs", "l10-one-distance-blocks", "l3-channels-straddle",
+        "l3-channel-groups",
+    ],
 )
-def test_blocked_flux_rows_equal_per_distance_quadratic_forms_bitwise(l_max, n_dirs):
+def test_blocked_flux_rows_equal_per_distance_quadratic_forms_bitwise(l_max, n_dirs, n_r):
     f, cs, _ = unitary_amplitude(3, l_max, seed=80 + l_max)
     if n_dirs is None:
         directions = default_grid(f)  # a zonal amplitude: one point per polar ring
     else:
         directions = np.random.default_rng(l_max).normal(size=(n_dirs, 3))
-    sums = _degree_sums(f, cs, directions)
-    n_points = sums[0][1].shape[1]
+    labels, sums = _degree_sums(f, cs, directions)
+    n_points = sums.shape[2]
     k_min = min(cs.k(label) for label in cs.labels)
-    distances = np.geomspace(0.5, 300.0, 40) / k_min
-    # more than one block; 1000 points take one distance a block
-    step = max(1, flux_module._BLOCK_ENTRIES // ((l_max + 1) * n_points))
-    assert len(sums) == 3 and distances.size > step
-    rows = flux_module._flux_rows(sums, cs, l_max, distances, n_points)
+    distances = np.geomspace(0.5, 300.0, n_r) / k_min
+    # more than one block of all channels' entries.  At l_max 3 and 50 points
+    # one channel's 20 distances fit in a block and three channels' take two,
+    # the second one short; at 1000 points a block holds two channels at one
+    # distance, then one.  At l_max 10 1000 points take one channel a block.
+    step = max(1, flux_module._BLOCK_ENTRIES // (len(labels) * (l_max + 1) * n_points))
+    assert len(labels) == 3 and distances.size > step
+    rows = flux_module._flux_rows(labels, sums, cs, distances)
     expected = np.zeros_like(rows)
-    for label, collapsed in sums:
+    for label, collapsed in zip(labels, sums):
         for i, R in enumerate(distances):
             w_pairs = wronskian._pair_stack(l_max, -1j * cs.k(label) * R)[0]
             values = _kernels.quadratic_form(collapsed, w_pairs)
@@ -1173,14 +1223,13 @@ def test_flux_rows_peak_is_bounded_by_one_block(l_max):
     # whole stack (one byte per entry) passes the pair stack's own block
     # temporaries at 1000 distances at l_max 20.
     f, cs, _ = unitary_amplitude(3, l_max, seed=82)
-    sums = _degree_sums(f, cs, default_grid(f))
-    n_points = sums[0][1].shape[1]
-    flux_module._flux_rows(sums, cs, l_max, np.array([1.0]), n_points)  # warm the rule tables
+    labels, sums = _degree_sums(f, cs, default_grid(f))
+    flux_module._flux_rows(labels, sums, cs, np.array([1.0]))  # warm the rule tables
     counts = {10: (40, 160), 20: (40, 1000), 40: (40, 160, 400)}[l_max]
     excess = []
     for n in counts:
         distances = np.geomspace(1.0, 300.0, n)
-        peak, _ = _contraction_peak(sums, cs, l_max, distances, n_points)
-        excess.append(peak - len(sums) * n * (l_max + 1) ** 2 * 16)
+        peak, _ = _contraction_peak(labels, sums, cs, distances)
+        excess.append(peak - len(labels) * n * (l_max + 1) ** 2 * 16)
     for n, more in zip(counts[1:], excess[1:]):
-        assert more - excess[0] <= 32 * len(sums) * (n - counts[0]) + 64, n
+        assert more - excess[0] <= 32 * len(labels) * (n - counts[0]) + 64, n
