@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import mode_list
+from .special import _gauss_legendre, mode_list
 
 __all__ = [
     "dd_add",
@@ -153,7 +153,7 @@ def gauss_legendre_nodes_dd(n: int):
     """
     if n < 1:
         raise ValueError("need at least one node")
-    seed, _ = np.polynomial.legendre.leggauss(n)
+    seed, _ = _gauss_legendre(n)
     zeros = np.zeros_like(seed)
     x = (seed.copy(), zeros.copy())
     one = (np.ones_like(seed), zeros.copy())

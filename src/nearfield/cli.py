@@ -50,7 +50,7 @@ from .flux import (
 )
 from .greens import GreensQuery, greens_multipole, greens_point
 from .io import AmplitudeSource, ConfigError, RunConfig
-from .special import FluxDomainError, gauss_legendre_sphere, unit_from_angles
+from .special import FluxDomainError, _integer, gauss_legendre_sphere, unit_from_angles
 from .wronskian import wronskian_series
 
 __all__ = ["main"]
@@ -189,15 +189,13 @@ def _coeff_json(l: int, j: int) -> dict:
 
 def cmd_coeffs(args: SimpleNamespace) -> int:
     if args.table is not None:
-        if args.table < 0:
-            raise ConfigError("coeffs: --table degree must be non-negative")
-        pairs = [(args.table, j) for j in range(args.table + 1)]
+        table = _integer("coeffs: --table", args.table, error=ConfigError)
+        pairs = [(table, j) for j in range(table + 1)]
     else:
         if args.l is None or args.j is None:
             raise ConfigError("coeffs needs --l and --j (or --table)")
-        if args.l < 0 or args.j < 0:
-            raise ConfigError("coeffs: --l and --j must be non-negative")
-        pairs = [(args.l, args.j)]
+        l = _integer("coeffs: --l", args.l, error=ConfigError)
+        pairs = [(l, _integer("coeffs: --j", args.j, error=ConfigError))]
     if args.format == "json":
         doc = {"tables": [_coeff_json(l, j) for l, j in pairs]}
         text = json.dumps(doc, indent=2) + "\n"

@@ -6,7 +6,7 @@ every other through the exact radial pair factors of ``wronskian``.  Those
 factors depend only on the two degrees, so the pointwise path first sums
 each degree's harmonics, ``S_l(p) = sum_m B_lm Y_lm(p)``, and then contracts
 at degree level, with one set of sums for all distances of a scan; the pair
-factors of all channels and distances come from one stacked Clenshaw-Curtis
+factors of all channels and distances come from one stacked Gauss-Legendre
 evaluation on the imaginary axis (``wronskian._pair_stack``), exact in
 structure and without a degree limit.  Channels and distances are contracted
 in blocks small enough to stay off fresh pages, one batched product per block,

@@ -632,7 +632,7 @@ class AngularGrid:
     def integrate(self, values: np.ndarray) -> complex | float:
         """Weighted sum of per-node samples (last axis runs over nodes)."""
         values = np.asarray(values)
-        if values.shape[-1] != self.n_nodes:
+        if values.shape[-1:] != (self.n_nodes,):
             raise ValueError("sample count does not match grid")
         out = values @ self.weights
         return out if np.ndim(out) else out[()]

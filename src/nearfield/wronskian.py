@@ -37,8 +37,8 @@ The exact flux builds no integers.  The correction is the integral
     HW - 1 = delta * int_0^u P_l(-t) P_j(t) dt = delta * u * int_0^1 P_l(-u x) P_j(u x) dx,
 
 whose integrand is a polynomial of degree at most ``2 l_max``, so the
-``2 l_max + 1`` point Clenshaw-Curtis rule integrates it exactly (Trefethen,
-SIAM Rev. 50, 2008).  On the imaginary axis, where the flux pairs its
+``l_max + 1`` point Gauss-Legendre rule of the sphere grids, mapped to
+``[0, 1]``, integrates it exactly.  On the imaginary axis, where the flux pairs its
 modes (``z = -i k r``), ``P_l(-v) = conj(P_l(v))``, and the pair matrix of
 one distance is one Hermitian product of the table of ``P_l`` at the nodes
 (``_pair_stack``), without a degree limit.
@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import FluxDomainError, _integer, chi_terms
+from .special import FluxDomainError, _gauss_legendre, _integer, chi_terms
 
 __all__ = [
     "IntegralCheckReport",
@@ -248,23 +248,16 @@ def wronskian_series(j: int, l: int) -> WronskianSeries:
 
 @lru_cache(maxsize=32)
 def _pair_rule(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recurrence steps, quadrature weights and half degree gaps for ``l_max >= 1``.
+    """Recurrence steps, quadrature weights and half degree gaps.
 
-    The rule is the ``2 l_max + 1`` point Clenshaw-Curtis rule on ``[0, 1]``,
-    nodes ``x_k = sin(k pi / (4 l_max))**2``, exact for polynomials of degree
-    ``2 l_max``; its weights are the closed cosine sums (Waldvogel, BIT 46,
-    2006) for an even number ``n = 2 l_max`` of panels.  ``steps[l] = 2 (2l+1)
-    x_k`` are the node factors of the ``P_l`` recurrence, and ``half_delta[l,
-    j] = (j(j+1) - l(l+1)) / 2``.
+    The rule is the ``l_max + 1`` point Gauss-Legendre rule of
+    ``special._gauss_legendre`` mapped to ``[0, 1]``, nodes ``x_k = (1 +
+    t_k) / 2`` and weights ``w_k / 2``, exact for polynomials of degree
+    ``2 l_max + 1``.  ``steps[l] = 2 (2l+1) x_k`` are the node factors of
+    the ``P_l`` recurrence, and ``half_delta[l, j] = (j(j+1) - l(l+1)) / 2``.
     """
-    n = 2 * l_max
-    k = np.arange(n + 1)
-    nodes = np.sin(k * np.pi / (2 * n)) ** 2
-    j = np.arange(1, l_max + 1)
-    b = np.where(j == l_max, 1.0, 2.0) / (4 * j * j - 1)
-    weights = (1.0 - b @ np.cos(2 * np.pi / n * np.outer(j, k))) / (2 * n)
-    weights[1:-1] *= 2.0
-    weights[[0, -1]] = 0.5 / (n * n - 1)
+    t, w = _gauss_legendre(l_max + 1)
+    nodes, weights = 0.5 * (1.0 + t), 0.5 * w
     steps = (4 * np.arange(l_max) + 2.0)[:, None] * nodes
     degrees = np.arange(l_max + 1) * np.arange(1, l_max + 2)
     half_delta = 0.5 * (degrees - degrees[:, None])
@@ -277,7 +270,7 @@ def _pair_rule(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # at most this many entries (64 KiB of complex128), so that the table and
 # its temporaries stay under glibc's default 128 KiB mmap threshold and a
 # block reuses heap pages instead of faulting in fresh ones.  A block keeps
-# at least _STACK_DISTANCES distances, though: from l_max 16 on the entry
+# at least _STACK_DISTANCES distances, though: from l_max 22 on the entry
 # bound would allow fewer, and such small blocks pay the 2 l_max calls of
 # the recurrence more often than they save page faults (measured in forked
 # processes at l_max 10 to 75).
@@ -291,7 +284,7 @@ def _pair_stack(l_max: int, zs) -> np.ndarray:
     ``zs`` is one nonzero point on the imaginary axis or a 1-d array of
     them.  With ``u = 1/(2z)``, ``HW_lj = 1 + delta_lj u G_lj`` and ``G_lj =
     int_0^1 P_l(-u x) P_j(u x) dx``, whose integrand is a polynomial of
-    degree at most ``2 l_max``: the Clenshaw-Curtis rule of ``_pair_rule``
+    degree at most ``2 l_max``: the Gauss-Legendre rule of ``_pair_rule``
     integrates it exactly.  The ``P_l(u x_k)`` come from the upward
     recurrence ``P_{l+1} = P_{l-1} + 2 (2l+1) u x_k P_l``, ``P_{-1} = P_0 =
     1``, and on the axis ``P_l(-v) = conj(P_l(v))``, so ``G = P^H diag(w)
@@ -302,8 +295,6 @@ def _pair_stack(l_max: int, zs) -> np.ndarray:
     come back non-finite, without a warning, and callers name the offending
     point in their terms.
     """
-    if l_max == 0:
-        return np.ones((np.size(zs), 1, 1), dtype=complex)
     steps, weights, half_delta = _pair_rule(l_max)
     out = np.empty((np.size(zs), l_max + 1, l_max + 1), dtype=complex)
     step = max(_STACK_DISTANCES, _STACK_ENTRIES // ((l_max + 1) * weights.size))
@@ -356,7 +347,7 @@ def pair_matrix(l_max: int, z: complex) -> np.ndarray:
     mode.  ``z`` is a nonzero scalar on the imaginary axis, where the flux
     evaluates the factors (``z = -i k R``); there the matrix is Hermitian
     bit for bit and its diagonal is exactly 1.  This is the one-point case of
-    the stacked Clenshaw-Curtis evaluation that flux scans use for all
+    the stacked Gauss-Legendre evaluation that flux scans use for all
     distances at once; it has no degree limit of its own.  Each entry is
     within about 1e-13 of its exact value, relative to the entry.
 

@@ -70,6 +70,10 @@ def test_channel_set_rejects_bad_configuration():
         ChannelSet(
             channels=(Channel("a", 1.0),), entrance="a", weight_mode="velocity_ratio"
         )
+    with pytest.raises(ValueError, match="channel set must not be empty"):
+        ChannelSet(channels=(), entrance="a")
+    with pytest.raises(ValueError, match="weight_mode must be one of .*, got 'flat'"):
+        ChannelSet(channels=(Channel("a", 1.0),), entrance="a", weight_mode="flat")
 
 
 def test_with_entrance():
@@ -238,6 +242,10 @@ def test_amplitude_rejects_invalid_modes():
         PartialWaveAmplitude({("a", -1, 0): 1.0})
     with pytest.raises(ValueError):
         PartialWaveAmplitude({("a", 1, 2): 1.0})
+    with pytest.raises(ValueError, match=re.escape("key ('a', 1) is not (exit label, l, m)")):
+        PartialWaveAmplitude({("a", 1): 1.0})
+    with pytest.raises(ValueError, match=re.escape("coefficient at ('a', 0, 0) is not finite")):
+        PartialWaveAmplitude({("a", 0, 0): float("nan")})
 
 
 def test_amplitude_keys_follow_the_integer_rule():
@@ -276,6 +284,9 @@ def test_evaluate_single_mode():
         (1.7 - 0.4j) * sph_harm(2, 1, nhat), rel=1e-14
     )
     assert evaluate(f, "b", nhat) == 0
+    # with a channel set, the exit label must be one of its channels
+    with pytest.raises(KeyError, match="nope"):
+        evaluate(f, "nope", nhat, channel_set(2))
 
 
 # ----------------------------------------------------------------------
@@ -559,6 +570,9 @@ def test_hard_sphere_model_rejects_ka_outside_float_range():
     for k, a in ((1e200, 1e200), (1e-200, 1e-200)):
         with pytest.raises(ValueError, match="k\\*a"):
             hard_sphere_model(k, a, 4)
+    for k, a in ((-1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="k and a must be positive"):
+            hard_sphere_model(k, a, 2)
 
 
 def test_amplitudes_from_smatrix_rejects_nonunitary():
@@ -572,6 +586,8 @@ def test_amplitudes_from_smatrix_rejects_nonunitary():
     assert math.isnan(poisoned.unitarity_defect())
     with pytest.raises(ValueError):
         amplitudes_from_smatrix(poisoned, cs)
+    with pytest.raises(ValueError, match="model channel count does not match channel set"):
+        amplitudes_from_smatrix(model, channel_set(3))
 
 
 def test_identity_smatrix_gives_empty_amplitude():

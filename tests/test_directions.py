@@ -159,3 +159,8 @@ def test_ylm_table_rejects_non_finite_angles(which, angle):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"angle {which} must be finite, got {angle}"):
             ylm_table(4, angles["theta"], angles["phi"])
+
+
+def test_ylm_table_rejects_angles_of_different_shapes():
+    with pytest.raises(ValueError, match="theta and phi must have matching shapes"):
+        ylm_table(2, np.zeros(3), np.zeros(2))

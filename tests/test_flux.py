@@ -947,6 +947,13 @@ def test_unitarity_defect_family_vs_scaled():
     assert unitarity_defect(scaled_family, cs) > 1e-2
 
 
+def test_unitarity_defect_of_a_zero_amplitude_is_zero():
+    # no bilinear to normalize by: a zero amplitude satisfies the identity exactly
+    _, cs, _ = unitary_amplitude(2, 2, seed=31)
+    assert unitarity_defect(PartialWaveAmplitude(), cs, kappa_hats=[(0.0, 0.0, 1.0)]) == 0.0
+    assert unitarity_defect(lambda entrance, kappa_hat: PartialWaveAmplitude(), cs) == 0.0
+
+
 def test_unitarity_defect_propagates_nan(monkeypatch):
     _, cs, family = unitary_amplitude(2, 2, seed=31)
     real_table = flux_module._ylm

@@ -187,6 +187,20 @@ def test_integer_fields_share_the_integer_rule_of_calls(tmp_path):
             resolve_amplitude(load_config(_write_config(tmp_path, doc)))
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"amplitude": {"model": "hard_sphere", "label": ""}},
+         "hard_sphere model: label must be a non-empty string"),
+        ({"weight_mode": "velocity_ratio", "amplitude": {"model": "random_unitary"}},
+         "random_unitary model: velocity_ratio weighting needs velocities"),
+    ],
+)
+def test_resolve_amplitude_names_the_model_in_its_config_error(tmp_path, doc, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        resolve_amplitude(load_config(_write_config(tmp_path, doc)))
+
+
 def test_load_amplitude_missing_file(tmp_path):
     with pytest.raises(AmplitudeDataError):
         load_amplitude(tmp_path / "nope.json")
@@ -250,6 +264,7 @@ def test_load_config_schedules_and_overrides(tmp_path):
     "doc",
     [
         {"mystery": 1},
+        [1, 2],
         {"r_values": [1.0], "r_range": {"min": 1, "max": 2, "points": 2}},
         {"r_values": []},
         {"r_values": [2.0, 1.0]},
@@ -261,6 +276,7 @@ def test_load_config_schedules_and_overrides(tmp_path):
         {"r_range": {"min": "1.0", "max": 2, "points": 3}},
         {"r_range": {"min": 1, "max": 2, "points": 3.9}},
         {"r_range": {"min": 1, "max": 2}},
+        {"r_range": [1, 2]},
         {"r_range": {"min": 1, "max": 2, "points": 2, "spacing": "cubic"}},
         {"r_range": {"min": 2, "max": 1, "points": 2}},
         {"r_range": {"min": 1, "max": 2, "points": 1}},
@@ -900,6 +916,17 @@ def test_cli_check_all_on_amplitude_file(tmp_path, capsys):
     assert lines[-1] == "# amplitude: file:amp.json"
 
 
+def test_cli_check_conservation_of_a_zero_amplitude(tmp_path, capsys):
+    # no scattering: the cross section is 0, and so is the defect
+    cs = ChannelSet(channels=(Channel("a", 1.0), Channel("b", 0.8)), entrance="a")
+    save_amplitude(tmp_path / "amp.json", PartialWaveAmplitude(), cs)
+    cfg = _write_config(tmp_path, {"amplitude": {"file": "amp.json"}})
+    assert cli.main(["check", "conservation", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "check conservation: defect=0.000e+00 tol=1.000e-09 PASS"
+    )
+
+
 def test_cli_check_all_passes_at_degree_twelve(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -1086,9 +1113,11 @@ def test_cli_bare_table_means_three():
 def test_cli_negative_degree_reaches_the_config_error(capsys):
     assert cli._parse(["coeffs", "--l", "-1", "--j", "0"]).l == -1
     assert cli.main(["coeffs", "--l", "-1", "--j", "0"]) == 2
-    assert capsys.readouterr().err.startswith("config error: coeffs: --l and --j")
+    assert capsys.readouterr().err == "config error: coeffs: --l must be non-negative, got -1\n"
+    assert cli.main(["coeffs", "--l", "1", "--j", "-3"]) == 2
+    assert capsys.readouterr().err == "config error: coeffs: --j must be non-negative, got -3\n"
     assert cli.main(["coeffs", "--table", "-2"]) == 2
-    assert capsys.readouterr().err.startswith("config error: coeffs: --table")
+    assert capsys.readouterr().err == "config error: coeffs: --table must be non-negative, got -2\n"
 
 
 def test_cli_repeated_option_takes_its_last_value():

@@ -547,6 +547,10 @@ def test_grid_integrates_smooth_function():
     x, y, z = grid.points.T
     assert grid.integrate(x**2 + y**2 + z**2) == pytest.approx(4 * np.pi, rel=1e-14)
     assert grid.integrate(z**2) == pytest.approx(4 * np.pi / 3, rel=1e-13)
+    # the last axis runs over the nodes: a scalar has none
+    for samples in (3.0, np.ones(grid.n_nodes - 1), np.ones((grid.n_nodes, 2))):
+        with pytest.raises(ValueError, match="sample count does not match grid"):
+            grid.integrate(samples)
 
 
 def _gauss_legendre_reference(n, nodes):

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from nearfield import amplitudes, flux, greens, special, wronskian
-from nearfield.special import FluxDomainError
+from nearfield.special import FluxDomainError, _gauss_legendre
 from nearfield.wronskian import (
     _STACK_ENTRIES,
     WronskianSeries,
     _laurent_stack,
+    _pair_rule,
     _pair_stack,
     half_wronskian_exact,
     integral_representation_check,
@@ -523,6 +524,20 @@ def test_pair_stack_equals_pointwise_pair_matrix_bitwise():
             assert np.array_equal(stack[i].view(np.uint64), mat.view(np.uint64)), (l_max, i)
 
 
+@pytest.mark.parametrize("l_max", [0, 1, 5, 20, 75, 100])
+def test_pair_rule_integrates_every_degree_of_the_pair_integrand(l_max):
+    # the pair integrand has degree at most 2 l_max; the rule, the Gauss-Legendre
+    # rule of l_max + 1 nodes on [0, 1], is exact through 2 l_max + 1.  Each
+    # node's rounding moves x**p by up to p/2 ulp, hence the bound in p
+    steps, weights, _ = _pair_rule(l_max)
+    nodes = 0.5 * (1.0 + _gauss_legendre(l_max + 1)[0])
+    assert weights.shape == nodes.shape == (l_max + 1,)
+    assert np.array_equal(steps, (4.0 * np.arange(l_max) + 2.0)[:, None] * nodes)
+    for p in range(2 * l_max + 2):
+        exact = 1.0 / (p + 1)
+        assert abs(weights @ nodes**p - exact) <= (4 + p) * np.spacing(exact), (l_max, p)
+
+
 def test_pair_matrix_is_hermitian_bitwise_on_imaginary_axis():
     for l_max in range(21):
         for kr in (0.3, 0.7, 2.0, 13.0, 900.0):
@@ -555,6 +570,12 @@ def test_integral_representation_diagonal_trivial():
     report = integral_representation_check(3, 3, 1.5)
     assert report.closed_form == pytest.approx(1.0, rel=1e-14)
     assert abs(report.difference) < 1e-12
+
+
+@pytest.mark.parametrize("z", [-1.0, 0.0, float("nan")])
+def test_integral_representation_needs_positive_z(z):
+    with pytest.raises(ValueError, match="requires real z > 0"):
+        integral_representation_check(1, 0, z)
 
 
 def test_integral_representation_without_scipy_names_it(monkeypatch):
