@@ -74,7 +74,10 @@ class ChannelSet:
 
     ``weight(label)`` returns the factor multiplying ``|f|^2`` quantities for
     that exit channel: ``k_exit / k_entrance`` for ``momentum_ratio`` or the
-    same ratio of stored velocities for ``velocity_ratio``.
+    same ratio of stored velocities for ``velocity_ratio``.  The labels, the
+    wavenumbers and the weights are computed once, at construction, and kept
+    in channel order: ``k(label)`` and ``weight(label)`` read them by label,
+    and the flux kernels read whole read-only arrays of them.
     """
 
     channels: tuple[Channel, ...]
@@ -84,31 +87,46 @@ class ChannelSet:
     def __post_init__(self) -> None:
         if not self.channels:
             raise ValueError("channel set must not be empty")
-        labels = [c.label for c in self.channels]
-        if len(set(labels)) != len(labels):
+        labels = tuple(c.label for c in self.channels)
+        index = {label: i for i, label in enumerate(labels)}
+        if len(index) != len(labels):
             raise ValueError("channel labels must be unique")
-        if self.entrance not in labels:
+        if self.entrance not in index:
             raise ValueError(f"entrance channel {self.entrance!r} not present")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(
                 f"weight_mode must be one of {WEIGHT_MODES}, got {self.weight_mode!r}"
             )
+        ref = self.channels[index[self.entrance]]
         if self.weight_mode == "velocity_ratio":
             missing = [c.label for c in self.channels if c.velocity is None]
             if missing:
                 raise ValueError(
                     f"velocity_ratio weighting needs velocities for {missing}"
                 )
+            weights = [c.velocity / ref.velocity for c in self.channels]
+        else:
+            weights = [c.k / ref.k for c in self.channels]
+        ks = np.array([c.k for c in self.channels], dtype=float)
+        weights = np.array(weights, dtype=float)
+        ks.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_ks", ks)
+        object.__setattr__(self, "_weights", weights)
+
+    def _position(self, label: str) -> int:
+        try:
+            return self._index[label]
+        except KeyError:
+            raise KeyError(f"unknown channel {label!r}") from None
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(c.label for c in self.channels)
+        return self._labels
 
     def channel(self, label: str) -> Channel:
-        for c in self.channels:
-            if c.label == label:
-                return c
-        raise KeyError(f"unknown channel {label!r}")
+        return self.channels[self._position(label)]
 
     def k(self, label: str) -> float:
         return self.channel(label).k
@@ -118,11 +136,7 @@ class ChannelSet:
         return self.channel(self.entrance)
 
     def weight(self, label: str) -> float:
-        ref = self.entrance_channel
-        ch = self.channel(label)
-        if self.weight_mode == "velocity_ratio":
-            return ch.velocity / ref.velocity
-        return ch.k / ref.k
+        return float(self._weights[self._position(label)])
 
     def with_entrance(self, label: str) -> "ChannelSet":
         """Same channels and weighting, different entrance."""
@@ -457,15 +471,14 @@ def _require_unitary(model: SMatrixModel, channels: ChannelSet, tolerance: float
 
 
 def _smatrix_tables(
-    model: SMatrixModel, channels: ChannelSet, entrances, directions: np.ndarray
+    model: SMatrixModel, channels: ChannelSet, entrances, table: np.ndarray
 ) -> np.ndarray:
     """Coefficient tables past the gate, shape ``(entrances, directions, labels, modes)``.
 
-    One harmonic table at the ``(n, 3)`` incident ``directions`` and one array
-    expression for every entrance label and direction: each table has the
-    bits of a call with its pair alone.
+    ``table`` is ``_ylm(model.l_max, directions)`` at the ``(n, 3)`` incident
+    directions, and one array expression serves every entrance label and
+    direction: each table has the bits of a call with its pair alone.
     """
-    table = _ylm(model.l_max, directions)
     labels = channels.labels
     idx_in = np.array([labels.index(e) for e in entrances])
     # (S_l - 1)[beta, entrance] on every mode of degree l
@@ -480,8 +493,8 @@ def _smatrix_tables(
 
 def _smatrix_amplitude(model: SMatrixModel, channels: ChannelSet, kappa_hat):
     """``amplitudes_from_smatrix`` past its gate: the table from one array expression."""
-    direction = _directions(kappa_hat, one="kappa_hat")[0]
-    values = _smatrix_tables(model, channels, [channels.entrance], direction)[0, 0]
+    table = _ylm(model.l_max, _directions(kappa_hat, one="kappa_hat")[0])
+    values = _smatrix_tables(model, channels, [channels.entrance], table)[0, 0]
     return PartialWaveAmplitude._from_table(channels.labels, values)
 
 
@@ -506,19 +519,23 @@ def smatrix_amplitude_family(
     def family(entrance: str, kappa_hat) -> PartialWaveAmplitude:
         return _smatrix_amplitude(model, channels.with_entrance(entrance), kappa_hat)
 
-    def rows(labels, entrances, directions) -> np.ndarray:
+    def rows(labels, entrances, directions) -> tuple[np.ndarray, np.ndarray]:
         """``family(e, d).rows(labels, l_max)`` for every ``e`` and every row
         ``d`` of the ``(n, 3)`` array ``directions``, shape ``(entrances * n,
         labels, modes)``, entrance-major, with ``l_max`` the largest of those
-        amplitudes; from one harmonic table."""
-        tables = _smatrix_tables(model, channels, entrances, directions)
+        amplitudes; and the harmonic table they come from, cut to the same
+        modes, ``_ylm(l_max, directions)`` bit for bit (a degree's rows do not
+        depend on the table's ``l_max``)."""
+        table = _ylm(model.l_max, directions)
+        tables = _smatrix_tables(model, channels, entrances, table)
         tables[tables == 0] = 0  # +0, as PartialWaveAmplitude stores it
         used = np.flatnonzero(tables.any(axis=(0, 1, 2)))
         n_modes = (math.isqrt(int(used[-1])) + 1) ** 2 if used.size else 1
         padded = np.zeros((*tables.shape[:2], tables.shape[2] + 1, n_modes), dtype=complex)
         padded[:, :, :-1] = tables[..., :n_modes]  # row -1 stays zero, for absent labels
         index = [channels.labels.index(b) if b in channels.labels else -1 for b in labels]
-        return np.ascontiguousarray(padded[:, :, index].reshape(-1, len(labels), n_modes))
+        out = np.ascontiguousarray(padded[:, :, index].reshape(-1, len(labels), n_modes))
+        return out, table[:n_modes]
 
     family._rows = rows
     return family

@@ -108,7 +108,7 @@ def cmd_flux(config: RunConfig) -> int:
         "cross_section_total": far,
     }
     r_values = profile.r_values.tolist()
-    kr = np.multiply.outer(profile.r_values, [source.channels.k(label) for label in labels])
+    kr = np.multiply.outer(profile.r_values, source.channels._ks)
     columns = ("total_flux", "differential_min", "differential_max")
     values = np.column_stack([profile.total, profile.diff_min, profile.diff_max]).tolist()
     nodes = list(zip(grid.theta.tolist(), grid.phi.tolist())) if config.per_angle else []
@@ -266,7 +266,7 @@ def _check_conservation(config: RunConfig, source: AmplitudeSource) -> float:
     sigma = _check_scale(source.f, source.channels)
     if sigma == 0.0:
         return 0.0
-    k_min = min(source.channels.k(label) for label in source.channels.labels)
+    k_min = source.channels._ks.min()
     r_values = config.r_values
     if r_values is None:
         r_values = np.geomspace(0.2, 200.0, 7) / k_min
@@ -287,7 +287,7 @@ def _check_two_path(config: RunConfig, source: AmplitudeSource) -> float:
     f, channels = source.f, source.channels
     # the relative gaps below would read 0 where every flux underflows
     _check_scale(f, channels)
-    k_min = min(channels.k(label) for label in channels.labels)
+    k_min = channels._ks.min()
     directions = unit_from_angles(
         np.array([0.0, 1.1, 2.0, 2.9]), np.array([0.0, 0.7, 3.9, 5.2])
     )

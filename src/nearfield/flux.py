@@ -24,7 +24,10 @@ order ``2 l_max``, where the two paths must agree to rounding; their
 agreement (and controlled disagreement below that order) is the main
 scientific claim this package exists to check.  One kernel, ``_flux_rows``,
 contracts both, at a scalar or a 1-d array of distances, from degree sums
-they can share.
+they can share.  A lone pointwise call is mostly fixed cost, so the kernel
+reads the channel set's stored wavenumbers and weights (``ChannelSet``
+computes them once), and its finiteness and Hermiticity tests count bad
+entries with ``np.count_nonzero`` instead of reducing over them.
 
 Totals need care: at small ``kR`` the pointwise integrand can exceed its own
 integral by many orders of magnitude, so totals are not taken from it where
@@ -33,17 +36,19 @@ the grid allows otherwise.  A grid of order at least ``l_max`` integrates
 ``sum_beta weight_beta sum_l (sum_m |B_lm|**2) HW_ll``, and the diagonal
 pair factor ``HW_ll`` is exactly 1 at every distance: the total is the summed
 cross section, exact at any ``kR`` and without a pair factor evaluated.
-Only an under-resolved grid (order below ``l_max``) contracts the pair
-factors against the sphere Gram matrix precomputed in double-double
-arithmetic (see ``_dd``); there the Gram's own rounding noise (about 1e-31)
-is multiplied by pair factors that grow like ``(kR)**-(2 l_max + 1)``.
+The default grid is resolved by construction, so ``total_flux`` without a
+grid returns that sum and builds no grid.  Only an under-resolved grid
+(order below ``l_max``) contracts the pair factors against the sphere Gram
+matrix precomputed in double-double arithmetic (see ``_dd``); there the
+Gram's own rounding noise (about 1e-31) is multiplied by pair factors that
+grow like ``(kR)**-(2 l_max + 1)``.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -123,7 +128,7 @@ def _real_with_hermitian_check(values: np.ndarray, scale: np.ndarray) -> np.ndar
     residue = np.abs(values.imag)
     floor = 1e-300
     bad = residue > 1e-10 * (scale + floor)
-    if bad.any():
+    if np.count_nonzero(bad):
         worst = float(np.max(residue / (scale + floor)))
         raise FluxHermiticityError(
             f"imaginary flux residue {worst:.3e} of local magnitude exceeds 1e-10"
@@ -131,16 +136,14 @@ def _real_with_hermitian_check(values: np.ndarray, scale: np.ndarray) -> np.ndar
     return values.real
 
 
-def _cross_sections_per_channel(
-    f: PartialWaveAmplitude, channels: ChannelSet
-) -> dict[str, float]:
-    """``weight_beta * sum |B|**2`` per label, exact by orthonormality."""
-    sums = np.sum(np.abs(f.rows(channels.labels)) ** 2, axis=1)
-    return {label: float(channels.weight(label) * s) for label, s in zip(channels.labels, sums)}
+def _cross_sections_per_channel(f: PartialWaveAmplitude, channels: ChannelSet) -> np.ndarray:
+    """``weight_beta * sum |B|**2`` in channel order, exact by orthonormality."""
+    return channels._weights * np.sum(np.abs(f.rows(channels.labels)) ** 2, axis=1)
 
 
 def _summed_cross_section(f: PartialWaveAmplitude, channels: ChannelSet) -> float:
-    return float(sum(_cross_sections_per_channel(f, channels).values()))
+    """The channel cross sections added in channel order, as Python's ``sum`` adds them."""
+    return float(sum(_cross_sections_per_channel(f, channels).tolist()))
 
 
 def _check_scale(f: PartialWaveAmplitude, channels: ChannelSet) -> float:
@@ -182,13 +185,12 @@ def _degree_sums(
     vectors, and each degree's rows are summed.
     """
     l_max = f.l_max
-    rows = f.rows(channels.labels)
-    nonzero = rows.any(axis=1)
-    labels = [label for label, keep in zip(channels.labels, nonzero) if keep]
-    rows = rows[nonzero]
+    # an amplitude keeps a table row for each exit label with a nonzero coefficient
+    labels = [label for label in channels.labels if label in f.exit_labels]
+    rows = f.rows(labels)
     if not isinstance(directions, AngularGrid):
         terms = rows[:, :, None] * _ylm(l_max, directions)
-        return labels, np.add.reduceat(terms, np.arange(l_max + 1) ** 2, axis=1)
+        return labels, np.add.reduceat(terms, _degree_starts(l_max), axis=1)
     n_phi = 2 * directions.order + 1
     theta = directions.theta[::n_phi]
     table = ylm_table(l_max, theta, np.zeros_like(theta))
@@ -207,6 +209,14 @@ def _degree_sums(
         padded[slots] = row[:, None] * table
         np.matmul(layout, fourier, out=out.reshape(l_max + 1, theta.size, n_phi))
     return labels, sums
+
+
+@lru_cache(maxsize=None)
+def _degree_starts(l_max: int) -> np.ndarray:
+    """Flat position ``l*l`` of each degree's first mode: the segments of one degree's sum."""
+    starts = np.arange(l_max + 1) ** 2
+    starts.flags.writeable = False
+    return starts
 
 
 # Blocks of channels and distances whose product has at most this many entries
@@ -238,8 +248,8 @@ def _flux_rows(
     n_channels, degrees, n_points = sums.shape
     l_max, n = degrees - 1, distances.size
     total = np.zeros((n, n_points))
-    k = np.array([channels.k(label) for label in labels])
-    weight = np.array([channels.weight(label) for label in labels])[:, None]
+    at = [channels._index[label] for label in labels]
+    k, weight = channels._ks[at], channels._weights[at][:, None]
     if order == 0 and not single or not n_channels:
         for row in weight * np.abs(sums.sum(axis=1)) ** 2:
             total += row
@@ -268,12 +278,13 @@ def _flux_rows(
                 products *= conj_sums
                 np.matmul(np.abs(block), abs_sums, out=abs_products)
                 abs_products *= abs_sums
-                values, scale = products.sum(-2), abs_products.sum(-2)
-            if not np.isfinite(scale).all():
+                values, scale = np.add.reduce(products, -2), np.add.reduce(abs_products, -2)
+            if np.count_nonzero(np.isfinite(scale)) < scale.size:
                 raise _overflow(stacks[:, part], scale, k[part], distances, rows, order)
             weighted = weight[part] * _real_with_hermitian_check(values, scale)
-            for channel in range(weighted.shape[1]):
-                total[rows] += weighted[:, channel]
+            block_total = total[rows]
+            for row in weighted.transpose(1, 0, 2):  # channel by channel
+                block_total += row
     return total
 
 
@@ -428,9 +439,10 @@ def cross_sections(
     labels = channels.labels
     # row by row: each row's samples are those of ``evaluate``, bit for bit
     samples = [np.abs(row @ table) ** 2 for row in f.rows(labels)]
-    diff = np.array([channels.weight(label) * s for label, s in zip(labels, samples)])
+    diff = channels._weights[:, None] * np.array(samples)
     quad = {label: float(grid.integrate(values)) for label, values in zip(labels, diff)}
-    return CrossSections(labels, _cross_sections_per_channel(f, channels), quad, diff, grid)
+    per_channel = dict(zip(labels, _cross_sections_per_channel(f, channels).tolist()))
+    return CrossSections(labels, per_channel, quad, diff, grid)
 
 
 def _least_order(l_max: int) -> int:
@@ -488,15 +500,23 @@ def total_flux(
     integrates ``conj(Y_a) Y_b`` to exactly ``delta_ab``, so the total is
     ``sum_beta weight_beta sum_l (sum_m |B_lm|**2) HW_ll`` with the diagonal
     pair factor ``HW_ll == 1``: the summed cross section, exact at any
-    ``kR``.  On a grid of lower order the pair factors are contracted
+    ``kR``.  With ``grid=None`` that is the default grid, resolved by
+    construction, so the default call returns the summed cross section
+    (``cross_sections(f, channels).total``, bit for bit) without building
+    a grid.  On a grid of lower order the pair factors are contracted
     against the double-double sphere Gram matrix, whose rounding the pair
     factors amplify at small ``kR``.  ``R`` must be finite and positive, or
-    ``ValueError`` is raised.
+    ``ValueError`` is raised; a ``grid`` that is not an ``AngularGrid``
+    raises ``TypeError`` and an unknown ``method`` ``ValueError``.
     """
     _check_positive(np.asarray(R, dtype=float), "distance R")
-    grid = _grid(f, grid)
+    if grid is not None or method != "gram":
+        grid = _grid(f, grid)
     if method not in ("gram", "pointwise"):
         raise ValueError(f"method must be gram or pointwise, got {method!r}")
+    if grid is None:
+        # the default grid resolves every mode bilinear by construction
+        return _summed_cross_section(f, channels)
     return float(_totals(f, channels, np.array([R], dtype=float), grid, method)[0])
 
 
@@ -542,7 +562,7 @@ def flux_profile(
         raise ValueError("r_values must be a non-empty 1-d array")
     _check_positive(r_values, "distance R")
     grid = _grid(f, grid)
-    k_min = min(channels.k(label) for label in channels.labels)
+    k_min = channels._ks.min()
     samples = _grid_rows(f, channels, grid, r_values)
     return FluxProfile(
         r_values=r_values,
@@ -619,14 +639,13 @@ def unitarity_defect(
 
     # the amplitude of entrance e at direction d is row e * n_dir + d
     if amplitudes is None:
-        # an S-matrix family: every row from one harmonic table
-        rows = f._rows(channels.labels, entrances, vectors)
-        l_max = math.isqrt(rows.shape[2]) - 1
+        # an S-matrix family: every row, and the sampled values, from one harmonic table
+        rows, table = f._rows(channels.labels, entrances, vectors)
     else:
         l_max = max(amp.l_max for amp in amplitudes)
         rows = np.array([amp.rows(channels.labels, l_max) for amp in amplitudes])
-    table = _ylm(l_max, vectors)
-    k = np.array([[channels.k(label)] for label in channels.labels])
+        table = _ylm(l_max, vectors)
+    k = channels._ks[:, None]
     n_dir, n_amp = len(directions), rows.shape[0]
     bilinears = rows.reshape(n_amp, -1).conj() @ (k * rows).reshape(n_amp, -1).T
     values = rows @ table

@@ -117,6 +117,25 @@ def _norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(vecs[..., None, :], vecs[..., :, None])[..., 0, 0])
 
 
+# Below this norm the squared components leave the normal range: they lose
+# bits, or vanish for two distinct points.
+_SMALL_NORM = math.sqrt(np.finfo(float).tiny)
+
+
+def _distances(vecs: np.ndarray) -> np.ndarray:
+    """``_norms(vecs)`` of finite vectors, and where the squares leave the normal range
+    (below ``_SMALL_NORM``, or past float64) the norm of each vector over its largest
+    component times that component: a nonzero vector never reads 0, nor a finite one inf."""
+    with np.errstate(over="ignore"):
+        d = _norms(vecs)
+    outside = (d < _SMALL_NORM) | (d == np.inf)
+    if outside.any():
+        part = vecs[outside]
+        top = np.max(np.abs(part), axis=-1, keepdims=True)
+        d[outside] = top[:, 0] * _norms(part / top)
+    return d
+
+
 def _batch(
     query: GreensQuery | Sequence[GreensQuery],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -136,11 +155,14 @@ def _batch(
 
 
 def greens_point(query: GreensQuery | Sequence[GreensQuery]) -> complex | np.ndarray:
-    """Closed-form kernel ``exp(+-ik d)/(4 pi d)``, ``d = |R_vec - x_vec|``, per query."""
+    """Closed-form kernel ``exp(+-ik d)/(4 pi d)``, ``d = |R_vec - x_vec|``, per query.
+
+    The two points of a query differ (``|x_vec| < |R_vec|``), and ``d`` is
+    taken without underflow or overflow of its squares (``_distances``), so
+    it is never 0 and, for finite points, never inf.
+    """
     k, R_vec, x_vec, sign, lone = _batch(query)
-    d = _norms(R_vec - x_vec)
-    if (d == 0.0).any():
-        raise ValueError("coincident source and observation points")
+    d = _distances(R_vec - x_vec)
     values = np.exp(1j * sign * k * d) / (4.0 * np.pi * d)
     return complex(values[0]) if lone else values
 

@@ -71,9 +71,9 @@ def _integer(name: str, value, minimum: int = 0, error: type[ValueError] = Value
 
 def _check_positive(values: np.ndarray, name: str) -> None:
     """Raise ``ValueError`` naming ``name`` and the first entry not finite and positive."""
-    bad = ~(np.isfinite(values) & (values > 0))
-    if bad.any():
-        value = float(values.flat[np.argmax(bad)])
+    good = (values > 0) & (values < math.inf)
+    if np.count_nonzero(good) < values.size:
+        value = float(values.flat[np.argmin(good)])
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 

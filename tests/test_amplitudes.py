@@ -59,6 +59,31 @@ def test_channel_set_membership_and_weights():
     assert cs_v.weight("c1") == pytest.approx(0.8**2 / 1.0**2)
 
 
+@pytest.mark.parametrize("weight_mode", ["momentum_ratio", "velocity_ratio"])
+@pytest.mark.parametrize("entrance", [0, 2])
+def test_channel_set_stores_its_constants_once(weight_mode, entrance):
+    cs = channel_set(3, entrance=entrance, weight_mode=weight_mode)
+    # the stored arrays, in channel order, are the per-label values, and the
+    # weights are the ratios of the channels' own numbers, rounded once
+    assert cs.labels is cs.labels
+    for i, ch in enumerate(cs.channels):
+        ref = cs.entrance_channel
+        ratio = ch.velocity / ref.velocity if weight_mode == "velocity_ratio" else ch.k / ref.k
+        assert cs._ks[i] == cs.k(ch.label) == ch.k
+        assert cs._weights[i] == cs.weight(ch.label) == ratio
+        assert cs.channel(ch.label) is ch
+    assert not cs._ks.flags.writeable and not cs._weights.flags.writeable
+    with pytest.raises(KeyError, match="unknown channel 'missing'"):
+        cs.channel("missing")
+    with pytest.raises(KeyError, match="unknown channel 'missing'"):
+        cs.weight("missing")
+    with pytest.raises(KeyError, match="unknown channel 'missing'"):
+        cs.k("missing")
+    # a new entrance recomputes them
+    other = cs.with_entrance("c1")
+    assert other.weight("c1") == 1.0 and other._weights[1] == 1.0
+
+
 def test_channel_set_rejects_bad_configuration():
     with pytest.raises(ValueError):
         ChannelSet(

@@ -82,8 +82,8 @@ def test_smatrix_family_rows_do_not_depend_on_the_other_directions():
     direction = (0.3, -0.5, 0.8)
     others = np.random.default_rng(5).normal(size=(4, 3))
     batch = np.concatenate([others[:1], [direction], others[1:]])
-    alone = family._rows(labels, entrances, np.array([direction]))
-    together = family._rows(labels, entrances, batch)
+    alone, _ = family._rows(labels, entrances, np.array([direction]))
+    together, _ = family._rows(labels, entrances, batch)
     l_max = math.isqrt(alone.shape[2]) - 1
     assert l_max == 12
     for e, entrance in enumerate(entrances):

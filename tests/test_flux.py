@@ -819,6 +819,31 @@ def test_total_flux_pointwise_route_moderate_kr(rng):
         assert flux == pytest.approx(sigma, rel=1e-10)
 
 
+def test_total_flux_on_the_default_grid_is_the_summed_cross_section_without_a_grid(monkeypatch):
+    for n, l_max in ((1, 0), (2, 3), (3, 6)):
+        f, momentum, _ = unitary_amplitude(n, l_max, seed=40 + l_max)
+        for cs in (momentum, channel_set(n, entrance=n - 1, weight_mode="velocity_ratio")):
+            with_grid = total_flux(f, cs, 2.5, grid=default_grid(f))
+            total = cross_sections(f, cs).total
+            with monkeypatch.context() as m:
+                # the default grid is resolved by construction: no grid is built
+                m.setattr(flux_module, "default_grid", _forbidden_grid)
+                default = total_flux(f, cs, 2.5)
+                assert total_flux(f, cs, np.float64(0.01)) == default
+            assert type(default) is float
+            assert default.hex() == with_grid.hex() == total.hex()
+    # validation is unchanged: a bad method or distance still raises without a grid
+    monkeypatch.setattr(flux_module, "default_grid", _forbidden_grid)
+    with pytest.raises(ValueError, match="method must be gram or pointwise"):
+        total_flux(f, cs, 1.0, method="auto", grid=gauss_legendre_sphere(3))
+    with pytest.raises(ValueError, match="distance R must be finite and positive"):
+        total_flux(f, cs, -1.0)
+
+
+def _forbidden_grid(f):
+    raise AssertionError("default_grid called")
+
+
 def test_total_flux_method_validation(rng):
     f, cs, _ = unitary_amplitude(2, 2, seed=6)
     with pytest.raises(ValueError):
@@ -955,6 +980,8 @@ def test_unitarity_defect_of_a_zero_amplitude_is_zero():
 
 
 def test_unitarity_defect_propagates_nan(monkeypatch):
+    from nearfield import amplitudes as amplitudes_module
+
     _, cs, family = unitary_amplitude(2, 2, seed=31)
     real_table = flux_module._ylm
 
@@ -963,7 +990,9 @@ def test_unitarity_defect_propagates_nan(monkeypatch):
         table[1, 1] = np.nan
         return table
 
+    # an S-matrix family's rows and sampled values share the family's one table
     monkeypatch.setattr(flux_module, "_ylm", poisoned)
+    monkeypatch.setattr(amplitudes_module, "_ylm", poisoned)
     assert np.isnan(unitarity_defect(family, cs))
 
 
@@ -1059,10 +1088,14 @@ def test_smatrix_family_supplies_its_rows_from_one_table(monkeypatch):
         return real_table(l_max, directions)
 
     monkeypatch.setattr(amplitudes_module, "_ylm", counted)
-    rows = family._rows(labels, list(cs.labels), np.array(directions))
+    monkeypatch.setattr(flux_module, "_ylm", counted)
+    rows, table = family._rows(labels, list(cs.labels), np.array(directions))
     np.testing.assert_array_equal(rows, expected)
     assert tables == [(4, 3)]
-    # unitarity_defect takes them so: one table for the rows, one for the values
+    # the family's table, cut to the rows' modes, is the table of their degree
+    assert table.shape == (expected.shape[2], 4)
+    assert table.tobytes() == real_table(l_max, np.array(directions)).tobytes()
+    # unitarity_defect takes them so: one table for the rows and the values
     tables.clear()
     unitarity_defect(family, cs, kappa_hats=_KAPPA_HATS, s_hats=_S_HATS)
     assert tables == [(4, 3)]
@@ -1144,6 +1177,33 @@ def test_flux_rows_equal_two_quadratic_forms_bitwise(l_max, channels):
             scale = _kernels.quadratic_form(np.abs(collapsed), np.abs(w_pairs))
             expected[i] += cs.weight(label) * _real_with_hermitian_check(values, scale)
     np.testing.assert_array_equal(rows, expected)
+
+
+@pytest.mark.parametrize("order", [None, 3])
+def test_flux_rows_with_velocity_weights_equal_two_quadratic_forms_bitwise(order):
+    # channels out of label order, a zero channel and an entrance that is not
+    # the first: the stored wavenumbers and weights are read by position
+    f, _, _ = unitary_amplitude(3, 4, seed=75)
+    f = PartialWaveAmplitude({key: b for key, b in f.coefficients.items() if key[0] != "c1"})
+    base = channel_set(3, weight_mode="velocity_ratio")
+    cs = ChannelSet(base.channels[::-1], entrance="c1", weight_mode="velocity_ratio")
+    pts = np.random.default_rng(75).normal(size=(5, 3))
+    distances = np.geomspace(0.5, 300.0, 5)
+    labels, sums = _degree_sums(f, cs, pts)
+    assert labels == ["c2", "c0"]
+    rows = flux_module._flux_rows(labels, sums, cs, distances, order)
+    expected = np.zeros_like(rows)
+    for label, collapsed in zip(labels, sums):
+        zs = -1j * cs.k(label) * distances
+        if order is None:
+            stack = wronskian._pair_stack(4, zs)
+        else:
+            stack = wronskian._laurent_stack(4, zs, order)
+        for i, w_pairs in enumerate(stack):
+            values = _kernels.quadratic_form(collapsed, w_pairs)
+            scale = _kernels.quadratic_form(np.abs(collapsed), np.abs(w_pairs))
+            expected[i] += cs.weight(label) * _real_with_hermitian_check(values, scale)
+    assert rows.tobytes() == expected.tobytes()
 
 
 def _contraction_peak(labels, sums, cs, distances) -> tuple[int, int]:

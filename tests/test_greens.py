@@ -60,6 +60,25 @@ def test_point_kernel_closed_form():
     assert greens_point(q) == pytest.approx(np.exp(2j * d) / (4 * np.pi * d), rel=1e-15)
 
 
+def test_point_kernel_at_distances_whose_squares_leave_float64():
+    # two distinct points whose squared distance is 0 in float64, then one
+    # whose square is subnormal: the closed form at the exact distance, not
+    # "coincident points" or a distance with lost bits; and two points whose
+    # norms square within float64 but whose distance squares past it: not nan
+    cases = [
+        ([1e-150, 0.0, 0.0], [np.nextafter(1e-150, 0.0), 0.0, 0.0]),
+        ([1e-150, 0.0, 0.0], [1e-150 - 3e-157, 4e-157, 0.0]),
+        ([1e154, 0.0, 0.0], [-9e153, 0.0, 0.0]),
+    ]
+    for R_vec, x_vec in cases:
+        q = GreensQuery(k=1.0, R_vec=R_vec, x_vec=x_vec)
+        d = math.hypot(*(np.array(R_vec) - np.array(x_vec)))
+        assert not 1e-155 < d < 1e154
+        assert greens_point(q) == pytest.approx(np.exp(1j * d) / (4 * np.pi * d), rel=1e-15)
+    record = greens_point([GreensQuery(k=1.0, R_vec=R, x_vec=x) for R, x in cases])
+    assert np.all(np.isfinite(record))
+
+
 def test_point_kernel_of_a_sequence_is_the_single_query_formula(rng):
     queries = [_random_query(rng, sign) for sign in (1, -1) for _ in range(30)]
     # the scalar formula, with np.linalg.norm of one difference vector
