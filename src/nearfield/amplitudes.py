@@ -21,8 +21,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .special import (
-    FluxDomainError, _check_positive, _chi_integers, _chi_table, _directions, _integer,
-    _radial_table, _ylm, mode_degrees, mode_index, mode_list,
+    FluxDomainError, _check_positive, _chi_table, _directions, _integer, _radial_table, _ylm,
+    chi_coefficient, mode_degrees, mode_index, mode_list,
 )
 
 __all__ = [
@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 WEIGHT_MODES = ("momentum_ratio", "velocity_ratio")
+
+# the largest |S^H S - 1| entry that the S-matrix generators accept
+_UNITARITY_TOLERANCE = 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -191,10 +194,9 @@ class PartialWaveAmplitude:
         return amplitude
 
     def _store(self, labels: tuple[str, ...], table: np.ndarray) -> None:
-        """The one validation path of every builder: check, then keep the canonical form."""
-        n_rows, width = table.shape
-        if n_rows != len(labels) or not 0 < width == math.isqrt(width) ** 2:
-            raise ValueError(f"table of shape {table.shape} is not labels by (l_max+1)**2 modes")
+        """The one validation path of every builder, whose table is labels by ``(l_max+1)**2``
+        modes: check that it is finite, then keep the canonical form."""
+        width = table.shape[1]
         finite = np.isfinite(table)
         if not finite.all():
             row, position = divmod(int(np.argmin(finite)), width)
@@ -306,12 +308,12 @@ def h_coefficient(f: PartialWaveAmplitude, s: int) -> PartialWaveAmplitude:
 
     Multiplies each mode by ``(1/s!) prod_{mu=1}^{s} [l(l+1) - mu(mu-1)]``,
     the decaying solution's series integer ``(l+s)!/(s!(l-s)!)``, taken as
-    the float of the exact integer.  The ``mu = l + 1`` factor kills every
-    mode with ``l < s``, so the expansion of any finite amplitude terminates
-    at ``s = l_max``.
+    the float of the exact ``chi_coefficient``.  The ``mu = l + 1`` factor
+    kills every mode with ``l < s``, so the expansion of any finite
+    amplitude terminates at ``s = l_max``.
     """
     s = _integer("s", s, 1)
-    return f.map_modes(lambda l: float(_chi_integers(l)[s]) if s <= l else 0.0)
+    return f.map_modes(lambda l: float(chi_coefficient(l, s)))
 
 
 def scattered_wave(
@@ -442,7 +444,6 @@ def amplitudes_from_smatrix(
     model: SMatrixModel,
     channels: ChannelSet,
     kappa_hat=(0.0, 0.0, 1.0),
-    unitarity_tolerance: float = 1e-10,
 ) -> PartialWaveAmplitude:
     """Scattering amplitude of a unitary model for a given incident direction.
 
@@ -455,18 +456,19 @@ def amplitudes_from_smatrix(
     channels and modes come from one array expression over one harmonic
     table at ``kappa_hat``, which is the amplitude's table.  ``kappa_hat``
     holds one vector, or ``ValueError`` is raised; so does the family of
-    ``smatrix_amplitude_family``.
+    ``smatrix_amplitude_family``, and so does a model whose unitarity defect
+    exceeds ``1e-10``.
     """
-    _require_unitary(model, channels, unitarity_tolerance)
+    _require_unitary(model, channels)
     return _smatrix_amplitude(model, channels, kappa_hat)
 
 
-def _require_unitary(model: SMatrixModel, channels: ChannelSet, tolerance: float) -> None:
+def _require_unitary(model: SMatrixModel, channels: ChannelSet) -> None:
     """The gate of ``amplitudes_from_smatrix``: matching channels, unitary blocks."""
     if model.n_channels != len(channels.channels):
         raise ValueError("model channel count does not match channel set")
     defect = model.unitarity_defect()
-    if not defect <= tolerance:
+    if not defect <= _UNITARITY_TOLERANCE:
         raise ValueError(f"model is not unitary: defect {defect:.3e}")
 
 
@@ -514,7 +516,7 @@ def smatrix_amplitude_family(
     incident directions, which a single amplitude cannot supply.  The
     unitarity gate of ``amplitudes_from_smatrix`` runs once, here.
     """
-    _require_unitary(model, channels, 1e-10)
+    _require_unitary(model, channels)
 
     def family(entrance: str, kappa_hat) -> PartialWaveAmplitude:
         return _smatrix_amplitude(model, channels.with_entrance(entrance), kappa_hat)

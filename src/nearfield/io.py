@@ -29,7 +29,7 @@ from .amplitudes import (
     random_unitary_smatrix,
     smatrix_amplitude_family,
 )
-from .special import _integer, mode_list
+from .special import _degree, _integer, mode_list
 
 __all__ = [
     "AmplitudeDataError",
@@ -193,7 +193,7 @@ def loads_amplitude(text: str) -> tuple[PartialWaveAmplitude, ChannelSet]:
         beta = entry["beta"]
         if beta not in labels:
             raise AmplitudeDataError(f"{what}: unknown exit channel {beta!r}")
-        l = _integer(f"{what}: l", entry["l"], error=AmplitudeDataError)
+        l = _degree(f"{what}: l", entry["l"], AmplitudeDataError)
         m = _integer(f"{what}: m", entry["m"], -l, AmplitudeDataError)
         if m > l:
             raise AmplitudeDataError(f"{what}: m must satisfy |m| <= l")
@@ -390,7 +390,7 @@ def _resolve_hard_sphere(config: RunConfig, spec: dict) -> AmplitudeSource:
     _require_keys(spec, allowed, set(), what, ConfigError)
     k = _number(spec.get("k", 1.0), f"{what}: k", ConfigError)
     radius = _number(spec.get("radius", 1.0), f"{what}: radius", ConfigError)
-    l_max = _integer(f"{what}: l_max", spec.get("l_max", 8), error=ConfigError)
+    l_max = _degree(f"{what}: l_max", spec.get("l_max", 8), ConfigError)
     label = spec.get("label", "elastic")
     if not isinstance(label, str) or not label:
         raise ConfigError(f"{what}: label must be a non-empty string")
@@ -417,7 +417,7 @@ def _resolve_random_unitary(config: RunConfig, spec: dict) -> AmplitudeSource:
     allowed = {"model", "n_channels", "l_max", "seed", "k", "v", "labels", "alpha", "kappa"}
     _require_keys(spec, allowed, set(), what, ConfigError)
     n_channels = _integer(f"{what}: n_channels", spec.get("n_channels", 2), 1, ConfigError)
-    l_max = _integer(f"{what}: l_max", spec.get("l_max", 3), error=ConfigError)
+    l_max = _degree(f"{what}: l_max", spec.get("l_max", 3), ConfigError)
     seed = _integer(f"{what}: seed", spec.get("seed", config.seed), error=ConfigError)
     labels = spec.get("labels")
     if labels is None:

@@ -7,7 +7,10 @@ equation for angular momentum ``l``:
   with ``j_l`` the spherical Bessel function.
 * ``chi(l, z)``: the solution that decays like ``exp(-z)`` for large ``|z|``.
   It terminates: ``chi(l, z) = exp(-z) * sum_{S=0}^{l} c_S / (2 z)**S`` with
-  exact integer coefficients ``c_S = (l+S)! / (S! (l-S)!)``.  Evaluated on the
+  exact integer coefficients ``c_S = (l+S)! / (S! (l-S)!)``, one row per
+  degree from the exact neighbour ratio (``_chi_integers``); these rows are
+  also the ``P_l(u)`` of the pair factors, whose products come from
+  ``wronskian._recurrence``.  Evaluated on the
   imaginary axis ``z = -i k R`` it carries the outgoing spherical wave, so it
   is the workhorse of every finite-distance formula in this package.  It
   comes from the upward recurrence, and the series only where it is cut.
@@ -32,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -69,6 +73,23 @@ def _integer(name: str, value, minimum: int = 0, error: type[ValueError] = Value
     return int(value)
 
 
+# The largest degree whose harmonic tables are finite in float64: |Q_lm| peaks at
+# the poles, at sqrt((2l+1)/(4 pi) (l+m)!/(l-m)!) / (2**m m!), and for some m
+# that peak passes the float64 maximum from l = 1478 on.
+_MAX_DEGREE = 1477
+
+
+def _degree(name: str, value, error: type[ValueError] = ValueError) -> int:
+    """``_integer`` for a degree read from a file or a config: at most ``_MAX_DEGREE``."""
+    l = _integer(name, value, error=error)
+    if l > _MAX_DEGREE:
+        raise error(
+            f"{name} must be at most {_MAX_DEGREE}, the largest degree whose spherical "
+            f"harmonics are finite in float64, got {l}"
+        )
+    return l
+
+
 def _check_positive(values: np.ndarray, name: str) -> None:
     """Raise ``ValueError`` naming ``name`` and the first entry not finite and positive."""
     good = (values > 0) & (values < math.inf)
@@ -88,9 +109,9 @@ class FluxDomainError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _chi_integers(order: int) -> tuple[int, ...]:
-    f = math.factorial
-    return tuple(f(order + s) // (f(s) * f(order - s)) for s in range(order + 1))
+def _chi_integers(l: int) -> tuple[int, ...]:
+    """``c_s(l)``, ``s <= l``, by the exact neighbour ratio ``c_{s+1} = c_s (l+s+1)(l-s)/(s+1)``."""
+    return tuple(accumulate(range(l), lambda c, s: c * (l + s + 1) * (l - s) // (s + 1), initial=1))
 
 
 def chi_coefficient(l: int, s: int) -> Fraction:

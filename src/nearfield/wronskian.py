@@ -22,8 +22,10 @@ whose coefficients ``A_n`` are exactly the product coefficients of the two
 terminating series, ``A_n = [u**n] P_l(-u) P_j(u)``.  These corrections are
 the whole content of pre-asymptotic flux behaviour.
 
-Every exact integer here comes from one recurrence, ``_recurrence``, which
-carries ``P_l(-u)`` to ``P_l(-u) P_j(u)`` one degree ``j`` at a time: for
+The exact integers come from two places.  A row ``P_l(u) = sum_s c_s(l)
+u**s`` is ``special._chi_integers(l)``, built by the exact neighbour ratio
+of the series integers; a product comes from ``_recurrence``, which carries
+``P_l(-u)`` to ``P_l(-u) P_j(u)`` one degree ``j`` at a time: for
 one pair (``_pair_products``), whose ``A_n`` ``wronskian_series`` keeps,
 ``laurent_coefficients`` turns into rationals and ``half_wronskian_exact``
 rounds once, or for all pairs up to ``l_max``, in the table the flux
@@ -52,6 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import special
 from .special import FluxDomainError, _gauss_legendre, _integer, chi_terms
 
 __all__ = [
@@ -79,13 +82,14 @@ def _recurrence(start: np.ndarray, steps: int):
 
 @lru_cache(maxsize=32)
 def _laurent_table(l_max: int, orders: int) -> tuple[np.ndarray, int]:
-    """``table[n, l, j] * 2**(m n)``, the ``u**n`` coefficient of ``HW(j, l)`` in
-    ``pair_matrix``'s layout for ``n < orders`` (all at ``2 l_max + 2``), and ``m``:
-    ``_recurrence`` carries each row ``P_l(-u)`` to ``P_l(-u) P_j(u)`` in exact integers,
-    and ``delta A_n / (n+1)`` over ``2**(m n)``, least ``m`` keeping all finite, is rounded."""
+    """``table[n, l, j] * 2**(m n)``, the ``u**n`` coefficient of ``HW(j, l)`` in ``pair_matrix``'s
+    layout for ``n < orders`` (all at ``2 l_max + 2``), and ``m``: ``_recurrence`` carries each
+    row ``P_l(-u)`` of ``special._chi_integers`` to ``P_l(-u) P_j(u)`` in exact integers, and
+    ``delta A_n / (n+1)`` over ``2**(m n)``, least ``m`` keeping all finite, is rounded."""
     size, n = l_max + 1, np.arange(1, orders)
-    one = np.array([1] + [0] * (orders - 2), dtype=object)
-    rows = np.array([one, *_recurrence(one, l_max)], dtype=object)
+    rows = np.zeros((size, orders - 1), dtype=object)
+    for l, row in enumerate(rows):
+        row[: l + 1] = special._chi_integers(l)[: orders - 1]
     rows[:, 1::2] *= -1  # P_l(-u)
     degrees = np.arange(size) * np.arange(1, size + 1)
     columns, peaks = [], np.zeros(n.size, dtype=object)
@@ -107,14 +111,11 @@ def _laurent_table(l_max: int, orders: int) -> tuple[np.ndarray, int]:
 
 @lru_cache(maxsize=None)
 def _pair_products(conj_deg: int, dir_deg: int) -> np.ndarray:
-    """``A_n = [u**n] P_conj(-u) P_dir(u)`` for ``n <= j + l``, exact integers, from the pair's
-    own row: ``_recurrence`` gives ``P_low(-u)`` and carries it ``high`` steps to ``P_low(-u)
+    """``A_n = [u**n] P_conj(-u) P_dir(u)`` for ``n <= j + l``, exact integers: ``_recurrence``
+    carries the row ``P_low(-u)`` of ``special._chi_integers`` ``high`` steps to ``P_low(-u)
     P_high(u)``, and ``A_n(l, j) = (-1)**n A_n(j, l)`` (``O((j + l)**2)`` integer operations)."""
     low, high = sorted((conj_deg, dir_deg))
-    row = np.zeros(low + high + 1, dtype=object)
-    row[0] = 1
-    for row in _recurrence(row, low):
-        pass
+    row = np.array([*special._chi_integers(low), *[0] * high], dtype=object)
     row[1::2] *= -1  # P_low(-u)
     for row in _recurrence(row, high):
         pass

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nearfield import amplitudes
 from nearfield.amplitudes import (
     Channel,
     ChannelSet,
@@ -613,6 +614,22 @@ def test_amplitudes_from_smatrix_rejects_nonunitary():
         amplitudes_from_smatrix(poisoned, cs)
     with pytest.raises(ValueError, match="model channel count does not match channel set"):
         amplitudes_from_smatrix(model, channel_set(3))
+
+
+def test_both_unitarity_gates_read_one_tolerance(monkeypatch):
+    # |S^H S - 1| of (1 + e) times the identity is 2e + e**2, about 2e
+    cs = channel_set(2)
+
+    def model(e):
+        return amplitudes.SMatrixModel(matrices=((1 + e) * np.eye(2, dtype=complex),))
+
+    for gate in (amplitudes_from_smatrix, smatrix_amplitude_family):
+        gate(model(0.4e-10), cs)
+        with pytest.raises(ValueError, match="not unitary: defect 1.200e-10"):
+            gate(model(0.6e-10), cs)
+    monkeypatch.setattr(amplitudes, "_UNITARITY_TOLERANCE", 2e-10)
+    for gate in (amplitudes_from_smatrix, smatrix_amplitude_family):
+        gate(model(0.6e-10), cs)
 
 
 def test_identity_smatrix_gives_empty_amplitude():

@@ -13,9 +13,10 @@ import pytest
 
 import nearfield
 from nearfield import cli, greens
+from nearfield import io as nf_io
 from nearfield.amplitudes import Channel, ChannelSet, PartialWaveAmplitude, SMatrixModel
 from nearfield.flux import differential_flux_asymptotic, differential_flux_exact
-from nearfield.special import gauss_legendre_sphere, unit_from_angles
+from nearfield.special import _MAX_DEGREE, gauss_legendre_sphere, unit_from_angles
 from nearfield.io import (
     AmplitudeDataError,
     ConfigError,
@@ -185,6 +186,49 @@ def test_integer_fields_share_the_integer_rule_of_calls(tmp_path):
     ):
         with pytest.raises(ConfigError, match=re.escape(message)):
             resolve_amplitude(load_config(_write_config(tmp_path, doc)))
+
+
+def _past_the_bound(name: str) -> str:
+    return (
+        f"{name} must be at most {_MAX_DEGREE}, the largest degree whose spherical harmonics "
+        f"are finite in float64, got {_MAX_DEGREE + 1}"
+    )
+
+
+def test_amplitude_files_hold_degrees_up_to_the_harmonic_bound(tmp_path, capsys):
+    # a file's degree reaches every harmonic table; past the bound none is finite
+    doc = _valid_doc()
+    doc["coefficients"][0].update(l=_MAX_DEGREE, m=-_MAX_DEGREE)
+    f, _ = loads_amplitude(json.dumps(doc))
+    assert f.l_max == _MAX_DEGREE
+    assert f.coefficient("a", _MAX_DEGREE, -_MAX_DEGREE) == 0.25 - 0.125j
+    doc["coefficients"][0]["l"] = _MAX_DEGREE + 1
+    message = f"coefficient[0]: {_past_the_bound('l')}"
+    with pytest.raises(AmplitudeDataError, match=re.escape(message)):
+        loads_amplitude(json.dumps(doc))
+    (tmp_path / "amp.json").write_text(json.dumps(doc), encoding="utf-8")
+    cfg = _write_config(tmp_path, {"amplitude": {"file": "amp.json"}})
+    assert cli.main(["check", "optical", "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"amplitude data error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("model", ["hard_sphere", "random_unitary"])
+def test_model_degrees_past_the_harmonic_bound_are_config_errors(
+    model, tmp_path, capsys, monkeypatch
+):
+    # refused before any model or table is built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(nf_io, "hard_sphere_model", forbidden)
+    monkeypatch.setattr(nf_io, "random_unitary_smatrix", forbidden)
+    cfg = _write_config(tmp_path, {"amplitude": {"model": model, "l_max": _MAX_DEGREE + 1}})
+    assert cli.main(["check", "optical", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {model} model: {_past_the_bound('l_max')}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -17,12 +17,16 @@ from scipy.special import eval_legendre, sph_harm_y, spherical_jn, spherical_yn
 from nearfield.special import (
     AngularGrid,
     FluxDomainError,
+    _MAX_DEGREE,
+    _chi_integers,
+    _chi_ratios,
     _chi_table,
     _few_directions,
     _gauss_legendre,
     _legendre_table,
     _radial_table,
     _sphere_grid_arrays,
+    _ylm,
     _ylm_point,
     _ylm_vectorized,
     angles_from_unit,
@@ -40,7 +44,7 @@ from nearfield.special import (
     ylm_table,
 )
 
-from conftest import bessel_psi_downward, macdonald_chi
+from conftest import _chi_series, bessel_psi_downward, macdonald_chi
 
 
 # ----------------------------------------------------------------------
@@ -48,17 +52,53 @@ from conftest import bessel_psi_downward, macdonald_chi
 # ----------------------------------------------------------------------
 
 def test_chi_coefficient_factorial_form():
-    # c_S = (l+S)! / (S! (l-S)!) as exact rationals
+    # c_S = (l+S)! / (S! (l-S)!) as exact rationals, against the factorial
+    # oracle of conftest, which shares no code with the neighbour ratio
     assert chi_coefficient(0, 0) == 1
     assert chi_coefficient(2, 1) == 6
     assert chi_coefficient(2, 2) == 12
     assert chi_coefficient(3, 2) == 60
-    for l in range(9):
-        for s in range(l + 1):
-            expect = Fraction(
-                math.factorial(l + s), math.factorial(s) * math.factorial(l - s)
-            )
-            assert chi_coefficient(l, s) == expect
+    for l in [*range(41), 100, 300]:
+        expect = _chi_series(l)
+        got = [chi_coefficient(l, s) for s in range(l + 1)]
+        assert got == expect and all(type(c) is Fraction for c in got), l
+
+
+def test_chi_ratios_are_the_exact_ratios_rounded_once():
+    # the float route of chi_terms and the exact rows share one ratio: each
+    # entry is c_{s+1}/c_s of the integer rows, rounded once
+    ratios = _chi_ratios(150, 150)
+    for l in range(1, 151):
+        row = _chi_integers(l)
+        expect = np.array([float(Fraction(row[s + 1], row[s])) for s in range(l)])
+        assert np.array_equal(ratios[:l, l].view(np.uint64), expect.view(np.uint64)), l
+
+
+def _log_pole_peak(l: int) -> float:
+    """``log max_m |Q_lm(1)|``, ``Q_lm(1) = sqrt((2l+1)/(4 pi) (l+m)!/(l-m)!) / (2**m m!)``."""
+    log_norm = math.log((2 * l + 1) / (4 * math.pi))
+    return max(
+        0.5 * (log_norm + math.lgamma(l + m + 1) - math.lgamma(l - m + 1))
+        - m * math.log(2)
+        - math.lgamma(m + 1)
+        for m in range(l + 1)
+    )
+
+
+def test_max_degree_is_the_last_with_finite_harmonics():
+    # the pole values of the recurrence are the closed form, order by order ...
+    # (c, w) = (1, 1) gives Q_lm(1) w**m = Q_lm(1) at m >= 0
+    q = _ylm(20, (np.ones(1), np.ones(1, dtype=complex)))[420:441, 0]
+    closed = [
+        math.sqrt((41 / (4 * math.pi)) * math.factorial(20 + m) / math.factorial(20 - m))
+        / (2**m * math.factorial(m))
+        for m in range(21)
+    ]
+    np.testing.assert_allclose(np.abs(q), closed, rtol=1e-13)
+    assert math.log(max(closed)) == pytest.approx(_log_pole_peak(20), rel=1e-14)
+    # ... and their peak passes the float64 maximum first one degree past the bound
+    limit = math.log(np.finfo(float).max)
+    assert _log_pole_peak(_MAX_DEGREE) < limit < _log_pole_peak(_MAX_DEGREE + 1)
 
 
 def test_chi_coefficient_out_of_range():

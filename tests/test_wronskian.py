@@ -437,17 +437,38 @@ def test_exact_coefficients_equal_the_oracles():
 
 
 def test_every_exact_integer_comes_from_the_recurrence(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("exact integers outside _recurrence")
+    # every row c_s(l) = P_l's coefficients comes from special._chi_integers,
+    # and every product P_l(-u) P_j(u) from _recurrence
+    def forbidden(source):
+        def build(*args):
+            raise AssertionError(f"exact integers outside {source}")
 
-    monkeypatch.setattr(wronskian, "_recurrence", forbidden)
-    wronskian._pair_products.cache_clear()
-    wronskian._laurent_float.cache_clear()
-    for build in (
+        return build
+
+    def cleared():
+        wronskian._pair_products.cache_clear()
+        wronskian._laurent_float.cache_clear()
+        wronskian._laurent_table.cache_clear()
+
+    products = (
         lambda: laurent_coefficients(3, 5),
         lambda: wronskian_series(3, 5),
         lambda: half_wronskian_exact(3, 5, -2j),
-    ):
+        lambda: wronskian._laurent_stack(4, -2j, 3),
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(special, "_chi_integers", forbidden("_chi_integers"))
+        cleared()
+        for build in (
+            lambda: special.chi_coefficient(5, 2),
+            lambda: amplitudes.h_coefficient(_F, 2),
+            *products,
+        ):
+            with pytest.raises(AssertionError, match="outside _chi_integers"):
+                build()
+    monkeypatch.setattr(wronskian, "_recurrence", forbidden("_recurrence"))
+    cleared()
+    for build in products:
         with pytest.raises(AssertionError, match="outside _recurrence"):
             build()
 

@@ -10,9 +10,10 @@ pairs ``CHANGE`` first, so that a drift of the host's speed does not favour
 one side.  Every run prints one JSON object as its last line; this script
 prints, per pair, each end-to-end metric of both sides and their ratio
 (change / base), then per metric the medians of both sides, the quartiles of
-the base runs, the median ratio and in how many pairs the change was better.
-Which direction is better comes from the ``end_to_end`` list of
-``BENCHMARK.json`` in ``BASE``.  Only the standard library is used.
+the base runs, the median ratio, in how many pairs the change was better and
+a verdict (``verdict``).  Which direction is better, and each metric's
+regression bound, come from the ``end_to_end`` list of ``BENCHMARK.json`` in
+``BASE``.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -45,6 +46,34 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """The verdict on one metric of paired runs, ``base[i]`` and ``change[i]`` in pair ``i``.
+
+    With ``m`` the base median and ``q1..q3`` the base quartiles, the first that holds:
+
+    * ``regression``: the change median is worse than ``m`` by more than ``bound * m``;
+    * ``unresolved``: ``q3 - q1 > bound * m``, unless every change run beats every base run;
+    * ``gain``: the change is better in at least 9 of 10 pairs (a tie counts for neither
+      side), and its median is better than ``m`` by more than ``q3 - q1``;
+    * ``no regression``.
+
+    ``better`` is ``"higher"`` or ``"lower"``.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    median = statistics.median(base)
+    gained = sign * (statistics.median(change) - median)  # positive when the change is better
+    q1, q3 = quartiles(base)
+    if gained < -bound * median:
+        return "regression"
+    every_run_beaten = min(sign * c for c in change) > max(sign * b for b in base)
+    if q3 - q1 > bound * median and not every_run_beaten:
+        return "unresolved"
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    if 10 * wins >= 9 * len(base) and gained > q3 - q1:
+        return "gain"
+    return "no regression"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="root of the reference checkout")
@@ -56,10 +85,9 @@ def main() -> int:
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    better = {
-        item["name"]: item["better"]
-        for item in json.loads((args.base / "BENCHMARK.json").read_text())["end_to_end"]
-    }
+    metrics = json.loads((args.base / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {item["name"]: item["better"] for item in metrics}
+    bounds = {item["name"]: item["bound"] for item in metrics}
     sides = {"base": args.base, "change": args.change}
     values: dict[str, dict[str, list[float]]] = {name: {"base": [], "change": []} for name in better}
     for pair in range(args.pairs):
@@ -87,7 +115,7 @@ def main() -> int:
             f"{name}: base median {statistics.median(base):.4g} (quartiles {q1:.4g}..{q3:.4g}), "
             f"change median {statistics.median(change):.4g}, median ratio "
             f"{statistics.median(ratios):.4f}, change better in {wins} of {len(ratios)} "
-            f"({direction} is better)"
+            f"({direction} is better): {verdict(base, change, direction, bounds[name])}"
         )
     return 0
 
