@@ -310,10 +310,27 @@ def h_coefficient(f: PartialWaveAmplitude, s: int) -> PartialWaveAmplitude:
     the decaying solution's series integer ``(l+s)!/(s!(l-s)!)``, taken as
     the float of the exact ``chi_coefficient``.  The ``mu = l + 1`` factor
     kills every mode with ``l < s``, so the expansion of any finite
-    amplitude terminates at ``s = l_max``.
+    amplitude terminates at ``s = l_max``.  An integer or a scaled
+    coefficient past float64 raises ``FluxDomainError`` naming its ``l``.
     """
     s = _integer("s", s, 1)
-    return f.map_modes(lambda l: float(chi_coefficient(l, s)))
+    limit = f"passes the float64 limit {np.finfo(float).max:.4g}"
+    factors = []
+    for l in range(f.l_max + 1):
+        try:
+            factors.append(float(chi_coefficient(l, s)))
+        except OverflowError:
+            raise FluxDomainError(
+                f"the series integer (l+s)!/(s!(l-s)!) at l={l}, s={s} {limit}"
+            ) from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = _product(f.table, np.array(factors, dtype=complex)[mode_degrees(f.l_max)])
+    finite = np.isfinite(scaled).all(axis=0)
+    if not finite.all():
+        # position l*l + l + m has integer square root l
+        l = math.isqrt(int(np.argmin(finite)))
+        raise FluxDomainError(f"the scaled coefficient at l={l}, s={s} {limit}")
+    return f._from_table(f.exit_labels, scaled)
 
 
 def scattered_wave(

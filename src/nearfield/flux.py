@@ -24,10 +24,14 @@ order ``2 l_max``, where the two paths must agree to rounding; their
 agreement (and controlled disagreement below that order) is the main
 scientific claim this package exists to check.  One kernel, ``_flux_rows``,
 contracts both, at a scalar or a 1-d array of distances, from degree sums
-they can share.  A lone pointwise call is mostly fixed cost, so the kernel
-reads the channel set's stored wavenumbers and weights (``ChannelSet``
-computes them once), and its finiteness and Hermiticity tests count bad
-entries with ``np.count_nonzero`` instead of reducing over them.
+they can share.  The sums depend on neither ``R`` nor the route, so a
+pointwise call with the amplitude, channel set and directions of the call
+before it reads that call's sums back from one slot, and every output keeps
+its bits (``_pointwise``).  The rest of a lone call is mostly fixed cost,
+so the kernel reads the channel set's stored wavenumbers and weights
+(``ChannelSet`` computes them once), and its finiteness and Hermiticity
+tests count bad entries with ``np.count_nonzero`` instead of reducing over
+them.
 
 Totals need care: at small ``kR`` the pointwise integrand can exceed its own
 integral by many orders of magnitude, so totals are not taken from it where
@@ -223,7 +227,8 @@ def _degree_starts(l_max: int) -> np.ndarray:
 # (128 KiB of complex128): every channel and as many distances as fit, else as
 # many channels as fit at one distance, at least one.  The block buffers stay
 # under glibc's default 128 KiB mmap threshold and come from heap pages already
-# mapped (blocks of 2**14 and 2**15 entries measured no faster).
+# mapped (blocks of 2**14 and 2**15 entries measured no faster).  It also bounds
+# the degree sums that ``_pointwise`` keeps for the next call.
 _BLOCK_ENTRIES = 2**13
 
 
@@ -323,6 +328,11 @@ def _grid_rows(
 # differential flux
 # ----------------------------------------------------------------------
 
+# The amplitude, channel set, direction key, labels and degree sums of the last
+# pointwise call that returned with sums of at most one block (see ``_pointwise``).
+_last_sums: tuple = (None,) * 5
+
+
 def _pointwise(
     f: PartialWaveAmplitude, channels: ChannelSet, R, nhat, order=None, single=False
 ) -> float | np.ndarray:
@@ -330,14 +340,30 @@ def _pointwise(
 
     ``R`` is a scalar or a 1-d array, finite and positive; the result has
     shape ``R.shape + nhat.shape[:-1]``, a scalar for both.
+
+    The degree sums of the last call are kept in one slot, ``_last_sums``: a
+    call with the same amplitude and channel set (the same objects, which are
+    frozen) at direction rows of the same shape and bytes reads them back,
+    read-only, instead of building them again.  Only sums of at most
+    ``_BLOCK_ENTRIES`` entries are kept, and only by a call that returns.
     """
+    global _last_sums
     r = np.asarray(R, dtype=float)
     if r.ndim > 1:
         raise ValueError("R must be a scalar or a 1-d array of distances")
     _check_positive(r, "distance R")
     vectors, shape = _directions(nhat)
-    labels, sums = _degree_sums(f, channels, vectors)
+    key = None
+    if len(f.exit_labels) * (f.l_max + 1) * len(vectors) <= _BLOCK_ENTRIES:
+        key = (vectors.shape, vectors.tobytes())
+    last_f, last_channels, last_key, labels, sums = _last_sums
+    hit = key is not None and last_f is f and last_channels is channels and last_key == key
+    if not hit:
+        labels, sums = _degree_sums(f, channels, vectors)
     total = _flux_rows(labels, sums, channels, np.atleast_1d(r), order, single)
+    if key is not None and not hit:
+        sums.flags.writeable = False
+        _last_sums = (f, channels, key, labels, sums)
     return total.reshape(r.shape + shape)[()]
 
 

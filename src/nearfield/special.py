@@ -80,7 +80,8 @@ _MAX_DEGREE = 1477
 
 
 def _degree(name: str, value, error: type[ValueError] = ValueError) -> int:
-    """``_integer`` for a degree read from a file or a config: at most ``_MAX_DEGREE``."""
+    """``_integer`` for a degree read from a file or a config, or planned for a harmonic
+    table (``_harmonic_plan``): at most ``_MAX_DEGREE``."""
     l = _integer(name, value, error=error)
     if l > _MAX_DEGREE:
         raise error(
@@ -404,6 +405,8 @@ class _HarmonicPlan:
 
 @lru_cache(maxsize=None)
 def _harmonic_plan(l_max: int) -> _HarmonicPlan:
+    """The plan of every harmonic table; a degree past ``_MAX_DEGREE`` raises ``ValueError``."""
+    l_max = _degree("l_max", l_max)
     sectoral = [1.0 / math.sqrt(4.0 * math.pi)]
     for m in range(1, l_max + 1):
         sectoral.append(-sectoral[-1] * math.sqrt((2 * m + 1) / (2 * m)))
@@ -440,9 +443,10 @@ def _ylm_point(l_max: int, c: float, w: complex) -> list[complex]:
     ``mirror = (-1)**m conj(w**m)`` gives the negative orders, with the
     operations of ``_ylm_vectorized``.
     """
+    plan = _harmonic_plan(l_max)
     out = [0j] * (l_max + 1) ** 2
     power = 1.0 + 0.0j
-    for m, q, rest in _harmonic_plan(l_max).columns:
+    for m, q, rest in plan.columns:
         lower = 0.0
         if m:
             mirror = -power.conjugate() if m & 1 else power.conjugate()

@@ -48,6 +48,14 @@ def raw_amplitude(rng: np.random.Generator, channels: ChannelSet, l_max: int) ->
     return PartialWaveAmplitude(coeffs)
 
 
+def forget_degree_sums() -> None:
+    """Empty the one slot of degree sums that ``flux._pointwise`` keeps, so that the next
+    pointwise call builds its sums."""
+    from nearfield import flux
+
+    flux._last_sums = (None,) * 5
+
+
 def fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of log y against log x."""
     return float(np.polyfit(np.log(np.asarray(x, float)), np.log(np.asarray(y, float)), 1)[0])

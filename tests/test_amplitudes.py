@@ -26,7 +26,7 @@ from nearfield.amplitudes import (
     smatrix_amplitude_family,
 )
 from nearfield.special import (
-    FluxDomainError, chi, mode_index, sph_harm, unit_from_angles, ylm_directions
+    FluxDomainError, chi, chi_coefficient, mode_index, sph_harm, unit_from_angles, ylm_directions
 )
 
 from conftest import channel_set, macdonald_chi, raw_amplitude, unitary_amplitude
@@ -335,6 +335,27 @@ def test_h_coefficient_values_match_radial_route():
     assert h_coefficient(f, 1).coefficient("a", 3, 0) == pytest.approx(12.0)
     assert h_coefficient(f, 2).coefficient("a", 3, 0) == pytest.approx(60.0)
     assert h_coefficient(f, 3).coefficient("a", 3, 0) == pytest.approx(120.0)
+
+
+def test_h_coefficient_past_float64_raises_a_typed_error():
+    limit = f"passes the float64 limit {np.finfo(float).max:.4g}"
+    tiny, huge = PartialWaveAmplitude({("a", 200, 0): 1e-300}), 1e250j
+    # c_150(150) = 300!/150! passes float64, although 1e-300 c_150(200) would not;
+    # c_s(200) fits up to s = 103; c_20(150), about 4.6e68, times 1e250 passes it
+    cases = [
+        (tiny, 150, f"the series integer (l+s)!/(s!(l-s)!) at l=150, s=150 {limit}"),
+        (tiny, 104, f"the series integer (l+s)!/(s!(l-s)!) at l=200, s=104 {limit}"),
+        (PartialWaveAmplitude({("a", 2, 1): 1.0, ("b", 150, -3): huge}), 20,
+         f"the scaled coefficient at l=150, s=20 {limit}"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, s, message in cases:
+            with pytest.raises(FluxDomainError) as caught:
+                h_coefficient(f, s)
+            assert str(caught.value) == message
+        assert h_coefficient(tiny, 103).coefficient("a", 200, 0) == 1e-300 * float(chi_coefficient(200, 103))
+        assert np.isfinite(h_coefficient(PartialWaveAmplitude({("b", 150, -3): huge / 1e20}), 20).table).all()
 
 
 def test_h_coefficient_terminates(rng):

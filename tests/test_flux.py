@@ -43,6 +43,7 @@ from nearfield.wronskian import pair_matrix
 from conftest import (
     channel_set,
     flux_oracle,
+    forget_degree_sums,
     hard_sphere_sigma_oracle,
     fit_slope,
     raw_amplitude,
@@ -1300,3 +1301,128 @@ def test_flux_rows_peak_is_bounded_by_one_block(l_max):
         excess.append(peak - len(labels) * n * (l_max + 1) ** 2 * 16)
     for n, more in zip(counts[1:], excess[1:]):
         assert more - excess[0] <= 32 * len(labels) * (n - counts[0]) + 64, n
+
+
+# ----------------------------------------------------------------------
+# the degree sums of the last pointwise call
+# ----------------------------------------------------------------------
+
+# every pointwise route, as (f, channels, R, nhat) -> flux; l_max is 3, so order 6 is 2 l_max
+_POINTWISE_CALLS = {
+    "exact": differential_flux_exact,
+    "order-0": lambda f, cs, R, nhat: differential_flux_asymptotic(f, cs, R, nhat, order=0),
+    "order-1": lambda f, cs, R, nhat: differential_flux_asymptotic(f, cs, R, nhat, order=1),
+    "order-4": differential_flux_asymptotic,
+    "order-6": lambda f, cs, R, nhat: differential_flux_asymptotic(f, cs, R, nhat, order=6),
+    "term-2": lambda f, cs, R, nhat: flux_correction_term(f, cs, R, nhat, order=2),
+    "far-field": lambda f, cs, R, nhat: far_field_flux(f, cs, nhat),
+}
+
+
+def _count_degree_sums(monkeypatch) -> list:
+    """A spy on ``flux._degree_sums``: one entry per build."""
+    built = []
+    real = flux_module._degree_sums
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(flux_module, "_degree_sums", spy)
+    return built
+
+
+@pytest.mark.parametrize("n_dirs", [1, 4])
+@pytest.mark.parametrize("R", [7.5, np.array([0.9, 3.0, 40.0])], ids=["scalar-R", "array-R"])
+@pytest.mark.parametrize("call", list(_POINTWISE_CALLS))
+def test_a_call_at_the_last_directions_keeps_its_bits(monkeypatch, call, R, n_dirs):
+    f, cs, _ = unitary_amplitude(2, 3, seed=90)
+    dirs = np.random.default_rng(90).normal(size=(n_dirs, 3))
+    nhat = dirs[0] if n_dirs == 1 else dirs
+    evaluate_at = _POINTWISE_CALLS[call]
+    forget_degree_sums()
+    cold = np.asarray(evaluate_at(f, cs, R, nhat))
+    # another route at another distance first, at equal directions in a new array
+    forget_degree_sums()
+    differential_flux_asymptotic(f, cs, 2.0, nhat.copy(), order=2)
+    built = _count_degree_sums(monkeypatch)
+    warm = np.asarray(evaluate_at(f, cs, R, nhat))
+    assert built == []
+    assert (warm.shape, warm.tobytes()) == (cold.shape, cold.tobytes())
+
+
+def test_a_call_builds_degree_sums_unless_amplitude_channels_and_directions_repeat(monkeypatch):
+    f, cs, _ = unitary_amplitude(2, 3, seed=91)
+    nhat = np.random.default_rng(91).normal(size=(3, 3))
+    forget_degree_sums()
+    built = _count_degree_sums(monkeypatch)
+    differential_flux_exact(f, cs, 2.0, nhat)
+    for evaluate_at in _POINTWISE_CALLS.values():
+        evaluate_at(f, cs, [1.5, 30.0], nhat)
+    differential_flux_exact(f, cs, 2.0, nhat.copy())
+    differential_flux_exact(f, cs, 2.0, nhat.reshape(1, 3, 3))  # the same rows
+    assert len(built) == 1
+    nhat[1, 0] += 0.25  # in place: the rows' bytes change
+    differential_flux_exact(f, cs, 2.0, nhat)
+    assert len(built) == 2
+    differential_flux_exact(f, cs, 2.0, nhat[:2])
+    assert len(built) == 3
+    # an equal amplitude that is another object, and an equal channel set with another entrance
+    differential_flux_exact(PartialWaveAmplitude._from_table(f.exit_labels, f.table), cs, 2.0, nhat[:2])
+    assert len(built) == 4
+    differential_flux_exact(f, cs, 2.0, nhat[:2])
+    assert len(built) == 5
+    other_entrance = cs.with_entrance("c1")
+    differential_flux_exact(f, other_entrance, 2.0, nhat[:2])
+    assert len(built) == 6
+    differential_flux_exact(f, other_entrance, 7.0, nhat[:2])
+    assert len(built) == 6
+
+
+def test_degree_sums_past_one_block_are_not_kept(monkeypatch):
+    # two channels of degrees 0..3 fill a block of 2**13 entries at 1024 directions
+    f, cs, _ = unitary_amplitude(2, 3, seed=92)
+    pts = np.random.default_rng(92).normal(size=(1025, 3))
+    assert 2 * 4 * 1024 == flux_module._BLOCK_ENTRIES
+    forget_degree_sums()
+    built = _count_degree_sums(monkeypatch)
+    for _ in range(2):
+        differential_flux_exact(f, cs, 3.0, pts)
+    assert len(built) == 2 and flux_module._last_sums == (None,) * 5
+    for _ in range(2):
+        differential_flux_exact(f, cs, 3.0, pts[:1024])
+    assert len(built) == 3 and flux_module._last_sums[0] is f
+
+
+@pytest.mark.parametrize(
+    "R, nhat, error",
+    [
+        (0.0, None, ValueError),
+        (np.nan, None, ValueError),
+        (np.ones((2, 2)), None, ValueError),
+        (3.0, [[0.0, 0.6, 0.8], [0.0, 0.0, 0.0]], ValueError),
+        (1e-60, None, FluxDomainError),  # u**6 = (1/(2 kR))**6 passes float64
+    ],
+    ids=["zero-R", "nan-R", "2d-R", "zero-direction", "domain"],
+)
+def test_a_call_that_raises_leaves_the_slot_as_it_was(R, nhat, error):
+    f, cs, _ = unitary_amplitude(2, 3, seed=93)
+    kept = np.random.default_rng(93).normal(size=(2, 3))
+    for start in ("empty", "kept"):
+        forget_degree_sums()
+        if start == "kept":
+            differential_flux_exact(f, cs, 2.0, kept)
+        slot = flux_module._last_sums
+        with pytest.raises(error):
+            differential_flux_asymptotic(f, cs, R, kept if nhat is None else nhat, order=40)
+        assert flux_module._last_sums is slot
+
+
+def test_kept_degree_sums_are_read_only():
+    f, cs, _ = unitary_amplitude(2, 3, seed=94)
+    forget_degree_sums()
+    differential_flux_exact(f, cs, 2.0, np.random.default_rng(94).normal(size=(4, 3)))
+    sums = flux_module._last_sums[4]
+    assert sums.shape == (2, 4, 4) and not sums.flags.writeable
+    with pytest.raises(ValueError):
+        sums[0, 0, 0] = 1.0

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre, sph_harm_y, spherical_jn, spherical_yn
 
+from nearfield.amplitudes import Channel, ChannelSet, PartialWaveAmplitude, evaluate
+from nearfield.flux import differential_flux_exact
 from nearfield.special import (
     AngularGrid,
     FluxDomainError,
@@ -99,6 +101,31 @@ def test_max_degree_is_the_last_with_finite_harmonics():
     # ... and their peak passes the float64 maximum first one degree past the bound
     limit = math.log(np.finfo(float).max)
     assert _log_pole_peak(_MAX_DEGREE) < limit < _log_pole_peak(_MAX_DEGREE + 1)
+
+
+def test_harmonic_tables_past_the_degree_bound_raise_before_building():
+    # the plan of every harmonic table holds the bound, so both layouts and every route to
+    # them raise one ValueError and no RuntimeWarning, instead of a nan after seconds
+    l = _MAX_DEGREE + 1
+    f = PartialWaveAmplitude({("a", l, 0): 1.0})
+    cs = ChannelSet(channels=(Channel("a", 1.0),), entrance="a")
+    message = (
+        f"l_max must be at most {_MAX_DEGREE}, the largest degree whose spherical "
+        f"harmonics are finite in float64, got {l}"
+    )
+    calls = [
+        lambda: evaluate(f, "a", (0.0, 0.0, 1.0)),
+        lambda: ylm_directions(l, [(0.0, 0.6, 0.8), (1.0, 0.0, 0.0)]),
+        lambda: differential_flux_exact(f, cs, 10.0, (0.0, 0.0, 1.0)),
+        lambda: _ylm_point(l, 1.0, 0j),
+        lambda: _ylm_vectorized(l, np.ones(2), np.zeros(2, dtype=complex)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert str(caught.value) == message
 
 
 def test_chi_coefficient_out_of_range():
